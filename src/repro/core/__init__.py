@@ -14,12 +14,7 @@
   result types shared by the verification front-ends and the benchmarks.
 """
 
-from repro.core.config import (
-    AccelerationConfig,
-    CraftConfig,
-    ContractionSettings,
-    KleeneSettings,
-)
+from repro.core.config import CraftConfig, ContractionSettings, KleeneSettings
 from repro.core.contraction import ContractionEngine, DomainOps, domain_ops_for
 from repro.core.craft import CraftVerifier, FixpointProblem
 from repro.core.expansion import ExpansionSchedule
@@ -34,7 +29,6 @@ from repro.core.results import (
 )
 
 __all__ = [
-    "AccelerationConfig",
     "ContractionEngine",
     "ContractionResult",
     "ContractionSettings",

@@ -25,8 +25,6 @@ _VALID_EXPANSIONS = ("const", "exp", "none")
 _VALID_SLOPE_MODES = ("none", "reduced", "reference")
 _VALID_CONSOLIDATION_BASES = ("per_sample", "shared", "auto")
 _VALID_CACHE_KEY_MODES = ("exact", "quantized")
-_VALID_BACKENDS = ("numpy", "torch")
-_VALID_SEARCH_DTYPES = ("float64", "float32")
 
 
 @dataclass(frozen=True)
@@ -307,76 +305,6 @@ class ContractionSettings:
 
 
 @dataclass(frozen=True)
-class AccelerationConfig:
-    """Anderson/extrapolation acceleration knobs — concrete and abstract.
-
-    Acceleration only ever shortcuts the *search* for a containing
-    iterate; every certified postcondition is still established by the
-    exact, unaccelerated transformers (the soundness firewall of
-    ``docs/engines.md``).  The abstract proposer watches the consolidated
-    width trajectory and, when it contracts geometrically, dilates the
-    current proper state into an extrapolated candidate enclosure that is
-    accepted only if one exact abstract step maps it into itself.
-
-    Attributes
-    ----------
-    enabled:
-        Master switch.  ``False`` (the default) keeps the phase-one loop
-        bit-identical to the unaccelerated behaviour.
-    window:
-        History-window length of the concrete solvers' Anderson mixing
-        (``solve_fixpoint(accelerate="anderson")``); must be at least 2.
-    safeguard_ratio:
-        Concrete-solver safeguard: a mixed candidate is accepted only if
-        its measured residual is at most this multiple of the plain
-        damped step's residual.
-    margin:
-        Relative slack added on top of the predicted remaining width
-        growth when dilating the candidate enclosure (larger = more
-        conservative proposals that are more likely to contain).
-    rate_cap:
-        Maximum consolidated-width contraction ratio at which the
-        proposer fires; trajectories contracting slower than this are
-        left to the plain search.  Must lie in (0, 1).
-    max_factor:
-        Upper bound on the dilation factor of a proposed enclosure.
-    max_proposals:
-        Per-sample budget of containment proposals in one phase-one run
-        (each failed proposal costs one extra abstract step).
-    stages:
-        Optional per-stage enablement mask, one boolean per ladder stage
-        (validated against ``CraftConfig.domains``); ``None`` applies
-        ``enabled`` to every stage.
-    """
-
-    enabled: bool = False
-    window: int = 5
-    safeguard_ratio: float = 1.0
-    margin: float = 1.0
-    rate_cap: float = 0.9
-    max_factor: float = 4.0
-    max_proposals: int = 3
-    stages: Optional[Tuple[bool, ...]] = None
-
-    def __post_init__(self):
-        if self.window < 2:
-            raise ConfigurationError("acceleration window must be >= 2")
-        if self.safeguard_ratio <= 0:
-            raise ConfigurationError("safeguard_ratio must be positive")
-        if self.margin < 0:
-            raise ConfigurationError("margin must be non-negative")
-        if not 0.0 < self.rate_cap < 1.0:
-            raise ConfigurationError("rate_cap must lie in (0, 1)")
-        if self.max_factor < 1.0:
-            raise ConfigurationError("max_factor must be >= 1")
-        if self.max_proposals < 1:
-            raise ConfigurationError("max_proposals must be positive")
-        if self.stages is not None:
-            stages = tuple(bool(flag) for flag in self.stages)
-            object.__setattr__(self, "stages", stages)
-
-
-@dataclass(frozen=True)
 class KleeneSettings:
     """Settings of the Kleene-iteration baseline (Section 2.2)."""
 
@@ -511,26 +439,6 @@ class CraftConfig:
         in-memory LRU tier.  Like the batch-sizing knobs, these fields
         never influence verdicts and are excluded from the cache's
         config signature.
-    acceleration:
-        Anderson/extrapolation acceleration knobs
-        (:class:`AccelerationConfig`).  Unlike the batch-sizing knobs,
-        acceleration can change which phase-one iterate a verdict is
-        certified from, so these fields *are* part of the cache's config
-        signature.
-    backend, backend_device, backend_search_dtype:
-        Array backend of the batched engines (``docs/backends.md``):
-        ``"numpy"`` (default, bit-identical to the pre-backend code) or
-        ``"torch"`` with a torch device string (``"cpu"``, ``"cuda"``,
-        ``"cuda:1"``, ...).  Requesting torch without torch installed, or
-        a CUDA device without a visible GPU, raises
-        :class:`ConfigurationError` at engine construction — never a
-        silent numpy fallback.  ``backend_search_dtype="float32"``
-        downcasts *search-only* work (consolidation-basis fitting,
-        acceleration-proposal heuristics) while every proof-bearing
-        comparison (containment, verdict margins, safeguard residuals)
-        stays float64 — shortcut the search, never the proof.  All three
-        fields are part of the cache's config signature: entries computed
-        under different backend policies never cross-serve.
     """
 
     domain: Optional[str] = None
@@ -562,10 +470,6 @@ class CraftConfig:
     engine_batch_size: Optional[int] = None
     cache_budget_bytes: Optional[int] = None
     cache: CacheConfig = field(default_factory=CacheConfig)
-    acceleration: AccelerationConfig = field(default_factory=AccelerationConfig)
-    backend: str = "numpy"
-    backend_device: str = "cpu"
-    backend_search_dtype: str = "float64"
     concrete_tol: float = 1e-9
     concrete_max_iterations: int = 2000
     verbose: bool = False
@@ -630,38 +534,6 @@ class CraftConfig:
         if not isinstance(self.cache, CacheConfig):
             raise ConfigurationError(
                 f"cache must be a CacheConfig, got {type(self.cache).__name__}"
-            )
-        if not isinstance(self.acceleration, AccelerationConfig):
-            raise ConfigurationError(
-                f"acceleration must be an AccelerationConfig, got "
-                f"{type(self.acceleration).__name__}"
-            )
-        if self.acceleration.stages is not None and len(self.acceleration.stages) != len(
-            self.domains
-        ):
-            raise ConfigurationError(
-                f"acceleration.stages must name one flag per ladder stage "
-                f"({len(self.domains)} stages {self.domains}), got "
-                f"{len(self.acceleration.stages)} entries"
-            )
-        if self.backend not in _VALID_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {_VALID_BACKENDS}, got {self.backend!r}"
-            )
-        if self.backend_search_dtype not in _VALID_SEARCH_DTYPES:
-            raise ConfigurationError(
-                f"backend_search_dtype must be one of {_VALID_SEARCH_DTYPES}, "
-                f"got {self.backend_search_dtype!r}"
-            )
-        if not isinstance(self.backend_device, str) or not self.backend_device:
-            raise ConfigurationError(
-                f"backend_device must be a non-empty device string, "
-                f"got {self.backend_device!r}"
-            )
-        if self.backend == "numpy" and self.backend_device != "cpu":
-            raise ConfigurationError(
-                f"the numpy backend only supports backend_device='cpu', got "
-                f"{self.backend_device!r} (use backend='torch' for GPU devices)"
             )
         if not self.alpha2_grid:
             raise ConfigurationError("alpha2_grid must not be empty")
@@ -749,20 +621,12 @@ class CraftConfig:
             budget = self.stage_phase_one_budgets[index]
             if budget is not None:
                 contraction = replace(contraction, max_iterations=budget)
-        acceleration = self.acceleration
-        if acceleration.stages is not None:
-            acceleration = replace(
-                acceleration,
-                enabled=acceleration.enabled and acceleration.stages[index],
-                stages=None,
-            )
         return replace(
             self,
             domain=stage_domain,
             domains=(stage_domain,),
             contraction=contraction,
             stage_phase_one_budgets=None,
-            acceleration=acceleration,
             consolidation_basis=self.resolved_consolidation_basis(final=final),
         )
 
@@ -842,13 +706,6 @@ class CraftConfig:
             # Per-stage budgets are positional along the ladder; a ladder
             # change invalidates them rather than silently re-aligning.
             kwargs["stage_phase_one_budgets"] = None
-        if (
-            ("domain" in kwargs or "domains" in kwargs)
-            and "acceleration" not in kwargs
-            and self.acceleration.stages is not None
-        ):
-            # The per-stage acceleration mask is positional too.
-            kwargs["acceleration"] = replace(self.acceleration, stages=None)
         return replace(self, **kwargs)
 
     @classmethod

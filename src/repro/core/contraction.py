@@ -24,7 +24,7 @@ from typing import Callable, Deque, Optional
 
 import numpy as np
 
-from repro.core.config import AccelerationConfig, ContractionSettings
+from repro.core.config import ContractionSettings
 from repro.core.expansion import ExpansionSchedule
 from repro.core.results import ContractionResult
 from repro.domains.base import AbstractElement
@@ -44,63 +44,6 @@ StepFunction = Callable[[AbstractElement], AbstractElement]
 _GUARD_MIN_WIDTH = 1e-9
 
 
-def proposal_factors(
-    accel: AccelerationConfig,
-    widths: np.ndarray,
-    step_width_1: np.ndarray,
-    step_width_2: np.ndarray,
-    step_width_3: np.ndarray,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Vectorised acceleration-proposal decision (shared by both drivers).
-
-    Given the mean widths of the just-consolidated states (``widths``) and
-    the last three *step* widths of each sample, fit a geometric tail to
-    the step-width increments: a sample qualifies when the increments
-    contract monotonically (``0 < rho <= rate_cap``) and the extrapolated
-    limit ``w3 + d2 rho / (1 - rho)`` is positive.  The returned dilation
-    factor scales the consolidated state to the predicted limit width plus
-    ``margin`` relative slack, clipped to ``[1, max_factor]``.
-
-    Returns ``(factors, mask)``; rows with ``mask=False`` carry factor 1.
-    The sequential driver evaluates the same arithmetic with one-element
-    arrays, so both engines propose identically — the engine parity
-    contract extends to acceleration.
-    """
-    d1 = step_width_2 - step_width_1
-    d2 = step_width_3 - step_width_2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = d2 / d1
-        predicted = step_width_3 + d2 * rho / (1.0 - rho)
-        mask = (
-            np.isfinite(rho)
-            & (rho > 0.0)
-            & (rho <= accel.rate_cap)
-            & (widths > _GUARD_MIN_WIDTH)
-            & np.isfinite(predicted)
-            & (predicted > 0.0)
-        )
-        factors = np.minimum(
-            accel.max_factor,
-            np.maximum(1.0, (1.0 + accel.margin) * predicted / widths),
-        )
-    factors = np.where(mask, factors, 1.0)
-    return factors, mask
-
-
-def _proposal_factor(
-    accel: AccelerationConfig, width: float, step_widths: "tuple[float, float, float]"
-) -> Optional[float]:
-    """Scalar wrapper of :func:`proposal_factors` for the sequential driver."""
-    factors, mask = proposal_factors(
-        accel,
-        np.array([width]),
-        np.array([step_widths[0]]),
-        np.array([step_widths[1]]),
-        np.array([step_widths[2]]),
-    )
-    return float(factors[0]) if bool(mask[0]) else None
-
-
 @dataclass
 class DomainOps:
     """Domain-specific operations required by the contraction engine.
@@ -118,17 +61,11 @@ class DomainOps:
     compute_basis:
         ``compute_basis(element)`` returning the basis reused by subsequent
         consolidations, or ``None`` when the domain has no notion of basis.
-    dilate:
-        ``dilate(element, factor)`` returning a superset of ``element``
-        whose extents are scaled by ``factor >= 1`` about the centre.
-        Used by the acceleration proposer to build extrapolated candidate
-        enclosures; ``None`` disables proposing for the domain.
     """
 
     consolidate: Callable[[AbstractElement, Optional[np.ndarray], float, float], AbstractElement]
     contains: Callable[[AbstractElement, AbstractElement], bool]
     compute_basis: Optional[Callable[[AbstractElement], np.ndarray]] = None
-    dilate: Optional[Callable[[AbstractElement, float], AbstractElement]] = None
 
 
 def _pooled_element_basis(element: CHZonotope) -> np.ndarray:
@@ -174,19 +111,7 @@ def _chzonotope_ops(
     def contains(outer: CHZonotope, inner: CHZonotope):
         return outer.contains(inner)
 
-    def dilate(element: CHZonotope, factor: float):
-        if factor < 1.0:
-            raise DomainError(f"dilation factor must be >= 1, got {factor}")
-        return CHZonotope(
-            element.center, element.generators * factor, element.box * factor
-        )
-
-    return DomainOps(
-        consolidate=consolidate,
-        contains=contains,
-        compute_basis=compute_basis,
-        dilate=dilate,
-    )
+    return DomainOps(consolidate=consolidate, contains=contains, compute_basis=compute_basis)
 
 
 def _interval_ops() -> DomainOps:
@@ -201,14 +126,7 @@ def _interval_ops() -> DomainOps:
         lower, upper = inner.concretize_bounds()
         return Interval(lower, upper).is_subset_of(outer)
 
-    def dilate(element: Interval, factor: float):
-        if factor < 1.0:
-            raise DomainError(f"dilation factor must be >= 1, got {factor}")
-        return Interval.from_center_radius(element.center, element.radius * factor)
-
-    return DomainOps(
-        consolidate=consolidate, contains=contains, compute_basis=None, dilate=dilate
-    )
+    return DomainOps(consolidate=consolidate, contains=contains, compute_basis=None)
 
 
 def _zonotope_ops(
@@ -244,17 +162,7 @@ def _zonotope_ops(
     def compute_basis(element):
         return chz.compute_basis(lift(element))
 
-    def dilate(element: Zonotope, factor: float):
-        if factor < 1.0:
-            raise DomainError(f"dilation factor must be >= 1, got {factor}")
-        return Zonotope(element.center, element.generators * factor)
-
-    return DomainOps(
-        consolidate=consolidate,
-        contains=contains,
-        compute_basis=compute_basis,
-        dilate=dilate,
-    )
+    return DomainOps(consolidate=consolidate, contains=contains, compute_basis=compute_basis)
 
 
 def _parallelotope_ops(
@@ -272,14 +180,8 @@ def _parallelotope_ops(
     def consolidate(element, basis, w_mul, w_add):
         return ParallelotopeZonotope._wrap(base.consolidate(element, basis, w_mul, w_add))
 
-    def dilate(element, factor):
-        return ParallelotopeZonotope._wrap(base.dilate(element, factor))
-
     return DomainOps(
-        consolidate=consolidate,
-        contains=base.contains,
-        compute_basis=base.compute_basis,
-        dilate=dilate,
+        consolidate=consolidate, contains=base.contains, compute_basis=base.compute_basis
     )
 
 
@@ -339,16 +241,10 @@ class ContractionEngine:
         settings: ContractionSettings,
         ops: DomainOps,
         expansion: Optional[ExpansionSchedule] = None,
-        acceleration: Optional[AccelerationConfig] = None,
     ):
         self._settings = settings
         self._ops = ops
         self._expansion = expansion
-        self._acceleration = (
-            acceleration
-            if acceleration is not None and acceleration.enabled and ops.dilate is not None
-            else None
-        )
 
     def run(self, step: StepFunction, initial: AbstractElement) -> ContractionResult:
         """Iterate ``step`` from ``initial`` until contraction or exhaustion.
@@ -362,15 +258,12 @@ class ContractionEngine:
         states (sound by Theorem B.1).
         """
         settings = self._settings
-        accel = self._acceleration
         history: Deque[AbstractElement] = deque(maxlen=settings.history_size)
         width_trace = []
         state = initial
         basis: Optional[np.ndarray] = None
         consolidations = 0
         peak_error_terms = getattr(state, "num_generators", 0)
-        step_width_1 = step_width_2 = step_width_3 = float("nan")
-        proposals = 0
 
         for iteration in range(settings.max_iterations):
             if iteration % settings.consolidate_every == 0:
@@ -385,64 +278,12 @@ class ContractionEngine:
                 history.append(state)
                 consolidations += 1
 
-                if accel is not None and proposals < accel.max_proposals:
-                    # Acceleration proposer (the soundness firewall): when
-                    # the last segment's step widths contract
-                    # geometrically, extrapolate their limit, dilate the
-                    # just-consolidated proper state into a candidate
-                    # enclosure at the predicted limit width (plus
-                    # margin), and accept it only if a short run of
-                    # *exact* abstract steps maps it into itself — the
-                    # same Theorem B.1 proof obligation as the plain
-                    # multi-step history scan, just against an
-                    # extrapolated reference instead of a historical one.
-                    # A rejected proposal changes nothing: the plain
-                    # trajectory continues untouched below.
-                    decision = _proposal_factor(
-                        accel,
-                        state.mean_width,
-                        (step_width_1, step_width_2, step_width_3),
-                    )
-                    if decision is not None:
-                        candidate = self._ops.dilate(state, decision)
-                        proposals += 1
-                        trial = candidate
-                        budget = min(
-                            settings.consolidate_every,
-                            settings.max_iterations - iteration,
-                        )
-                        for unrolled in range(1, budget + 1):
-                            trial = step(trial)
-                            peak_error_terms = max(
-                                peak_error_terms, getattr(trial, "num_generators", 0)
-                            )
-                            if not np.all(np.isfinite(trial.width)):
-                                break
-                            if self._ops.contains(candidate, trial):
-                                return ContractionResult(
-                                    contained=True,
-                                    state=trial,
-                                    reference=candidate,
-                                    iterations=iteration + unrolled,
-                                    consolidations=consolidations,
-                                    width_trace=width_trace,
-                                    peak_error_terms=peak_error_terms,
-                                    accelerated=True,
-                                    proposals=proposals,
-                                )
-
             next_state = step(state)
             peak_error_terms = max(
                 peak_error_terms, getattr(next_state, "num_generators", 0)
             )
             if settings.track_trace:
                 width_trace.append(next_state.mean_width)
-            if accel is not None:
-                step_width_1, step_width_2, step_width_3 = (
-                    step_width_2,
-                    step_width_3,
-                    next_state.mean_width,
-                )
 
             if next_state.max_width > settings.abort_width or not np.all(
                 np.isfinite(next_state.width)
@@ -456,7 +297,6 @@ class ContractionEngine:
                     width_trace=width_trace,
                     diverged=True,
                     peak_error_terms=peak_error_terms,
-                    proposals=proposals,
                 )
 
             for reference in reversed(history):
@@ -469,7 +309,6 @@ class ContractionEngine:
                         consolidations=consolidations,
                         width_trace=width_trace,
                         peak_error_terms=peak_error_terms,
-                        proposals=proposals,
                     )
             state = next_state
 
@@ -481,5 +320,4 @@ class ContractionEngine:
             consolidations=consolidations,
             width_trace=width_trace,
             peak_error_terms=peak_error_terms,
-            proposals=proposals,
         )

@@ -135,12 +135,7 @@ class CraftVerifier:
     def find_fixpoint_abstraction(self, problem: FixpointProblem) -> ContractionResult:
         """Run the containment phase only (Theorem 3.1 / B.1)."""
         expansion = ExpansionSchedule.from_config(self._config)
-        engine = ContractionEngine(
-            self._config.contraction,
-            self._ops,
-            expansion,
-            acceleration=self._config.acceleration,
-        )
+        engine = ContractionEngine(self._config.contraction, self._ops, expansion)
         return engine.run(problem.contraction_step, problem.initial_state)
 
     # ------------------------------------------------------------------
@@ -181,8 +176,6 @@ class CraftVerifier:
                 ),
                 notes="containment phase did not detect contraction",
                 peak_error_terms=contraction.peak_error_terms,
-                accelerated=contraction.accelerated,
-                accel_proposals=contraction.proposals,
             )
 
         phase_two = self._tighten_and_certify(problem, contraction)
@@ -215,8 +208,6 @@ class CraftVerifier:
             peak_error_terms=max(
                 contraction.peak_error_terms, phase_two.peak_error_terms
             ),
-            accelerated=contraction.accelerated,
-            accel_proposals=contraction.proposals,
         )
 
     def compute_fixpoint_set(

@@ -72,14 +72,6 @@ class ContractionResult:
     diverged: bool = False
     #: Largest error-term count any iterate reached (0 for basis-free domains).
     peak_error_terms: int = 0
-    #: Whether containment was established by an accepted extrapolated
-    #: candidate enclosure (the acceleration proposer) rather than the
-    #: plain history scan.  The proof obligation is identical either way:
-    #: one exact abstract step mapped ``reference`` into ``state``.
-    accelerated: bool = False
-    #: Number of extrapolated candidate enclosures tried (accepted or
-    #: not); each proposal costs one extra exact abstract step.
-    proposals: int = 0
 
     @property
     def mean_width(self) -> float:
@@ -154,15 +146,6 @@ class VerificationResult:
     #: the padded stack width the sample actually streamed, which is what
     #: the cache-fitting batch sizing models.
     peak_error_terms: Optional[int] = None
-    #: Whether phase one exited through an accepted acceleration proposal
-    #: (extrapolated candidate enclosure proven by an exact containment
-    #: step).  ``False`` for unaccelerated runs and for accelerated runs
-    #: whose plain search won the race.
-    accelerated: bool = False
-    #: Number of acceleration proposals the phase-one search tried for
-    #: this query (accepted or rejected) — the honest overhead counter
-    #: next to the ``iterations_phase1`` savings.
-    accel_proposals: int = 0
 
     @property
     def verified(self) -> bool:

@@ -22,18 +22,6 @@ generators with zero columns to a uniform ``k``) and :meth:`select` /
 :meth:`element`, which is how the batched Craft driver implements
 per-sample early exit: finished samples are gathered out and the remaining
 rows keep iterating as a smaller stack.
-
-The three stacks live on a pluggable :class:`~repro.backend.base.
-ArrayBackend` (``repro.backend``): numpy by default, torch (CPU or CUDA)
-when configured.  The backend is inferred from the arrays themselves
-(:func:`~repro.backend.base.backend_of`), so transformer chains stay on
-whatever device the stack was admitted to via :meth:`to_backend`.  Host
-boundary contract: the stacks and every transformer stay on the backend;
-the scalar-ish driver diagnostics (``concretize_bounds``, ``width``,
-``contains``, ``containment_margin``, ``element``) return numpy — an
-identity (no copy) on the numpy backend, a single device→host transfer of
-``(B, n)``-sized arrays on torch.  The ``O(B·n·k)`` generator stacks never
-cross the host boundary between admission and verdict extraction.
 """
 
 from __future__ import annotations
@@ -42,9 +30,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import backend_of, batched_default_slopes, batched_relu_relaxation
-from repro.backend.base import ArrayBackend
 from repro.domains.chzonotope import CHZonotope
+from repro.domains.relu import default_slopes, relu_relaxation
 from repro.exceptions import DimensionMismatchError, DomainError, ImproperZonotopeError
 from repro.utils.linalg import pca_basis, shared_pca_basis
 
@@ -52,29 +39,27 @@ from repro.utils.linalg import pca_basis, shared_pca_basis
 class BatchedCHZonotope:
     """A stack of ``B`` CH-Zonotopes ``{ a_i + A_i nu + diag(b_i) eta }``."""
 
-    __slots__ = ("_xp", "_center", "_generators", "_box", "_inverse_cache", "_bounds_cache")
+    __slots__ = ("_center", "_generators", "_box", "_inverse_cache", "_bounds_cache")
 
     def __init__(self, center, generators=None, box=None):
-        xp = backend_of(center)
-        center = xp.asarray(center)
+        center = np.asarray(center, dtype=float)
         if center.ndim != 2:
-            raise DomainError(f"centers must have shape (batch, dim), got {tuple(center.shape)}")
+            raise DomainError(f"centers must have shape (batch, dim), got {center.shape}")
         batch, dim = center.shape
         if generators is None:
-            generators = xp.zeros((batch, dim, 0))
-        generators = xp.asarray(generators)
-        if generators.ndim != 3 or tuple(generators.shape[:2]) != (batch, dim):
+            generators = np.zeros((batch, dim, 0))
+        generators = np.asarray(generators, dtype=float)
+        if generators.ndim != 3 or generators.shape[:2] != (batch, dim):
             raise DomainError(
-                f"generators must have shape ({batch}, {dim}, k), got {tuple(generators.shape)}"
+                f"generators must have shape ({batch}, {dim}, k), got {generators.shape}"
             )
         if box is None:
-            box = xp.zeros((batch, dim))
-        box = xp.asarray(box)
-        if tuple(box.shape) != (batch, dim):
-            raise DomainError(f"box must have shape ({batch}, {dim}), got {tuple(box.shape)}")
-        if bool(xp.any(box < 0)):
+            box = np.zeros((batch, dim))
+        box = np.asarray(box, dtype=float)
+        if box.shape != (batch, dim):
+            raise DomainError(f"box must have shape ({batch}, {dim}), got {box.shape}")
+        if np.any(box < 0):
             raise DomainError("box radii must be non-negative")
-        self._xp = xp
         self._center = center
         self._generators = generators
         self._box = box
@@ -110,20 +95,16 @@ class BatchedCHZonotope:
 
     def element(self, index: int) -> CHZonotope:
         """The ``index``-th sample as a sequential :class:`CHZonotope`."""
-        generators = self._xp.to_numpy(self._generators[index])
+        generators = self._generators[index]
         keep = np.abs(generators).sum(axis=0) > 0
-        return CHZonotope(
-            self._xp.to_numpy(self._center[index]),
-            generators[:, keep],
-            self._xp.to_numpy(self._box[index]),
-        )
+        return CHZonotope(self._center[index], generators[:, keep], self._box[index])
 
     def to_elements(self) -> List[CHZonotope]:
         return [self.element(index) for index in range(self.batch_size)]
 
     def select(self, indices) -> "BatchedCHZonotope":
         """Gather a sub-batch (used for per-sample early exit)."""
-        indices = self._xp.asindex(indices)
+        indices = np.asarray(indices)
         selected = type(self)(
             self._center[indices], self._generators[indices], self._box[indices]
         )
@@ -131,32 +112,9 @@ class BatchedCHZonotope:
             selected._inverse_cache = self._inverse_cache[indices]
         return selected
 
-    def to_backend(self, backend: ArrayBackend) -> "BatchedCHZonotope":
-        """This stack with its arrays adopted by ``backend``.
-
-        Returns ``self`` when the arrays already live there (the numpy →
-        numpy path is a no-op); otherwise one host↔device transfer per
-        array — this is the admission/extraction boundary the engines use,
-        never the per-iteration path.
-        """
-        if backend.is_backend_array(self._center) and getattr(
-            self._xp, "device", "cpu"
-        ) == getattr(backend, "device", "cpu"):
-            return self
-        return type(self)(
-            backend.asarray(self._xp.to_numpy(self._center)),
-            backend.asarray(self._xp.to_numpy(self._generators)),
-            backend.asarray(self._xp.to_numpy(self._box)),
-        )
-
     # ------------------------------------------------------------------
     # Representation accessors
     # ------------------------------------------------------------------
-
-    @property
-    def xp(self) -> ArrayBackend:
-        """The array backend holding this stack."""
-        return self._xp
 
     @property
     def batch_size(self) -> int:
@@ -171,40 +129,31 @@ class BatchedCHZonotope:
         return self._generators.shape[2]
 
     @property
-    def center(self):
-        return self._xp.copy(self._center)
+    def center(self) -> np.ndarray:
+        return self._center.copy()
 
     @property
-    def generators(self):
-        return self._xp.copy(self._generators)
+    def generators(self) -> np.ndarray:
+        return self._generators.copy()
 
     @property
-    def box(self):
-        return self._xp.copy(self._box)
-
-    def _bounds(self):
-        """Backend-resident concretisation bounds (cached).
-
-        Elements are immutable and the transformers read bounds several
-        times per iteration (ReLU relaxation, width heuristics, traces),
-        so the |A| column sum — a full pass over the largest array — is
-        cached, on the backend.
-        """
-        if self._bounds_cache is None:
-            xp = self._xp
-            radius = xp.sum(xp.abs(self._generators), axis=2) + self._box
-            self._bounds_cache = (self._center - radius, self._center + radius)
-        return self._bounds_cache
+    def box(self) -> np.ndarray:
+        return self._box.copy()
 
     def concretize_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        lower, upper = self._bounds()
-        return self._xp.to_numpy(lower), self._xp.to_numpy(upper)
+        # Elements are immutable and the driver reads bounds several times
+        # per iteration (ReLU relaxation, width heuristics, traces), so the
+        # |A| column sum — a full pass over the largest array — is cached.
+        if self._bounds_cache is None:
+            radius = np.abs(self._generators).sum(axis=2) + self._box
+            self._bounds_cache = (self._center - radius, self._center + radius)
+        return self._bounds_cache
 
     @property
     def width(self) -> np.ndarray:
         """Per-sample element-wise widths, shape ``(B, n)``."""
-        lower, upper = self._bounds()
-        return self._xp.to_numpy(upper - lower)
+        lower, upper = self.concretize_bounds()
+        return upper - lower
 
     @property
     def mean_width(self) -> np.ndarray:
@@ -220,7 +169,7 @@ class BatchedCHZonotope:
     # Abstract transformers (mirroring CHZonotope)
     # ------------------------------------------------------------------
 
-    def affine(self, weight, bias=None) -> "BatchedCHZonotope":
+    def affine(self, weight: np.ndarray, bias: Optional[np.ndarray] = None) -> "BatchedCHZonotope":
         """Exact affine transformer, batched.
 
         ``weight`` is either a shared ``(m, n)`` matrix or a per-sample
@@ -230,60 +179,57 @@ class BatchedCHZonotope:
         whose Box radius is non-zero in *any* sample — and the result has a
         zero Box component.
         """
-        xp = self._xp
-        weight = xp.asarray(weight)
+        weight = np.asarray(weight, dtype=float)
         if weight.ndim == 2:
             if weight.shape[1] != self.dim:
                 raise DimensionMismatchError(
-                    f"weight must have shape (m, {self.dim}), got {tuple(weight.shape)}"
+                    f"weight must have shape (m, {self.dim}), got {weight.shape}"
                 )
-            center = self._center @ xp.transpose(weight, (1, 0))
-            generators = xp.matmul(weight, self._generators)
-            box_axes = xp.nonzero1d(xp.any(self._box > 0, axis=0))
+            center = self._center @ weight.T
+            generators = np.matmul(weight, self._generators)
+            box_axes = np.nonzero(np.any(self._box > 0, axis=0))[0]
             box_columns = weight[None, :, box_axes] * self._box[:, None, box_axes]
         elif weight.ndim == 3:
             if weight.shape[0] != self.batch_size or weight.shape[2] != self.dim:
                 raise DimensionMismatchError(
                     f"weight must have shape ({self.batch_size}, m, {self.dim}), "
-                    f"got {tuple(weight.shape)}"
+                    f"got {weight.shape}"
                 )
-            center = xp.matmul(weight, self._center[:, :, None])[:, :, 0]
-            generators = xp.matmul(weight, self._generators)
-            box_axes = xp.nonzero1d(xp.any(self._box > 0, axis=0))
+            center = np.matmul(weight, self._center[:, :, None])[:, :, 0]
+            generators = np.matmul(weight, self._generators)
+            box_axes = np.nonzero(np.any(self._box > 0, axis=0))[0]
             box_columns = weight[:, :, box_axes] * self._box[:, None, box_axes]
         else:
             raise DimensionMismatchError("weight must be a 2-d or 3-d array")
         if bias is not None:
-            bias = xp.asarray(bias).reshape(-1)
+            bias = np.asarray(bias, dtype=float).reshape(-1)
             if bias.shape[0] != center.shape[1]:
                 raise DimensionMismatchError(
                     f"bias must have dimension {center.shape[1]}, got {bias.shape[0]}"
                 )
             center = center + bias[None, :]
-        generators = xp.concatenate([generators, box_columns], axis=2)
+        generators = np.concatenate([generators, box_columns], axis=2)
         return type(self)(center, generators, None)
 
     def relu(
         self,
-        slopes=None,
+        slopes: Optional[np.ndarray] = None,
         box_new_errors: bool = True,
-        pass_through=None,
+        pass_through: Optional[np.ndarray] = None,
     ) -> "BatchedCHZonotope":
         """Batched ReLU transformer (per-sample identical to the sequential one)."""
-        xp = self._xp
-        lower, upper = self._bounds()
-        relaxation = batched_relu_relaxation(xp, lower, upper, slopes, pass_through=pass_through)
+        lower, upper = self.concretize_bounds()
+        relaxation = relu_relaxation(lower, upper, slopes, pass_through=pass_through)
         center = relaxation.slopes * self._center + relaxation.offsets
         generators = relaxation.slopes[:, :, None] * self._generators
         box = relaxation.slopes * self._box
         if box_new_errors:
             return type(self)(center, generators, box + relaxation.new_errors)
-        new_axes = xp.nonzero1d(xp.any(relaxation.new_errors > 0, axis=0))
-        count = int(new_axes.shape[0])
-        if count:
-            fresh = xp.zeros((self.batch_size, self.dim, count))
-            fresh[:, new_axes, xp.arange(count)] = relaxation.new_errors[:, new_axes]
-            generators = xp.concatenate([generators, fresh], axis=2)
+        new_axes = np.nonzero(np.any(relaxation.new_errors > 0, axis=0))[0]
+        if new_axes.size:
+            fresh = np.zeros((self.batch_size, self.dim, new_axes.size))
+            fresh[:, new_axes, np.arange(new_axes.size)] = relaxation.new_errors[:, new_axes]
+            generators = np.concatenate([generators, fresh], axis=2)
         return type(self)(center, generators, box)
 
     def sum(self, other: "BatchedCHZonotope") -> "BatchedCHZonotope":
@@ -291,7 +237,7 @@ class BatchedCHZonotope:
         other = self._coerce(other)
         return type(self)(
             self._center + other._center,
-            self._xp.concatenate([self._generators, other._generators], axis=2),
+            np.concatenate([self._generators, other._generators], axis=2),
             self._box + other._box,
         )
 
@@ -301,50 +247,18 @@ class BatchedCHZonotope:
             factor * self._center, factor * self._generators, abs(factor) * self._box
         )
 
-    def translate(self, offset) -> "BatchedCHZonotope":
-        offset = self._xp.asarray(offset)
+    def translate(self, offset: np.ndarray) -> "BatchedCHZonotope":
+        offset = np.asarray(offset, dtype=float)
         return type(self)(self._center + offset, self._generators, self._box)
 
-    def dilate(self, factors) -> "BatchedCHZonotope":
-        """Scale each element about its own centre by a per-sample factor >= 1.
-
-        Dilation preserves properness (the generator matrix stays square and
-        invertible) and yields a superset of the original element, which is
-        what makes it a sound candidate-enclosure constructor for the
-        acceleration proposer.  Mirrors the sequential ``DomainOps.dilate``
-        arithmetic exactly: generators and box radii are multiplied, the
-        centre is untouched.
-        """
-        xp = self._xp
-        factors = xp.asarray(factors)
-        if tuple(factors.shape) != (self.batch_size,):
-            raise DomainError(
-                f"factors must have shape ({self.batch_size},), got {tuple(factors.shape)}"
-            )
-        if bool(xp.any(factors < 1.0)):
-            raise DomainError("dilation factors must be >= 1")
-        return type(self)(
-            self._center,
-            self._generators * factors[:, None, None],
-            self._box * factors[:, None],
-        )
-
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Sample ``count`` points per element, shape ``(B, count, n)``.
-
-        Always computed on the host with the caller's numpy generator so
-        sampled points are backend-independent (falsification traces must
-        not depend on the device).
-        """
-        center = self._xp.to_numpy(self._center)
-        generators = self._xp.to_numpy(self._generators)
-        box = self._xp.to_numpy(self._box)
+        """Sample ``count`` points per element, shape ``(B, count, n)``."""
         nu = rng.uniform(-1.0, 1.0, size=(self.batch_size, count, self.num_generators))
         eta = rng.uniform(-1.0, 1.0, size=(self.batch_size, count, self.dim))
         return (
-            center[:, None, :]
-            + np.matmul(nu, np.transpose(generators, (0, 2, 1)))
-            + eta * box[:, None, :]
+            self._center[:, None, :]
+            + np.matmul(nu, np.transpose(self._generators, (0, 2, 1)))
+            + eta * self._box[:, None, :]
         )
 
     # ------------------------------------------------------------------
@@ -353,7 +267,7 @@ class BatchedCHZonotope:
 
     def consolidate(
         self,
-        basis=None,
+        basis: Optional[np.ndarray] = None,
         w_mul: float = 0.0,
         w_add: float = 0.0,
     ) -> "BatchedCHZonotope":
@@ -369,69 +283,54 @@ class BatchedCHZonotope:
         """
         if w_mul < 0 or w_add < 0:
             raise DomainError("expansion parameters must be non-negative")
-        xp = self._xp
         if basis is None:
             basis = self.pca_basis()
-        basis = xp.asarray(basis)
+        basis = np.asarray(basis, dtype=float)
         if basis.ndim == 2:
             basis = basis[None]
-        if tuple(basis.shape) not in (
+        if basis.shape not in (
             (self.batch_size, self.dim, self.dim),
             (1, self.dim, self.dim),
         ):
             raise DomainError(
                 f"basis must have shape ({self.batch_size}, {self.dim}, {self.dim}) "
-                f"or ({self.dim}, {self.dim}), got {tuple(basis.shape)}"
+                f"or ({self.dim}, {self.dim}), got {basis.shape}"
             )
-        basis_inverse = _batched_inverse(xp, basis, context="consolidation basis")
+        basis_inverse = _batched_inverse(basis, context="consolidation basis")
         if self.num_generators:
-            coefficients = xp.sum(xp.abs(xp.matmul(basis_inverse, self._generators)), axis=2)
+            coefficients = np.abs(np.matmul(basis_inverse, self._generators)).sum(axis=2)
         else:
-            coefficients = xp.zeros((self.batch_size, self.dim))
+            coefficients = np.zeros((self.batch_size, self.dim))
         coefficients = (1.0 + w_mul) * coefficients + w_add
         floor = max(w_add, 1e-12)
-        coefficients = xp.maximum(coefficients, floor)
+        coefficients = np.maximum(coefficients, floor)
         new_generators = basis * coefficients[:, None, :]
         return type(self)(self._center, new_generators, self._box)
 
-    def pca_basis(self, jitter: float = 1e-12, search: bool = False):
-        """Per-sample PCA bases, shape ``(B, n, n)`` (identity where no errors).
-
-        ``search=True`` factorises in float32 under the search-dtype policy
-        (the basis is returned in float64; consolidation is sound for any
-        invertible basis, and the projection/inversion stay full precision).
-        """
-        xp = self._xp
+    def pca_basis(self, jitter: float = 1e-12) -> np.ndarray:
+        """Per-sample PCA bases, shape ``(B, n, n)`` (identity where no errors)."""
         if self.num_generators == 0:
-            return xp.ascontiguous(
-                xp.broadcast_to(xp.eye(self.dim), (self.batch_size, self.dim, self.dim))
-            )
-        matrix = xp.f32(self._generators) if search else self._generators
+            return np.broadcast_to(
+                np.eye(self.dim), (self.batch_size, self.dim, self.dim)
+            ).copy()
         try:
             # Economy SVD once k >= n: all n left vectors without the
             # (k, k) right factor — the same rule as utils.linalg.pca_basis
             # (engine parity requires both sides to pick the same driver).
-            u, _, _ = xp.svd(
-                matrix, full_matrices=self.num_generators < self.dim
+            u, _, _ = np.linalg.svd(
+                self._generators, full_matrices=self.num_generators < self.dim
             )
-        except xp.linalg_error:
+        except np.linalg.LinAlgError:
             # A numerically degenerate sample must not abort the whole
             # batch: fall back to the sequential helper, which retries the
             # failing sample with diagonal jitter (utils.linalg.pca_basis).
-            u = xp.stack(
-                [
-                    xp.asarray(pca_basis(xp.to_numpy(sample), jitter=jitter))
-                    for sample in self._generators
-                ]
-            )
-        if search:
-            u = xp.f64(u)
-        zero = xp.sum(xp.abs(self._generators), axis=(1, 2)) == 0.0
-        if bool(xp.any(zero)):
-            u = xp.where(zero[:, None, None], xp.eye(self.dim), u)
+            u = np.stack([pca_basis(sample, jitter=jitter) for sample in self._generators])
+        zero = ~np.any(self._generators, axis=(1, 2))
+        if np.any(zero):
+            u[zero] = np.eye(self.dim)
         return u
 
-    def shared_pca_basis(self, method: str = "auto", search: bool = False):
+    def shared_pca_basis(self, method: str = "auto") -> np.ndarray:
         """One pooled consolidation basis for the whole stack, shape ``(n, n)``.
 
         Computed from the pooled Gram ``sum_i A_i A_i^T`` (or its
@@ -442,49 +341,37 @@ class BatchedCHZonotope:
         consolidate every sample onto the common basis in one batched
         projection.
         """
-        xp = self._xp
-        if self.num_generators == 0 or not bool(xp.any(self._generators != 0.0)):
-            return xp.eye(self.dim)
-        return shared_pca_basis(self._generators, method=method, xp=xp, search=search)
+        if self.num_generators == 0 or not np.any(self._generators):
+            return np.eye(self.dim)
+        return shared_pca_basis(self._generators, method=method)
 
     def contains(self, other: "BatchedCHZonotope", tol: float = 1e-9) -> np.ndarray:
-        """Per-sample Theorem 4.2 containment flags, shape ``(B,)``.
-
-        The margin arithmetic and the comparison both run on the backend in
-        float64 — this is a proof-bearing check and is never downcast; only
-        the final ``(B,)`` flag vector crosses to the host.
-        """
-        margins = self._margins(other)
-        return self._xp.to_numpy(self._xp.all(margins <= 1.0 + tol, axis=1))
+        """Per-sample Theorem 4.2 containment flags, shape ``(B,)``."""
+        margins = self.containment_margin(other)
+        return np.all(margins <= 1.0 + tol, axis=1)
 
     def containment_margin(self, other: "BatchedCHZonotope") -> np.ndarray:
         """Per-sample element-wise Theorem 4.2 margins, shape ``(B, n)``."""
-        return self._xp.to_numpy(self._margins(other))
-
-    def _margins(self, other: "BatchedCHZonotope"):
         other = self._coerce(other)
-        xp = self._xp
         inverse = self._generator_inverse()
         if other.num_generators:
-            zonotope_part = xp.sum(xp.abs(xp.matmul(inverse, other._generators)), axis=2)
+            zonotope_part = np.abs(np.matmul(inverse, other._generators)).sum(axis=2)
         else:
-            zonotope_part = xp.zeros((self.batch_size, self.dim))
-        residual = xp.maximum(
-            0.0, xp.abs(other._center - self._center) + other._box - self._box
+            zonotope_part = np.zeros((self.batch_size, self.dim))
+        residual = np.maximum(
+            0.0, np.abs(other._center - self._center) + other._box - self._box
         )
-        box_part = xp.sum(xp.abs(inverse * residual[:, None, :]), axis=2)
+        box_part = np.abs(inverse * residual[:, None, :]).sum(axis=2)
         return zonotope_part + box_part
 
-    def _generator_inverse(self):
-        if tuple(self._generators.shape[1:]) != (self.dim, self.dim):
+    def _generator_inverse(self) -> np.ndarray:
+        if self._generators.shape[1:] != (self.dim, self.dim):
             raise ImproperZonotopeError(
                 "containment check requires the outer batch to be proper "
-                f"(square error matrices); got shape {tuple(self._generators.shape[1:])}"
+                f"(square error matrices); got shape {self._generators.shape[1:]}"
             )
         if self._inverse_cache is None:
-            self._inverse_cache = _batched_inverse(
-                self._xp, self._generators, context="error matrix"
-            )
+            self._inverse_cache = _batched_inverse(self._generators, context="error matrix")
         return self._inverse_cache
 
     # ------------------------------------------------------------------
@@ -495,18 +382,15 @@ class BatchedCHZonotope:
         """Drop generator columns that are zero across the whole batch."""
         if self.num_generators == 0:
             return self
-        xp = self._xp
-        keep = xp.sum(xp.abs(self._generators), axis=(0, 1)) > 0
-        if bool(xp.all(keep)):
+        keep = np.abs(self._generators).sum(axis=(0, 1)) > 0
+        if np.all(keep):
             return self
         return type(self)(self._center, self._generators[:, :, keep], self._box)
 
-    def relu_slopes(self, slope_delta: float):
+    def relu_slopes(self, slope_delta: float) -> np.ndarray:
         """Minimum-area slopes shifted by ``slope_delta`` (slope optimisation)."""
-        lower, upper = self._bounds()
-        return self._xp.clip(
-            batched_default_slopes(self._xp, lower, upper) + slope_delta, 0.0, 1.0
-        )
+        lower, upper = self.concretize_bounds()
+        return np.clip(default_slopes(lower, upper) + slope_delta, 0.0, 1.0)
 
     def _coerce(self, other: "BatchedCHZonotope") -> "BatchedCHZonotope":
         if not isinstance(other, BatchedCHZonotope):
@@ -521,12 +405,12 @@ class BatchedCHZonotope:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"BatchedCHZonotope(batch={self.batch_size}, dim={self.dim}, "
-            f"k={self.num_generators}, backend={self._xp.name})"
+            f"k={self.num_generators})"
         )
 
 
-def _batched_inverse(xp, matrices, context: str):
+def _batched_inverse(matrices: np.ndarray, context: str) -> np.ndarray:
     try:
-        return xp.inv(matrices)
-    except xp.linalg_error as exc:
+        return np.linalg.inv(matrices)
+    except np.linalg.LinAlgError as exc:
         raise ImproperZonotopeError(f"{context} is singular and cannot be inverted") from exc

@@ -22,13 +22,6 @@ generator columns, so verdicts are independent of batch composition.  The
 sequential counterpart of each domain is the :class:`~repro.core.contraction.DomainOps`
 bundle of :func:`repro.core.contraction.domain_ops_for`.
 
-All stacks hold their arrays on a pluggable
-:class:`~repro.backend.base.ArrayBackend` (numpy default, torch optional)
-inferred from the arrays themselves; ``to_backend`` is the one explicit
-host↔device admission point and the driver-facing diagnostics
-(``concretize_bounds``, ``width``, ``contains``) return numpy — identity
-(no copy) on the numpy backend.  See ``docs/backends.md``.
-
 Use :func:`batched_domain_for` to resolve a ``CraftConfig.domain`` name;
 unknown names raise :class:`~repro.exceptions.ConfigurationError` — the
 engine never falls back to the sequential loop silently.
@@ -40,10 +33,9 @@ from typing import List, Optional, Protocol, Sequence, Tuple, Type, runtime_chec
 
 import numpy as np
 
-from repro.backend import backend_of, batched_default_slopes
-from repro.backend.base import ArrayBackend
 from repro.domains.chzonotope import CHZonotope
 from repro.domains.interval import Interval
+from repro.domains.relu import default_slopes
 from repro.domains.zonotope import Zonotope
 from repro.engine.batched_chzonotope import BatchedCHZonotope
 from repro.exceptions import ConfigurationError, DimensionMismatchError, DomainError
@@ -59,8 +51,7 @@ class BatchedDomain(Protocol):
     * **Conversions** — ``from_elements(seq)`` stacks sequential elements,
       ``from_points(points)`` builds a degenerate stack, ``element(i)``
       extracts one sample back into the sequential domain, ``select(rows)``
-      gathers a sub-batch (per-sample early exit), ``to_backend(xp)``
-      adopts the stack onto an array backend (the admission boundary).
+      gathers a sub-batch (per-sample early exit).
     * **Stacked transformers** — ``affine(weight, bias)`` with a shared
       ``(m, n)`` or per-sample ``(B, m, n)`` weight, ``relu(slopes,
       box_new_errors, pass_through)``, ``sum(other)`` (Minkowski sum), and
@@ -75,11 +66,9 @@ class BatchedDomain(Protocol):
       consolidation basis stack or ``None`` when the domain has no basis
       (Box); ``shared_pca_basis(method)`` returning one pooled ``(n, n)``
       basis for the whole stack (or ``None`` for basis-free domains) —
-      the shared-basis consolidation mode.  Both basis hooks accept
-      ``search=True`` for the float32 search-dtype policy (basis *fitting*
-      may be downcast; containment never is).
+      the shared-basis consolidation mode.
     * **Geometry accessors** — ``concretize_bounds()``, ``width``,
-      ``mean_width``, ``max_width``, ``batch_size``, ``dim``, ``xp``.
+      ``mean_width``, ``max_width``, ``batch_size``, ``dim``.
     """
 
     # Conversions -------------------------------------------------------
@@ -89,19 +78,18 @@ class BatchedDomain(Protocol):
     def from_points(cls, points: np.ndarray) -> "BatchedDomain": ...
     def element(self, index: int): ...
     def select(self, indices) -> "BatchedDomain": ...
-    def to_backend(self, backend: ArrayBackend) -> "BatchedDomain": ...
 
     # Stacked transformers ---------------------------------------------
     def affine(self, weight, bias=None) -> "BatchedDomain": ...
     def relu(self, slopes=None, box_new_errors=True, pass_through=None) -> "BatchedDomain": ...
     def sum(self, other) -> "BatchedDomain": ...
-    def relu_slopes(self, slope_delta: float): ...
+    def relu_slopes(self, slope_delta: float) -> np.ndarray: ...
 
     # Containment / consolidation hooks --------------------------------
     def consolidate(self, basis=None, w_mul: float = 0.0, w_add: float = 0.0) -> "BatchedDomain": ...
     def contains(self, other, tol: float = 1e-9) -> np.ndarray: ...
-    def pca_basis(self, search: bool = False): ...
-    def shared_pca_basis(self, method: str = "auto", search: bool = False): ...
+    def pca_basis(self) -> Optional[np.ndarray]: ...
+    def shared_pca_basis(self, method: str = "auto") -> Optional[np.ndarray]: ...
 
     # Geometry ----------------------------------------------------------
     def concretize_bounds(self) -> Tuple[np.ndarray, np.ndarray]: ...
@@ -115,8 +103,6 @@ class BatchedDomain(Protocol):
     def mean_width(self) -> np.ndarray: ...
     @property
     def max_width(self) -> np.ndarray: ...
-    @property
-    def xp(self) -> ArrayBackend: ...
 
 
 class BatchedBox:
@@ -129,22 +115,19 @@ class BatchedBox:
     check is the exact O(n) inclusion test.
     """
 
-    __slots__ = ("_xp", "_lower", "_upper")
+    __slots__ = ("_lower", "_upper")
 
     def __init__(self, lower, upper):
-        xp = backend_of(lower)
-        lower = xp.asarray(lower)
-        upper = xp.asarray(upper)
-        if lower.ndim != 2 or tuple(lower.shape) != tuple(upper.shape):
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        if lower.ndim != 2 or lower.shape != upper.shape:
             raise DomainError(
-                f"bounds must share a (batch, dim) shape, got "
-                f"{tuple(lower.shape)} / {tuple(upper.shape)}"
+                f"bounds must share a (batch, dim) shape, got {lower.shape} / {upper.shape}"
             )
-        if bool(xp.any(lower > upper + 1e-12)):
+        if np.any(lower > upper + 1e-12):
             raise DomainError("Interval lower bounds must not exceed upper bounds")
-        self._xp = xp
         self._lower = lower
-        self._upper = xp.maximum(upper, lower)
+        self._upper = np.maximum(upper, lower)
 
     # ------------------------------------------------------------------
     # Conversions to and from sequential elements
@@ -167,36 +150,18 @@ class BatchedBox:
         return cls(points, points.copy())
 
     def element(self, index: int) -> Interval:
-        return Interval(
-            self._xp.to_numpy(self._lower[index]), self._xp.to_numpy(self._upper[index])
-        )
+        return Interval(self._lower[index], self._upper[index])
 
     def to_elements(self) -> List[Interval]:
         return [self.element(index) for index in range(self.batch_size)]
 
     def select(self, indices) -> "BatchedBox":
-        indices = self._xp.asindex(indices)
+        indices = np.asarray(indices)
         return BatchedBox(self._lower[indices], self._upper[indices])
-
-    def to_backend(self, backend: ArrayBackend) -> "BatchedBox":
-        """This stack adopted by ``backend`` (``self`` when already there)."""
-        if backend.is_backend_array(self._lower) and getattr(
-            self._xp, "device", "cpu"
-        ) == getattr(backend, "device", "cpu"):
-            return self
-        return BatchedBox(
-            backend.asarray(self._xp.to_numpy(self._lower)),
-            backend.asarray(self._xp.to_numpy(self._upper)),
-        )
 
     # ------------------------------------------------------------------
     # Representation accessors
     # ------------------------------------------------------------------
-
-    @property
-    def xp(self) -> ArrayBackend:
-        """The array backend holding this stack."""
-        return self._xp
 
     @property
     def batch_size(self) -> int:
@@ -207,28 +172,27 @@ class BatchedBox:
         return self._lower.shape[1]
 
     @property
-    def lower(self):
-        return self._xp.copy(self._lower)
+    def lower(self) -> np.ndarray:
+        return self._lower.copy()
 
     @property
-    def upper(self):
-        return self._xp.copy(self._upper)
+    def upper(self) -> np.ndarray:
+        return self._upper.copy()
 
     @property
-    def center(self):
+    def center(self) -> np.ndarray:
         return 0.5 * (self._lower + self._upper)
 
     @property
-    def radius(self):
+    def radius(self) -> np.ndarray:
         return 0.5 * (self._upper - self._lower)
 
     def concretize_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        xp = self._xp
-        return xp.to_numpy(xp.copy(self._lower)), xp.to_numpy(xp.copy(self._upper))
+        return self._lower.copy(), self._upper.copy()
 
     @property
     def width(self) -> np.ndarray:
-        return self._xp.to_numpy(self._upper - self._lower)
+        return self._upper - self._lower
 
     @property
     def mean_width(self) -> np.ndarray:
@@ -242,36 +206,35 @@ class BatchedBox:
     # Abstract transformers (mirroring Interval)
     # ------------------------------------------------------------------
 
-    def affine(self, weight, bias=None) -> "BatchedBox":
+    def affine(self, weight: np.ndarray, bias: Optional[np.ndarray] = None) -> "BatchedBox":
         """Sound interval affine transformer, batched.
 
         As in the sequential domain: the new centre is the affine image of
         the centre and the new radius is ``|W| @ radius``.  ``weight`` is a
         shared ``(m, n)`` matrix or a per-sample ``(B, m, n)`` stack.
         """
-        xp = self._xp
-        weight = xp.asarray(weight)
+        weight = np.asarray(weight, dtype=float)
         center = self.center
         radius = self.radius
         if weight.ndim == 2:
             if weight.shape[1] != self.dim:
                 raise DimensionMismatchError(
-                    f"weight must have shape (m, {self.dim}), got {tuple(weight.shape)}"
+                    f"weight must have shape (m, {self.dim}), got {weight.shape}"
                 )
-            new_center = center @ xp.transpose(weight, (1, 0))
-            new_radius = radius @ xp.transpose(xp.abs(weight), (1, 0))
+            new_center = center @ weight.T
+            new_radius = radius @ np.abs(weight).T
         elif weight.ndim == 3:
             if weight.shape[0] != self.batch_size or weight.shape[2] != self.dim:
                 raise DimensionMismatchError(
                     f"weight must have shape ({self.batch_size}, m, {self.dim}), "
-                    f"got {tuple(weight.shape)}"
+                    f"got {weight.shape}"
                 )
-            new_center = xp.matmul(weight, center[:, :, None])[:, :, 0]
-            new_radius = xp.matmul(xp.abs(weight), radius[:, :, None])[:, :, 0]
+            new_center = np.matmul(weight, center[:, :, None])[:, :, 0]
+            new_radius = np.matmul(np.abs(weight), radius[:, :, None])[:, :, 0]
         else:
             raise DimensionMismatchError("weight must be a 2-d or 3-d array")
         if bias is not None:
-            bias = xp.asarray(bias).reshape(-1)
+            bias = np.asarray(bias, dtype=float).reshape(-1)
             if bias.shape[0] != new_center.shape[1]:
                 raise DimensionMismatchError(
                     f"bias must have dimension {new_center.shape[1]}, got {bias.shape[0]}"
@@ -281,9 +244,9 @@ class BatchedBox:
 
     def relu(
         self,
-        slopes=None,
+        slopes: Optional[np.ndarray] = None,
         box_new_errors: bool = True,
-        pass_through=None,
+        pass_through: Optional[np.ndarray] = None,
     ) -> "BatchedBox":
         """Exact interval ReLU (clipping), batched.
 
@@ -292,13 +255,12 @@ class BatchedBox:
         optimal for a box, exactly as in the sequential transformer.
         """
         del slopes, box_new_errors
-        xp = self._xp
-        lower = xp.maximum(self._lower, 0.0)
-        upper = xp.maximum(self._upper, 0.0)
+        lower = np.maximum(self._lower, 0.0)
+        upper = np.maximum(self._upper, 0.0)
         if pass_through is not None:
-            pass_through = xp.asarray_bool(pass_through)
-            lower = xp.where(pass_through[None, :], self._lower, lower)
-            upper = xp.where(pass_through[None, :], self._upper, upper)
+            pass_through = np.asarray(pass_through, dtype=bool)
+            lower = np.where(pass_through[None, :], self._lower, lower)
+            upper = np.where(pass_through[None, :], self._upper, upper)
         return BatchedBox(lower, upper)
 
     def sum(self, other: "BatchedBox") -> "BatchedBox":
@@ -309,47 +271,26 @@ class BatchedBox:
         factor = float(factor)
         lo = factor * self._lower
         hi = factor * self._upper
-        return BatchedBox(self._xp.minimum(lo, hi), self._xp.maximum(lo, hi))
+        return BatchedBox(np.minimum(lo, hi), np.maximum(lo, hi))
 
-    def translate(self, offset) -> "BatchedBox":
-        offset = self._xp.asarray(offset)
+    def translate(self, offset: np.ndarray) -> "BatchedBox":
+        offset = np.asarray(offset, dtype=float)
         return BatchedBox(self._lower + offset, self._upper + offset)
 
-    def dilate(self, factors) -> "BatchedBox":
-        """Scale each interval about its own centre by a per-sample factor >= 1.
-
-        Matches ``Interval.from_center_radius(center, radius * f)`` in the
-        sequential ``DomainOps.dilate`` bit for bit, so the batched
-        acceleration proposer makes identical candidate enclosures.
-        """
-        xp = self._xp
-        factors = xp.asarray(factors)
-        if tuple(factors.shape) != (self.batch_size,):
-            raise DomainError(
-                f"factors must have shape ({self.batch_size},), got {tuple(factors.shape)}"
-            )
-        if bool(xp.any(factors < 1.0)):
-            raise DomainError("dilation factors must be >= 1")
-        center = 0.5 * (self._lower + self._upper)
-        radius = 0.5 * (self._upper - self._lower) * factors[:, None]
-        return BatchedBox(center - radius, center + radius)
-
-    def relu_slopes(self, slope_delta: float):
+    def relu_slopes(self, slope_delta: float) -> np.ndarray:
         """Minimum-area slopes shifted by ``slope_delta``.
 
         The interval ReLU ignores slopes, but the shared step driver asks
         for them whenever slope optimisation is active; computing them the
         same way as the sequential step keeps the code paths aligned.
         """
-        xp = self._xp
-        return xp.clip(
-            batched_default_slopes(xp, self._lower, self._upper) + slope_delta, 0.0, 1.0
-        )
+        lower, upper = self.concretize_bounds()
+        return np.clip(default_slopes(lower, upper) + slope_delta, 0.0, 1.0)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(
-            self._xp.to_numpy(self._lower)[:, None, :],
-            self._xp.to_numpy(self._upper)[:, None, :],
+            self._lower[:, None, :],
+            self._upper[:, None, :],
             size=(self.batch_size, count, self.dim),
         )
 
@@ -359,7 +300,7 @@ class BatchedBox:
 
     def consolidate(
         self,
-        basis=None,
+        basis: Optional[np.ndarray] = None,
         w_mul: float = 0.0,
         w_add: float = 0.0,
     ) -> "BatchedBox":
@@ -378,34 +319,29 @@ class BatchedBox:
         radius = (1.0 + w_mul) * self.radius + w_add
         return BatchedBox(center - radius, center + radius)
 
-    def pca_basis(self, search: bool = False):
+    def pca_basis(self) -> Optional[np.ndarray]:
         """Boxes carry no error basis; the driver skips basis bookkeeping."""
-        del search
         return None
 
-    def shared_pca_basis(self, method: str = "auto", search: bool = False):
+    def shared_pca_basis(self, method: str = "auto") -> Optional[np.ndarray]:
         """Boxes carry no error basis in shared mode either."""
-        del method, search
+        del method
         return None
 
     def contains(self, other: "BatchedBox", tol: float = 1e-9) -> np.ndarray:
-        """Exact per-sample inclusion flags, shape ``(B,)``.
-
-        Proof-bearing: evaluated on the backend in float64, never the
-        search dtype; only the flag vector crosses to the host.
-        """
+        """Exact per-sample inclusion flags, shape ``(B,)``."""
         other = self._coerce(other)
-        xp = self._xp
-        inside = (other._lower >= self._lower - tol) & (other._upper <= self._upper + tol)
-        return xp.to_numpy(xp.all(inside, axis=1))
+        return np.all(
+            (other._lower >= self._lower - tol) & (other._upper <= self._upper + tol),
+            axis=1,
+        )
 
     def containment_margin(self, other: "BatchedBox") -> np.ndarray:
         """Per-sample element-wise inclusion ratios (≤ 1 means contained)."""
         other = self._coerce(other)
-        xp = self._xp
-        radius = xp.maximum(self.radius, 1e-300)
-        offset = xp.abs(other.center - self.center)
-        return xp.to_numpy((offset + other.radius) / radius)
+        radius = np.maximum(self.radius, 1e-300)
+        offset = np.abs(other.center - self.center)
+        return (offset + other.radius) / radius
 
     # ------------------------------------------------------------------
     # Misc utilities
@@ -447,7 +383,7 @@ class BatchedZonotope(BatchedCHZonotope):
 
     def __init__(self, center, generators=None, box=None):
         super().__init__(center, generators, box)
-        if bool(self._xp.any(self._box > 0)):
+        if np.any(self._box > 0):
             raise DomainError("BatchedZonotope carries no Box component")
 
     @classmethod
@@ -477,15 +413,15 @@ class BatchedZonotope(BatchedCHZonotope):
 
     def element(self, index: int) -> Zonotope:
         """The ``index``-th sample as a sequential :class:`Zonotope`."""
-        generators = self._xp.to_numpy(self._generators[index])
+        generators = self._generators[index]
         keep = np.abs(generators).sum(axis=0) > 0
-        return Zonotope(self._xp.to_numpy(self._center[index]), generators[:, keep])
+        return Zonotope(self._center[index], generators[:, keep])
 
     def relu(
         self,
-        slopes=None,
+        slopes: Optional[np.ndarray] = None,
         box_new_errors: bool = True,
-        pass_through=None,
+        pass_through: Optional[np.ndarray] = None,
     ) -> "BatchedZonotope":
         """Zonotope ReLU: fresh error terms become generator columns.
 
@@ -526,9 +462,9 @@ class BatchedParallelotope(BatchedZonotope):
 
     def relu(
         self,
-        slopes=None,
+        slopes: Optional[np.ndarray] = None,
         box_new_errors: bool = True,
-        pass_through=None,
+        pass_through: Optional[np.ndarray] = None,
     ) -> "BatchedParallelotope":
         return super().relu(
             slopes=slopes, box_new_errors=box_new_errors, pass_through=pass_through

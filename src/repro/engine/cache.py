@@ -115,20 +115,6 @@ def _config_signature(config: CraftConfig) -> str:
         config.contraction.max_iterations, config.contraction.consolidate_every,
         config.contraction.basis_recompute_every, config.contraction.history_size,
         config.contraction.abort_width,
-        # Acceleration changes which phase-one exit a query takes (and the
-        # iteration counters stored with the verdict), so every knob that
-        # can flip a proposal decision participates in the signature even
-        # though the verdicts themselves provably agree.
-        config.acceleration.enabled, config.acceleration.window,
-        config.acceleration.safeguard_ratio, config.acceleration.margin,
-        config.acceleration.rate_cap, config.acceleration.max_factor,
-        config.acceleration.max_proposals, config.acceleration.stages,
-        # Backend policy: numpy and torch agree on every verdict by the
-        # cross-backend parity contract, but they are not bit-identical
-        # executions, and a float32 search policy can change which
-        # phase-one iterate a verdict is certified from — so entries
-        # written under one backend triple never serve another.
-        config.backend, config.backend_device, config.backend_search_dtype,
     )
     return repr(fields)
 
@@ -347,10 +333,6 @@ def result_from_payload(
         cached=True,
         cache_tier=cache_tier,
         peak_error_terms=payload.get("peak_error_terms"),
-        # Pre-1.8.0 payloads predate acceleration; default to the
-        # unaccelerated encoding rather than failing the replay.
-        accelerated=bool(payload.get("accelerated", False)),
-        accel_proposals=int(payload.get("accel_proposals", 0)),
     )
 
 
@@ -521,8 +503,6 @@ class FixpointCache:
             "signature": self.signature,
             "stage": result.stage,
             "peak_error_terms": result.peak_error_terms,
-            "accelerated": result.accelerated,
-            "accel_proposals": result.accel_proposals,
         }
         if query is not None:
             payload["model_digest"] = model_digest

@@ -29,9 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import resolve_backend
-from repro.core.config import AccelerationConfig, CraftConfig
-from repro.core.contraction import proposal_factors
+from repro.core.config import CraftConfig
 from repro.core.expansion import ExpansionSchedule
 from repro.core.results import (
     FixpointAbstraction,
@@ -113,7 +111,7 @@ def _scatter_rows(stack, rows: np.ndarray, replacement):
     generator payload differs.
     """
     generators = stack.generators
-    generators[stack.xp.asindex(rows)] = replacement.generators
+    generators[rows] = replacement.generators
     return type(stack)(stack.center, generators, stack.box)
 
 
@@ -133,12 +131,6 @@ class _ContainmentRecord:
     consolidations: int
     width_trace: List[float] = field(default_factory=list)
     peak_error_terms: int = 0
-    #: Whether this sample exited phase one through an accepted
-    #: acceleration proposal (extrapolated candidate enclosure proven by
-    #: exact containment steps) rather than the plain history scan.
-    accelerated: bool = False
-    #: Acceleration proposals tried for this sample (accepted or not).
-    proposals: int = 0
 
 
 @dataclass
@@ -241,9 +233,7 @@ class _TighteningStacks:
     states: "BatchedDomain"
     previous: "BatchedDomain"
     initial_states: List[AbstractElement]
-    #: Per-sample postcondition difference matrices, pre-parked on the
-    #: engine backend so the tightening loop never re-uploads them.
-    differences: object
+    differences: np.ndarray
 
 
 class BatchedCraft:
@@ -270,18 +260,6 @@ class BatchedCraft:
         # to per-sample; ladder stage configs arrive pre-resolved through
         # CraftConfig.stage_config().
         self._basis_mode = self._config.resolved_consolidation_basis()
-        # Resolve the array backend eagerly: an unusable request (torch not
-        # installed, cuda without a GPU) must raise ConfigurationError at
-        # construction, never fall back to numpy mid-run.
-        self._backend = resolve_backend(
-            self._config.backend,
-            self._config.backend_device,
-            self._config.backend_search_dtype,
-        )
-        # The float32 firewall: search-only work (consolidation-basis
-        # fitting, acceleration-proposal heuristics) may downcast;
-        # proof-bearing comparisons never do.
-        self._search = self._backend.search_dtype == "float32"
         #: Consolidation accounting of the most recent certify_regions run.
         self.consolidation_stats = ConsolidationStats()
         if self._config.solver1 == "fb" and self._config.solver2 == "pr":
@@ -290,13 +268,7 @@ class BatchedCraft:
                 "the auxiliary PR state was never computed (Section 6.3)"
             )
         self._layout = layout_for(model, self._config.solver1)
-        # Output-readout operands are parked on the backend once: the
-        # tightening loop applies them every iteration, and xp.asarray
-        # adopts an already-resident array zero-copy.
-        self._output_selector = self._backend.asarray(
-            model.v_weight @ self._layout.z_selector()
-        )
-        self._output_bias = self._backend.asarray(model.v_bias)
+        self._output_selector = model.v_weight @ self._layout.z_selector()
 
     @property
     def config(self) -> CraftConfig:
@@ -373,13 +345,9 @@ class BatchedCraft:
         batch = len(balls)
         self.consolidation_stats = ConsolidationStats()
 
-        # Admission boundary: the input stack crosses to the configured
-        # backend exactly once here; every derived stack (injections,
-        # iterates, histories) stays device-resident until verdict
-        # extraction.
         input_elements = self._domain_cls.from_elements(
             [ball.to_element(config.domain) for ball in balls]
-        ).to_backend(self._backend)
+        )
         if anchor_fixpoints is None:
             centers = np.stack([ball.center for ball in balls])
             anchor_fixpoints = solve_fixpoint_batch(
@@ -391,9 +359,7 @@ class BatchedCraft:
                 max_iterations=config.concrete_max_iterations,
             ).z
         blocks = 2 if self._layout.has_aux else 1
-        initial = self._domain_cls.from_points(
-            np.tile(anchor_fixpoints, (1, blocks))
-        ).to_backend(self._backend)
+        initial = self._domain_cls.from_points(np.tile(anchor_fixpoints, (1, blocks)))
         contraction_step = make_batched_abstract_step(
             self._model,
             self._layout,
@@ -432,8 +398,8 @@ class BatchedCraft:
         either way.
         """
         if self._basis_mode == "shared":
-            return state.shared_pca_basis(search=self._search)
-        return state.pca_basis(search=self._search)
+            return state.shared_pca_basis()
+        return state.pca_basis()
 
     def _consolidate(
         self, state: "BatchedDomain", w_mul: float, w_add: float, basis=None
@@ -474,9 +440,7 @@ class BatchedCraft:
             if np.any(bad):
                 rows = np.nonzero(bad)[0]
                 subset = state.select(rows)
-                repaired = subset.consolidate(
-                    subset.pca_basis(search=self._search), w_mul, w_add
-                )
+                repaired = subset.consolidate(subset.pca_basis(), w_mul, w_add)
                 result = _scatter_rows(result, rows, repaired)
                 stats.fallback_samples += int(rows.size)
         stats.seconds += time.perf_counter() - start
@@ -503,17 +467,6 @@ class BatchedCraft:
         basis: Optional[np.ndarray] = None
         consolidations = 0
         peak_error_terms = np.zeros(batch, dtype=int)
-        # Acceleration proposer bookkeeping, indexed by absolute sample id
-        # so it survives active-set shrinks.  The three rolling step-width
-        # slots feed the geometric-tail extrapolation with exactly the
-        # same scalars the sequential driver sees.
-        accel: Optional[AccelerationConfig] = (
-            self._config.acceleration if self._config.acceleration.enabled else None
-        )
-        proposals_used = np.zeros(batch, dtype=int)
-        step_w1 = np.full(batch, np.nan)
-        step_w2 = np.full(batch, np.nan)
-        step_w3 = np.full(batch, np.nan)
 
         for iteration in range(settings.max_iterations):
             if active.size == 0:
@@ -534,38 +487,6 @@ class BatchedCraft:
                 history.append(state)
                 consolidations += 1
 
-                if accel is not None:
-                    exit_rows = self._acceleration_proposals(
-                        accel,
-                        state,
-                        current_step,
-                        active,
-                        iteration,
-                        consolidations,
-                        proposals_used,
-                        peak_error_terms,
-                        step_w1,
-                        step_w2,
-                        step_w3,
-                        records,
-                    )
-                    if exit_rows.size:
-                        # Accepted samples leave the batch *before* the
-                        # plain step, so a sample's iteration count can
-                        # only shrink relative to the unaccelerated run.
-                        keep = np.setdiff1d(np.arange(active.size), exit_rows)
-                        active = active[keep]
-                        if active.size == 0:
-                            break
-                        state = state.select(keep)
-                        history = deque(
-                            (entry.select(keep) for entry in history),
-                            maxlen=settings.history_size,
-                        )
-                        if basis is not None and basis.ndim == 3:
-                            basis = basis[self._backend.asindex(keep)]
-                        current_step = current_step.select(keep)
-
             next_state = current_step(state)
             peak_error_terms[active] = np.maximum(
                 peak_error_terms[active], getattr(next_state, "num_generators", 0)
@@ -573,10 +494,6 @@ class BatchedCraft:
             widths = next_state.width
             if settings.track_trace:
                 trace_log.append((active, widths.mean(axis=1)))
-            if accel is not None:
-                step_w1[active] = step_w2[active]
-                step_w2[active] = step_w3[active]
-                step_w3[active] = widths.mean(axis=1)
 
             diverged = (widths.max(axis=1) > settings.abort_width) | ~np.isfinite(
                 widths
@@ -609,7 +526,6 @@ class BatchedCraft:
                     iterations=iteration + 1,
                     consolidations=consolidations,
                     peak_error_terms=int(peak_error_terms[sample]),
-                    proposals=int(proposals_used[sample]),
                 )
             if exit_mask.any():
                 keep = np.nonzero(~exit_mask)[0]
@@ -623,7 +539,7 @@ class BatchedCraft:
                 # A shared (n, n) basis is row-independent; only per-sample
                 # basis stacks are gathered down with the batch.
                 if basis is not None and basis.ndim == 3:
-                    basis = basis[self._backend.asindex(keep)]
+                    basis = basis[keep]
                 current_step = current_step.select(keep)
             else:
                 state = next_state
@@ -637,109 +553,11 @@ class BatchedCraft:
                 iterations=settings.max_iterations,
                 consolidations=consolidations,
                 peak_error_terms=int(peak_error_terms[int(sample)]),
-                proposals=int(proposals_used[int(sample)]),
             )
         for active_rows, means in trace_log:
             for row, sample in zip(active_rows.tolist(), means.tolist()):
                 records[row].width_trace.append(sample)
         return records
-
-    def _acceleration_proposals(
-        self,
-        accel: AccelerationConfig,
-        state: "BatchedDomain",
-        current_step,
-        active: np.ndarray,
-        iteration: int,
-        consolidations: int,
-        proposals_used: np.ndarray,
-        peak_error_terms: np.ndarray,
-        step_w1: np.ndarray,
-        step_w2: np.ndarray,
-        step_w3: np.ndarray,
-        records: List[Optional[_ContainmentRecord]],
-    ) -> np.ndarray:
-        """Run one round of extrapolated candidate-enclosure proposals.
-
-        Called at every consolidation event, right after ``state`` (the
-        just-consolidated stack) joined the history.  For each qualifying
-        row the last three *plain* step widths are fit to a geometric
-        tail (:func:`repro.core.contraction.proposal_factors` — the same
-        vectorised decision function the sequential driver routes its
-        scalars through, so both engines propose on identical rows with
-        identical factors); qualifying rows are dilated into candidate
-        enclosures and checked with up to ``consolidate_every`` *exact*
-        abstract steps — the Theorem B.1 proof obligation, untouched by
-        the extrapolation.  Accepted rows get their ``records`` entry
-        written here and their active-row indices returned so the caller
-        can gather them out of the batch before the plain step; rejected
-        proposals leave the plain trajectory untouched.
-        """
-        settings = self._config.contraction
-        cand = np.nonzero(proposals_used[active] < accel.max_proposals)[0]
-        if cand.size == 0:
-            return np.empty(0, dtype=int)
-        cand_ids = active[cand]
-        # The proposal decision is pure *search*: an under- or over-eager
-        # proposal only costs/saves exact containment steps, never
-        # soundness (the Theorem B.1 unroll below always runs in float64).
-        # Under the float32 search policy the heuristic therefore sees
-        # float32-rounded widths.
-        f32 = (lambda a: a.astype(np.float32)) if self._search else (lambda a: a)
-        factors, mask = proposal_factors(
-            accel,
-            f32(state.width.mean(axis=1)[cand]),
-            f32(step_w1[cand_ids]),
-            f32(step_w2[cand_ids]),
-            f32(step_w3[cand_ids]),
-        )
-        factors = np.asarray(factors, dtype=float)
-        prop = cand[mask]
-        if prop.size == 0:
-            return np.empty(0, dtype=int)
-        proposals_used[active[prop]] += 1
-        candidate = state.select(prop).dilate(factors[mask])
-        sub_step = current_step.select(prop)
-        trial = candidate
-        # Positions into ``prop`` still being stepped; accepted and
-        # non-finite rows are gathered out as the unroll proceeds.
-        alive = np.arange(prop.size)
-        exit_rows: List[int] = []
-        budget = min(settings.consolidate_every, settings.max_iterations - iteration)
-        for unrolled in range(1, budget + 1):
-            trial = sub_step(trial)
-            alive_ids = active[prop[alive]]
-            peak_error_terms[alive_ids] = np.maximum(
-                peak_error_terms[alive_ids], getattr(trial, "num_generators", 0)
-            )
-            finite = np.isfinite(trial.width).all(axis=1)
-            flags = candidate.contains(trial) & finite
-            if flags.any():
-                for pos in np.nonzero(flags)[0]:
-                    arow = int(prop[alive[pos]])
-                    sample = int(active[arow])
-                    records[sample] = _ContainmentRecord(
-                        contained=True,
-                        diverged=False,
-                        state=trial.element(pos),
-                        reference=candidate.element(pos),
-                        iterations=iteration + unrolled,
-                        consolidations=consolidations,
-                        peak_error_terms=int(peak_error_terms[sample]),
-                        accelerated=True,
-                        proposals=int(proposals_used[sample]),
-                    )
-                    exit_rows.append(arow)
-            drop = flags | ~finite
-            if drop.any():
-                keep = np.nonzero(~drop)[0]
-                if keep.size == 0:
-                    break
-                alive = alive[keep]
-                candidate = candidate.select(keep)
-                trial = trial.select(keep)
-                sub_step = sub_step.select(keep)
-        return np.asarray(sorted(exit_rows), dtype=int)
 
     # ------------------------------------------------------------------
     # Phase two: batched tightening and certification
@@ -763,7 +581,7 @@ class BatchedCraft:
             inputs=input_elements.select(np.asarray(contained_samples)),
             states=self._domain_cls.from_elements(
                 [containment[s].state for s in contained_samples]
-            ).to_backend(self._backend),
+            ),
             previous=self._domain_cls.from_elements(
                 [
                     containment[s].reference
@@ -771,10 +589,10 @@ class BatchedCraft:
                     else containment[s].state
                     for s in contained_samples
                 ]
-            ).to_backend(self._backend),
+            ),
             initial_states=[containment[s].state for s in contained_samples],
-            differences=self._backend.asarray(
-                np.stack([specs[s].difference_matrix() for s in contained_samples])
+            differences=np.stack(
+                [specs[s].difference_matrix() for s in contained_samples]
             ),
         )
         count = len(contained_samples)
@@ -876,7 +694,7 @@ class BatchedCraft:
         )
         state = stacks.states if full_batch else stacks.states.select(rows)
         previous = stacks.previous if full_batch else stacks.previous.select(rows)
-        difference_stack = stacks.differences[self._backend.asindex(rows)]
+        difference_stack = stacks.differences[rows]
 
         best_margin = np.full(count, -np.inf)
         # Best states/outputs are tracked as (stack, row) references and only
@@ -924,10 +742,8 @@ class BatchedCraft:
             else:
                 usable = np.ones(active.size, dtype=bool)
 
-            outputs = new_state.affine(self._output_selector, self._output_bias)
-            differences = outputs.affine(
-                difference_stack[self._backend.asindex(active)]
-            )
+            outputs = new_state.affine(self._output_selector, self._model.v_bias)
+            differences = outputs.affine(difference_stack[active])
             lower, _ = differences.concretize_bounds()
             margins = lower.min(axis=1)
             holds = margins > 0.0
@@ -1018,7 +834,6 @@ class BatchedCraft:
                 notes="containment phase did not detect contraction",
                 stage=self._config.domain,
                 peak_error_terms=containment.peak_error_terms,
-                accel_proposals=containment.proposals,
             )
         outcome = (
             VerificationOutcome.VERIFIED
@@ -1050,6 +865,4 @@ class BatchedCraft:
             peak_error_terms=max(
                 containment.peak_error_terms, tightening.peak_error_terms
             ),
-            accelerated=containment.accelerated,
-            accel_proposals=containment.proposals,
         )

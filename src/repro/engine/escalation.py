@@ -120,16 +120,8 @@ class StageStats:
     #: (:mod:`repro.engine.cache_dominance`).  Attributed by the serving
     #: entry's resolving stage via :func:`fold_dominance_hits`.
     cache_dominance_hits: int = 0
-    #: Total phase-one iterations the stage's queries ran — the quantity
-    #: the acceleration proposer exists to shrink (compare sweeps with the
-    #: knob on and off at fixed ``attempted``).
+    #: Total phase-one iterations the stage's queries ran.
     phase1_iterations: int = 0
-    #: Queries of this stage that exited phase one through an accepted
-    #: acceleration proposal.
-    accel_accepted: int = 0
-    #: Acceleration proposals tried by this stage's queries (accepted or
-    #: rejected); each costs one extra exact abstract step.
-    accel_proposals: int = 0
 
     def record_consolidation(self, stats) -> None:
         """Fold one driver run's ``ConsolidationStats`` into this stage."""
@@ -141,22 +133,16 @@ class StageStats:
             self.max_width_inflation, stats.max_width_inflation
         )
 
-    def record_peaks(self, results) -> None:
-        """Track the largest measured error-term count of the stage."""
-        for result in results:
-            if result is not None and result.peak_error_terms:
-                self.peak_error_terms = max(
-                    self.peak_error_terms, result.peak_error_terms
-                )
-
-    def record_acceleration(self, results) -> None:
-        """Fold phase-one iteration and acceleration counters of a batch."""
+    def record_results(self, results) -> None:
+        """Fold a batch's phase-one iterations and error-term peaks."""
         for result in results:
             if result is None:
                 continue
             self.phase1_iterations += result.iterations_phase1
-            self.accel_accepted += int(result.accelerated)
-            self.accel_proposals += result.accel_proposals
+            if result.peak_error_terms:
+                self.peak_error_terms = max(
+                    self.peak_error_terms, result.peak_error_terms
+                )
 
     def as_row(self) -> Dict:
         return {
@@ -177,8 +163,6 @@ class StageStats:
             "estimated_error_terms": self.estimated_error_terms,
             "cache_dominance_hits": self.cache_dominance_hits,
             "phase1_iterations": self.phase1_iterations,
-            "accel_accepted": self.accel_accepted,
-            "accel_proposals": self.accel_proposals,
         }
 
 
@@ -363,8 +347,7 @@ class EscalationLadder:
                 stats.batches += 1
                 self.num_batches += 1
                 stats.record_consolidation(craft.consolidation_stats)
-                stats.record_peaks(chunk_results)
-                stats.record_acceleration(chunk_results)
+                stats.record_results(chunk_results)
                 for index, result in zip(chunk, chunk_results):
                     if stage_index == last or not should_escalate(result):
                         results[index] = result

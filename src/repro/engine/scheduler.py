@@ -9,13 +9,11 @@ chunk, then aggregates everything into an
 
 The cache machinery lives in :mod:`repro.engine.cache` (on-disk store,
 exact/quantised keys, the dominance index and the in-memory LRU tier —
-configured through :class:`~repro.core.config.CacheConfig`); the names
-historically importable from this module (:class:`FixpointCache`,
-:func:`config_fingerprint`, :func:`weights_hash`) are re-exported for
-compatibility.  Re-running a sweep with unchanged weights (the Table 2 /
-Fig. 11 setting) answers repeated queries from the cache — and, with the
-dominance index, also answers *contained* repeat queries (cell splits,
-jittered centres) that were never literally asked.
+configured through :class:`~repro.core.config.CacheConfig`).  Re-running
+a sweep with unchanged weights (the Table 2 / Fig. 11 setting) answers
+repeated queries from the cache — and, with the dominance index, also
+answers *contained* repeat queries (cell splits, jittered centres) that
+were never literally asked.
 """
 
 from __future__ import annotations
@@ -27,15 +25,7 @@ import numpy as np
 
 from repro.core.config import CraftConfig
 from repro.core.results import VerificationResult
-from repro.engine.cache import (  # noqa: F401  (compatibility re-exports)
-    FixpointCache,
-    RegionQuery,
-    TieredVerdictCache,
-    _config_signature,
-    build_verdict_cache,
-    config_fingerprint,
-    weights_hash,
-)
+from repro.engine.cache import RegionQuery, build_verdict_cache
 from repro.engine.results import EngineReport
 from repro.exceptions import ConfigurationError
 from repro.mondeq.model import MonDEQ

@@ -72,7 +72,6 @@ import numpy as np
 
 from repro.core.config import CraftConfig
 from repro.core.results import VerificationResult
-from repro.backend import resolve_backend
 from repro.engine.craft import BatchedCraft, ConsolidationStats
 from repro.engine.escalation import StageStats, should_escalate
 from repro.engine.results import EngineReport
@@ -250,15 +249,6 @@ class ShardedScheduler:
 
         self.model = model
         self.config = config if config is not None else CraftConfig()
-        # Fail the backend request here, in the coordinator, before any
-        # worker forks: an unusable backend (torch absent, cuda without a
-        # GPU) must raise one ConfigurationError up front, not one per
-        # shard from inside the pool.
-        resolve_backend(
-            self.config.backend,
-            self.config.backend_device,
-            self.config.backend_search_dtype,
-        )
         if num_workers is None:
             num_workers = default_num_workers()
         if num_workers < 1:
@@ -620,8 +610,7 @@ class ShardedScheduler:
                 stage_stats.record_consolidation(
                     ConsolidationStats.from_dict(consolidation)
                 )
-                stage_stats.record_peaks(shard_results)
-                stage_stats.record_acceleration(shard_results)
+                stage_stats.record_results(shard_results)
                 position = stage_index[domain]
                 final = position == len(stages) - 1
                 escalated: List[int] = []

@@ -321,16 +321,8 @@ def make_batched_abstract_step(
     else:
         raise ConfigurationError(f"unknown solver {solver!r}")
     injection = batched_input.affine(input_matrix, bias)
-    # Park the shared step operands on the injection's backend once, so the
-    # iteration loop performs no host<->device transfers: every subsequent
-    # ``xp.asarray`` inside the transformers adopts them zero-copy.
-    xp = injection.xp
-    state_matrix = xp.asarray(state_matrix)
-    pass_through = layout.relu_pass_through()
-    if pass_through is not None:
-        pass_through = xp.asarray_bool(pass_through)
     return BatchedAbstractStep(
-        state_matrix, injection, pass_through, slope_delta, use_box_component
+        state_matrix, injection, layout.relu_pass_through(), slope_delta, use_box_component
     )
 
 

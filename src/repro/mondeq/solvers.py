@@ -16,27 +16,17 @@ operator splitting:
 Both are exposed as single-step functions (used by training, attacks and
 the abstract transformers) and as a run-to-convergence driver
 :func:`solve_fixpoint`.
-
-Both drivers optionally Anderson-accelerate the damped iteration
-(``accelerate="anderson"``): a least-squares mixing of the last
-``anderson_window`` iterates proposes an extrapolated candidate, and a
-residual safeguard accepts it only when its *measured* residual beats the
-plain damped step by ``anderson_safeguard_ratio`` — otherwise the solver
-falls back to the plain step and restarts the window.  Acceleration only
-changes how fast the iteration reaches the fixpoint, never which fixpoint
-it converges to (monotone operators have a unique one).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.mondeq.model import MonDEQ
-from repro.utils.linalg import anderson_mixing, anderson_mixing_batch
 from repro.utils.validation import ensure_vector
 
 
@@ -56,20 +46,7 @@ class SolverResult:
     converged:
         Whether the residual dropped below the tolerance.
     residuals:
-        The residual trace ``||z_n - z_{n-1}||`` per iteration (for
-        accepted Anderson steps, the measured residual of the mixed
-        iterate).
-    accelerated_steps:
-        Number of iterations that accepted an Anderson-mixed candidate
-        (0 when acceleration is off).
-    safeguard_fallbacks:
-        Number of iterations where mixing was attempted but the safeguard
-        fell back to the plain damped step (ill-conditioned window or
-        residual regression).
-    evaluations:
-        Total applications of the splitting step; accelerated iterations
-        pay one extra evaluation to measure the mixed residual, so this is
-        the honest work counter next to ``iterations``.
+        The residual trace ``||z_n - z_{n-1}||`` per iteration.
     """
 
     z: np.ndarray
@@ -77,9 +54,6 @@ class SolverResult:
     iterations: int
     converged: bool
     residuals: List[float]
-    accelerated_steps: int = 0
-    safeguard_fallbacks: int = 0
-    evaluations: int = 0
 
 
 def default_alpha(model: MonDEQ, method: str) -> float:
@@ -139,26 +113,6 @@ def _validate_solver_budget(method: str, max_iterations: int) -> None:
         )
 
 
-def _validate_acceleration(
-    accelerate: Optional[str], anderson_window: int, anderson_safeguard_ratio: float
-) -> bool:
-    if accelerate not in (None, "anderson"):
-        raise ConfigurationError(
-            f"unknown acceleration mode {accelerate!r}; choose None or 'anderson'"
-        )
-    if accelerate is None:
-        return False
-    if anderson_window < 2:
-        raise ConfigurationError(
-            f"anderson_window must be >= 2, got {anderson_window}"
-        )
-    if anderson_safeguard_ratio <= 0:
-        raise ConfigurationError(
-            f"anderson_safeguard_ratio must be positive, got {anderson_safeguard_ratio}"
-        )
-    return True
-
-
 def solve_fixpoint(
     model: MonDEQ,
     x: np.ndarray,
@@ -167,9 +121,6 @@ def solve_fixpoint(
     tol: float = 1e-9,
     max_iterations: int = 2000,
     raise_on_failure: bool = False,
-    accelerate: Optional[str] = None,
-    anderson_window: int = 5,
-    anderson_safeguard_ratio: float = 1.0,
 ) -> SolverResult:
     """Iterate the chosen operator-splitting method until convergence.
 
@@ -188,22 +139,11 @@ def solve_fixpoint(
     raise_on_failure:
         Raise :class:`ConvergenceError` instead of returning a
         non-converged result when the budget is exhausted.
-    accelerate:
-        ``"anderson"`` enables safeguarded Anderson acceleration over the
-        splitting iterates (``None`` keeps the plain damped iteration —
-        bit-identical to the historical behaviour).
-    anderson_window:
-        History-window length ``m`` of the least-squares mixing.
-    anderson_safeguard_ratio:
-        Accept a mixed candidate only if its measured residual is at most
-        this multiple of the plain step's residual; on rejection the
-        window restarts from the current plain pair.
     """
     x = ensure_vector(x, "x", dim=model.input_dim)
     if method not in ("pr", "fb"):
         raise ConfigurationError(f"unknown solver method {method!r}")
     _validate_solver_budget(method, max_iterations)
-    accelerated = _validate_acceleration(accelerate, anderson_window, anderson_safeguard_ratio)
     if alpha is None:
         alpha = default_alpha(model, method)
     if alpha <= 0:
@@ -215,60 +155,15 @@ def solve_fixpoint(
     residuals: List[float] = []
     resolvent = pr_matrices(model, alpha) if method == "pr" else None
 
-    def step(z_in: np.ndarray, u_in: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if method == "fb":
-            z_out = fb_step(model, x, z_in, alpha)
-            return z_out, z_out
-        return pr_step(model, x, z_in, u_in, alpha, resolvent=resolvent)
-
-    # The mixing state is the full splitting state: [z] for FB, [z; u]
-    # for PR (the auxiliary variable is part of the iteration map).
-    def pack(z_in: np.ndarray, u_in: np.ndarray) -> np.ndarray:
-        return z_in if method == "fb" else np.concatenate([z_in, u_in])
-
-    def unpack(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return (s, s) if method == "fb" else (s[:latent], s[latent:])
-
-    history_s: List[np.ndarray] = []
-    history_g: List[np.ndarray] = []
-    accelerated_steps = 0
-    safeguard_fallbacks = 0
-    evaluations = 0
-
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        z_new, u_new = step(z, u)
-        evaluations += 1
+        if method == "fb":
+            z_new = fb_step(model, x, z, alpha)
+            u_new = z_new
+        else:
+            z_new, u_new = pr_step(model, x, z, u, alpha, resolvent=resolvent)
         residual = float(np.linalg.norm(z_new - z))
-        if accelerated:
-            history_s.append(pack(z, u))
-            history_g.append(pack(z_new, u_new))
-            del history_s[:-anderson_window], history_g[:-anderson_window]
-            if len(history_s) >= 2:
-                mixed, ok = anderson_mixing(np.stack(history_s), np.stack(history_g))
-                accepted = False
-                if ok:
-                    z_mix, u_mix = unpack(mixed)
-                    g_z, g_u = step(z_mix, u_mix)
-                    evaluations += 1
-                    mixed_residual = float(np.linalg.norm(g_z - z_mix))
-                    if (
-                        np.isfinite(mixed_residual)
-                        and mixed_residual <= anderson_safeguard_ratio * residual
-                    ):
-                        z_new, u_new = g_z, g_u
-                        residual = mixed_residual
-                        accelerated_steps += 1
-                        accepted = True
-                        history_s.append(mixed)
-                        history_g.append(pack(g_z, g_u))
-                        del history_s[:-anderson_window], history_g[:-anderson_window]
-                if not accepted:
-                    # Safeguard trip: keep the plain step and restart the
-                    # window from the current (iterate, image) pair.
-                    safeguard_fallbacks += 1
-                    del history_s[:-1], history_g[:-1]
         residuals.append(residual)
         z, u = z_new, u_new
         if residual < tol:
@@ -280,16 +175,7 @@ def solve_fixpoint(
             f"{method.upper()} splitting did not converge within {max_iterations} iterations "
             f"(last residual {residuals[-1]:.3e})"
         )
-    return SolverResult(
-        z=z,
-        u=u,
-        iterations=iterations,
-        converged=converged,
-        residuals=residuals,
-        accelerated_steps=accelerated_steps,
-        safeguard_fallbacks=safeguard_fallbacks,
-        evaluations=evaluations,
-    )
+    return SolverResult(z=z, u=u, iterations=iterations, converged=converged, residuals=residuals)
 
 
 @dataclass
@@ -305,17 +191,12 @@ class BatchSolverResult:
         Per-sample iteration counts.
     converged:
         Per-sample convergence flags.
-    accelerated_steps, safeguard_fallbacks:
-        Per-sample counts of accepted Anderson steps and safeguard
-        fallbacks (all zeros when acceleration is off).
     """
 
     z: np.ndarray
     u: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
-    accelerated_steps: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    safeguard_fallbacks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
 
 def solve_fixpoint_batch(
@@ -325,17 +206,12 @@ def solve_fixpoint_batch(
     alpha: Optional[float] = None,
     tol: float = 1e-9,
     max_iterations: int = 2000,
-    accelerate: Optional[str] = None,
-    anderson_window: int = 5,
-    anderson_safeguard_ratio: float = 1.0,
 ) -> BatchSolverResult:
     """Solve the fixpoints of many inputs in one vectorised iteration.
 
     Semantically equivalent to calling :func:`solve_fixpoint` per row of
-    ``xs`` (including the Anderson options, whose per-sample arithmetic is
-    shared through :func:`repro.utils.linalg.anderson_mixing_batch`); the
-    whole batch advances through shared matrix products and each sample
-    drops out of the active set (its state frozen) as soon as its own
+    ``xs``; the whole batch advances through shared matrix products and each
+    sample drops out of the active set (its state frozen) as soon as its own
     residual falls below ``tol``, so early converging samples stop paying
     for slow ones.
     """
@@ -347,7 +223,6 @@ def solve_fixpoint_batch(
     if method not in ("pr", "fb"):
         raise ConfigurationError(f"unknown solver method {method!r}")
     _validate_solver_budget(method, max_iterations)
-    accelerated = _validate_acceleration(accelerate, anderson_window, anderson_safeguard_ratio)
     if alpha is None:
         alpha = default_alpha(model, method)
     if alpha <= 0:
@@ -359,98 +234,31 @@ def solve_fixpoint_batch(
     u = np.zeros((batch, latent))
     iterations = np.zeros(batch, dtype=int)
     converged = np.zeros(batch, dtype=bool)
-    accelerated_steps = np.zeros(batch, dtype=int)
-    safeguard_fallbacks = np.zeros(batch, dtype=int)
     injection = xs @ model.u_weight.T + model.bias[None, :]
     w_t = model.w_matrix.T
     resolvent_t = pr_matrices(model, alpha).T if method == "pr" else None
-
-    def step(z_in: np.ndarray, u_in: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if method == "fb":
-            pre = (1.0 - alpha) * z_in + alpha * (z_in @ w_t + injection[rows])
-            z_out = np.maximum(pre, 0.0)
-            return z_out, z_out
-        u_half = 2.0 * z_in - u_in
-        z_half = (u_half + alpha * injection[rows]) @ resolvent_t
-        u_out = 2.0 * z_half - u_half
-        z_out = np.maximum(u_out, 0.0)
-        return z_out, u_out
-
-    state_dim = latent if method == "fb" else 2 * latent
-
-    def pack(z_in: np.ndarray, u_in: np.ndarray) -> np.ndarray:
-        return z_in if method == "fb" else np.concatenate([z_in, u_in], axis=1)
-
-    def unpack(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return (s, s) if method == "fb" else (s[:, :latent], s[:, latent:])
-
-    # Full-batch rolling histories indexed by absolute sample id; the last
-    # ``window_fill[i]`` slots of sample ``i`` are valid (oldest first).
-    if accelerated:
-        hist_s = np.zeros((anderson_window, batch, state_dim))
-        hist_g = np.zeros((anderson_window, batch, state_dim))
-        window_fill = np.zeros(batch, dtype=int)
-
-    def push(samples: np.ndarray, s_vals: np.ndarray, g_vals: np.ndarray) -> None:
-        hist_s[:-1, samples] = hist_s[1:, samples]
-        hist_g[:-1, samples] = hist_g[1:, samples]
-        hist_s[-1, samples] = s_vals
-        hist_g[-1, samples] = g_vals
-        window_fill[samples] = np.minimum(window_fill[samples] + 1, anderson_window)
 
     active = np.arange(batch)
     for iteration in range(1, max_iterations + 1):
         if active.size == 0:
             break
         z_a, u_a = z[active], u[active]
-        z_new, u_new = step(z_a, u_a, active)
+        if method == "fb":
+            pre = (1.0 - alpha) * z_a + alpha * (z_a @ w_t + injection[active])
+            z_new = np.maximum(pre, 0.0)
+            u_new = z_new
+        else:
+            u_half = 2.0 * z_a - u_a
+            z_half = (u_half + alpha * injection[active]) @ resolvent_t
+            u_new = 2.0 * z_half - u_half
+            z_new = np.maximum(u_new, 0.0)
         residual = np.linalg.norm(z_new - z_a, axis=1)
-        if accelerated:
-            push(active, pack(z_a, u_a), pack(z_new, u_new))
-            # Snapshot the fill counts: accepted samples push a second pair
-            # below, which must not re-enter a later window-size group.
-            fills = window_fill[active].copy()
-            mix_rows = np.nonzero(fills >= 2)[0]
-            for m in np.unique(fills[mix_rows]):
-                rows = mix_rows[fills[mix_rows] == m]
-                samples = active[rows]
-                mixed, ok = anderson_mixing_batch(
-                    np.transpose(hist_s[anderson_window - m :, samples], (1, 0, 2)),
-                    np.transpose(hist_g[anderson_window - m :, samples], (1, 0, 2)),
-                )
-                z_mix, u_mix = unpack(mixed)
-                g_z, g_u = step(z_mix, u_mix, samples)
-                mixed_residual = np.linalg.norm(g_z - z_mix, axis=1)
-                accept = (
-                    ok
-                    & np.isfinite(mixed_residual)
-                    & (mixed_residual <= anderson_safeguard_ratio * residual[rows])
-                )
-                if accept.any():
-                    acc_rows = rows[accept]
-                    z_new[acc_rows] = g_z[accept]
-                    u_new[acc_rows] = g_u[accept]
-                    residual[acc_rows] = mixed_residual[accept]
-                    accelerated_steps[samples[accept]] += 1
-                    push(samples[accept], mixed[accept], pack(g_z, g_u)[accept])
-                if (~accept).any():
-                    # Safeguard trip per sample: restart the window from
-                    # the just-pushed plain (iterate, image) pair.
-                    safeguard_fallbacks[samples[~accept]] += 1
-                    window_fill[samples[~accept]] = 1
         z[active], u[active] = z_new, u_new
         iterations[active] = iteration
         done = residual < tol
         converged[active[done]] = True
         active = active[~done]
-    return BatchSolverResult(
-        z=z,
-        u=u,
-        iterations=iterations,
-        converged=converged,
-        accelerated_steps=accelerated_steps,
-        safeguard_fallbacks=safeguard_fallbacks,
-    )
+    return BatchSolverResult(z=z, u=u, iterations=iterations, converged=converged)
 
 
 def iterate_implicit_layer(

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.numpy_backend import NUMPY_BACKEND
 from repro.exceptions import ImproperZonotopeError
 
 
@@ -73,7 +72,7 @@ def pca_basis(error_matrix: np.ndarray, jitter: float = 1e-12) -> np.ndarray:
 RANDOMIZED_BASIS_THRESHOLD = 1 << 16
 
 
-def pooled_gram_basis(generator_stack, xp=None, search: bool = False):
+def pooled_gram_basis(generator_stack: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the pooled second-moment of a generator stack.
 
     Accumulates the pooled Gram matrix ``G = sum_i G_i G_i^T`` over the
@@ -87,43 +86,25 @@ def pooled_gram_basis(generator_stack, xp=None, search: bool = False):
     Cost: one ``O(B p^2 k)`` BLAS pass plus a single ``O(p^3)``
     symmetric eigendecomposition — independent of the batch size where
     the per-sample path pays ``B`` dense SVDs.
-
-    ``xp`` selects the array backend (numpy default — bit-identical to the
-    historical implementation); ``search=True`` runs the Gram accumulation
-    and eigendecomposition in float32 under the documented search-dtype
-    policy (sound: consolidation holds for any invertible basis; the basis
-    is returned in float64 and the projection/inversion stay full
-    precision).
     """
-    xp = NUMPY_BACKEND if xp is None else xp
-    stack = xp.asarray(generator_stack)
+    stack = np.asarray(generator_stack, dtype=float)
     if stack.ndim != 3:
         raise ValueError("generator_stack must have shape (batch, p, k)")
     p = stack.shape[1]
-    if _stack_is_empty(xp, stack):
-        return xp.eye(p)
-    if search:
-        stack = xp.f32(stack)
-    gram = xp.einsum("bik,bjk->ij", stack, stack)
-    gram = 0.5 * (gram + xp.transpose(gram, (1, 0)))
-    eigenvalues, eigenvectors = xp.eigh(gram)
+    if stack.size == 0 or not np.any(stack):
+        return np.eye(p)
+    gram = np.einsum("bik,bjk->ij", stack, stack)
+    gram = 0.5 * (gram + gram.T)
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
     # eigh orders ascending; consolidation conventions (and pca_basis)
     # put the dominant direction first.
-    order = xp.flip(xp.argsort(eigenvalues))
-    basis = xp.ascontiguous(eigenvectors[:, order])
-    return xp.f64(basis) if search else basis
-
-
-def _stack_is_empty(xp, stack) -> bool:
-    """True for zero-sized or all-zero stacks (basis defaults to identity)."""
-    if 0 in tuple(stack.shape):
-        return True
-    return not bool(xp.any(stack != 0.0))
+    order = np.argsort(eigenvalues)[::-1]
+    return np.ascontiguousarray(eigenvectors[:, order])
 
 
 def randomized_range_basis(
-    generator_stack, oversample: int = 8, seed: int = 0, xp=None, search: bool = False
-):
+    generator_stack: np.ndarray, oversample: int = 8, seed: int = 0
+) -> np.ndarray:
     """Randomized range-finder basis for a large generator stack.
 
     Halko–Martinsson–Tropp style sketch of the pooled error matrix
@@ -138,32 +119,21 @@ def randomized_range_basis(
     Any orthonormal basis yields a *sound* consolidation; the sketch only
     trades a little alignment quality for one pass over the stack, which
     is what the shared-basis mode wants once ``B * k`` gets large.
-
-    The Gaussian test matrix is always drawn with numpy's seeded generator
-    — on every backend — so sweeps on different devices (and worker
-    processes) derive identical sketches; only the fused einsum runs on
-    ``xp``.  ``search=True`` evaluates the sketch in float32 (basis
-    returned in float64; see :func:`pooled_gram_basis`).
     """
-    xp = NUMPY_BACKEND if xp is None else xp
-    stack = xp.asarray(generator_stack)
+    stack = np.asarray(generator_stack, dtype=float)
     if stack.ndim != 3:
         raise ValueError("generator_stack must have shape (batch, p, k)")
     batch, p, k = stack.shape
-    if _stack_is_empty(xp, stack):
-        return xp.eye(p)
+    if stack.size == 0 or not np.any(stack):
+        return np.eye(p)
     rng = np.random.default_rng(seed)
     width = p + max(0, int(oversample))
-    omega = xp.asarray(rng.standard_normal((batch, k, width)))
-    if search:
-        stack, omega = xp.f32(stack), xp.f32(omega)
-    sketch = xp.einsum("bpk,bkw->pw", stack, omega)
-    # The (p, p + oversample) sketch is tiny; the SVD completion runs on
-    # the host through the sequential helper on every backend.
-    return xp.asarray(pca_basis(np.asarray(xp.to_numpy(sketch), dtype=float)))
+    omega = rng.standard_normal((batch, k, width))
+    sketch = np.einsum("bpk,bkw->pw", stack, omega)
+    return pca_basis(sketch)
 
 
-def shared_pca_basis(generator_stack, method: str = "auto", xp=None, search: bool = False):
+def shared_pca_basis(generator_stack: np.ndarray, method: str = "auto") -> np.ndarray:
     """One orthonormal consolidation basis shared by a whole generator stack.
 
     ``method`` selects the kernel: ``"gram"`` (exact pooled Gram,
@@ -171,21 +141,18 @@ def shared_pca_basis(generator_stack, method: str = "auto", xp=None, search: boo
     (:func:`randomized_range_basis`) or ``"auto"`` (the default), which
     uses the exact pooled Gram until the stack's total column count
     ``B * k`` crosses :data:`RANDOMIZED_BASIS_THRESHOLD` and the sketch
-    becomes the cheaper route.  ``xp``/``search`` dispatch the kernel onto
-    an array backend and the float32 search-dtype policy (see
-    :func:`pooled_gram_basis`).
+    becomes the cheaper route.
     """
-    xp = NUMPY_BACKEND if xp is None else xp
-    stack = xp.asarray(generator_stack)
+    stack = np.asarray(generator_stack, dtype=float)
     if stack.ndim != 3:
         raise ValueError("generator_stack must have shape (batch, p, k)")
     if method == "auto":
         total_columns = stack.shape[0] * stack.shape[2]
         method = "randomized" if total_columns > RANDOMIZED_BASIS_THRESHOLD else "gram"
     if method == "gram":
-        return pooled_gram_basis(stack, xp=xp, search=search)
+        return pooled_gram_basis(stack)
     if method == "randomized":
-        return randomized_range_basis(stack, xp=xp, search=search)
+        return randomized_range_basis(stack)
     raise ValueError(
         f"method must be one of ('auto', 'gram', 'randomized'), got {method!r}"
     )
@@ -281,87 +248,3 @@ def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b)))
-
-
-def anderson_mixing_batch(
-    iterates,
-    images,
-    regularization: float = 1e-10,
-    xp=None,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Type-II Anderson mixing over a batch of fixpoint-iteration histories.
-
-    Parameters
-    ----------
-    iterates, images:
-        ``(batch, m, dim)`` stacks of the last ``m`` iterates ``s_j`` and
-        their images ``g(s_j)`` under the fixpoint map, oldest first.
-    regularization:
-        Tikhonov term added to the normal equations (scaled by the Gram
-        trace) so near-collinear residual histories stay solvable.
-
-    Returns
-    -------
-    (mixed, ok):
-        ``mixed`` is the ``(batch, dim)`` extrapolated candidate
-        ``sum_j theta_j g(s_j)`` with ``sum_j theta_j = 1``, obtained by
-        minimising ``||sum_j theta_j r_j||`` over the affine combination of
-        window residuals ``r_j = g(s_j) - s_j`` (solved in the
-        residual-difference parametrisation).  ``ok`` is a ``(batch,)``
-        boolean mask; rows where the solve failed or produced non-finite
-        values carry the plain image ``g(s_{m-1})`` and ``ok=False`` so the
-        caller can fall back to the damped step.
-
-    ``xp`` selects the array backend (numpy default, bit-identical to the
-    historical kernel).  Anderson mixing is *search* in the firewall sense
-    — every mixed candidate is safeguarded by an exact evaluation at the
-    caller — but the kernel still runs in the backend's working precision
-    (float64) because the safeguard costs one extra map application when
-    a sloppy candidate is rejected.
-    """
-    xp = NUMPY_BACKEND if xp is None else xp
-    iterates = xp.asarray(iterates)
-    images = xp.asarray(images)
-    if iterates.ndim != 3 or tuple(iterates.shape) != tuple(images.shape):
-        raise ValueError(
-            "anderson mixing expects matching (batch, m, dim) stacks, got "
-            f"{tuple(iterates.shape)} and {tuple(images.shape)}"
-        )
-    batch, window, _ = iterates.shape
-    plain = images[:, -1, :]
-    if window < 2:
-        return xp.copy(plain), xp.asarray_bool(np.zeros(batch, dtype=bool))
-    residuals = images - iterates
-    dr = residuals[:, 1:, :] - residuals[:, :-1, :]  # (batch, m-1, dim)
-    gram = dr @ xp.transpose(dr, (0, 2, 1))  # (batch, m-1, m-1)
-    trace = xp.trace(gram, axis1=1, axis2=2)
-    scale = regularization * (trace / max(window - 1, 1) + 1.0)
-    gram = gram + scale[:, None, None] * xp.eye(window - 1)[None, :, :]
-    rhs = xp.einsum("bmd,bd->bm", dr, residuals[:, -1, :])
-    try:
-        gamma = xp.solve(gram, rhs[:, :, None])[:, :, 0]
-    except xp.linalg_error:
-        return xp.copy(plain), xp.asarray_bool(np.zeros(batch, dtype=bool))
-    dg = images[:, 1:, :] - images[:, :-1, :]
-    mixed = plain - xp.einsum("bm,bmd->bd", gamma, dg)
-    ok = xp.all(xp.isfinite(mixed), axis=1) & xp.all(xp.isfinite(gamma), axis=1)
-    mixed = xp.where(ok[:, None], mixed, plain)
-    return mixed, ok
-
-
-def anderson_mixing(
-    iterates: np.ndarray,
-    images: np.ndarray,
-    regularization: float = 1e-10,
-) -> "tuple[np.ndarray, bool]":
-    """Single-history Anderson mixing; see :func:`anderson_mixing_batch`.
-
-    Runs the batched kernel with ``batch=1`` so the sequential and batched
-    solvers share bit-identical mixing arithmetic.
-    """
-    mixed, ok = anderson_mixing_batch(
-        np.asarray(iterates, dtype=float)[None, :, :],
-        np.asarray(images, dtype=float)[None, :, :],
-        regularization=regularization,
-    )
-    return mixed[0], bool(ok[0])

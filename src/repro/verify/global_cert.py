@@ -13,9 +13,9 @@ certified by the batched engine (:mod:`repro.engine`) — every cell of a
 depth level shares the model weights, so a whole level is one vectorised
 pass.  ``engine="sharded"`` additionally fans each level out over a pool
 of worker processes (:class:`~repro.engine.sharded.ShardedScheduler`);
-``engine="sequential"`` (or the legacy ``use_engine=False``) restores the
-depth-first recursion, kept as the reference implementation.  All engines
-produce the same cell decomposition (up to ordering of the cell list).
+``engine="sequential"`` restores the depth-first recursion, kept as the
+reference implementation.  All engines produce the same cell
+decomposition (up to ordering of the cell list).
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class DomainSplittingCertifier:
       ``timeout_seconds`` bounds every wait on the pool (default 600 s).
     * ``"sequential"`` — the reference depth-first recursion.
 
-    ``engine=None`` derives the choice from the legacy ``use_engine`` flag.
     Every ``config.domain`` (``"chzonotope"``, ``"box"``, ``"zonotope"``)
     runs through every engine — the batched stack is resolved by
     :func:`repro.engine.batched_domains.batched_domain_for`, which raises
@@ -104,8 +103,7 @@ class DomainSplittingCertifier:
         config: Optional[CraftConfig] = None,
         max_depth: int = 4,
         min_cell_width: float = 1e-3,
-        use_engine: bool = True,
-        engine: Optional[str] = None,
+        engine: str = "batched",
         num_workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
         timeout_seconds: Optional[float] = None,
@@ -118,8 +116,6 @@ class DomainSplittingCertifier:
         # Built on first use: only the sequential recursion needs them (an
         # engine handles all certification on the other paths).
         self._stage_verifiers: Optional[List[CraftVerifier]] = None
-        if engine is None:
-            engine = "batched" if use_engine else "sequential"
         if engine not in ("sequential", "batched", "sharded"):
             raise ConfigurationError(
                 f"unknown engine {engine!r}; choose 'sequential', 'batched' or 'sharded'"

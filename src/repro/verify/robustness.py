@@ -57,18 +57,6 @@ _DOMAIN_CLASSES = {
 
 _logger = logging.getLogger(__name__)
 
-
-def backend_label(config: CraftConfig) -> str:
-    """Compact backend column for sweep rows: ``"numpy"``, ``"torch:cpu"``,
-    ``"torch:cuda"``, plus ``"/f32-search"`` under the float32 search
-    policy."""
-    label = config.backend
-    if config.backend != "numpy":
-        label = f"{config.backend}:{config.backend_device}"
-    if config.backend_search_dtype == "float32":
-        label = f"{label}/f32-search"
-    return label
-
 #: (engine, domain) pairs whose dispatch decision has already been logged —
 #: sweeps run thousands of queries, so the choice is announced once per
 #: process instead of once per call.
@@ -373,13 +361,8 @@ class SampleRecord:
     #: Measured peak error-term count of the query (``None`` when the
     #: abstract analysis never ran — misclassification short-circuits).
     peak_error_terms: Optional[int] = None
-    #: Phase-one containment-search iterations the verdict ran — the
-    #: quantity the acceleration proposer shrinks.
+    #: Phase-one containment-search iterations the verdict ran.
     iterations_phase1: int = 0
-    #: Whether phase one exited through an accepted acceleration proposal.
-    accelerated: bool = False
-    #: Acceleration proposals tried for this query (accepted or not).
-    accel_proposals: int = 0
 
 
 @dataclass
@@ -394,11 +377,6 @@ class RobustnessReport:
     #: surfaced next to the measured peaks by :meth:`as_row` so sweep
     #: output shows how tight the working-set model is on this workload.
     error_term_estimates: Dict[str, int] = field(default_factory=dict)
-    #: Array-backend triple the sweep ran on (``"numpy"``,
-    #: ``"torch:cpu"``, ``"torch:cuda"``, with ``"/f32-search"`` appended
-    #: under the float32 search policy) — rows from different backends
-    #: must be distinguishable in sweep output.
-    backend: str = "numpy"
 
     @property
     def num_samples(self) -> int:
@@ -443,22 +421,8 @@ class RobustnessReport:
 
     @property
     def phase1_iterations(self) -> int:
-        """Total phase-one iterations across the evaluation set.
-
-        Compare rows with ``CraftConfig.acceleration`` on and off at equal
-        ``cert`` to read the proposer's savings directly off sweep output.
-        """
+        """Total phase-one iterations across the evaluation set."""
         return sum(record.iterations_phase1 for record in self.records)
-
-    @property
-    def accel_accepted(self) -> int:
-        """Verdicts that exited phase one through an accepted proposal."""
-        return sum(record.accelerated for record in self.records)
-
-    @property
-    def accel_proposals(self) -> int:
-        """Acceleration proposals tried across the set (accepted or not)."""
-        return sum(record.accel_proposals for record in self.records)
 
     @property
     def stage_counts(self) -> dict:
@@ -520,9 +484,6 @@ class RobustnessReport:
             "stages": self.stage_counts,
             "error_terms": self.error_term_calibration,
             "phase1_iterations": self.phase1_iterations,
-            "accel_accepted": self.accel_accepted,
-            "accel_proposals": self.accel_proposals,
-            "backend": self.backend,
         }
 
 
@@ -620,7 +581,6 @@ class RobustnessVerifier:
             model_name=self.model.name,
             epsilon=epsilon,
             error_term_estimates=stage_error_term_estimates(self.model, self.config),
-            backend=backend_label(self.config),
         )
         for index, (x, label, result) in enumerate(zip(xs, labels, results)):
             prediction = int(predictions[index])
@@ -646,8 +606,6 @@ class RobustnessVerifier:
                     cache_tier=result.cache_tier,
                     peak_error_terms=result.peak_error_terms,
                     iterations_phase1=result.iterations_phase1,
-                    accelerated=result.accelerated,
-                    accel_proposals=result.accel_proposals,
                 )
             )
         return report

@@ -176,7 +176,7 @@ class TestConsolidationBasisConfig:
         assert {s.consolidation_basis for s in explicit.stage_configs()} == {"shared"}
 
     def test_mode_is_verdict_relevant_for_the_cache(self):
-        from repro.engine.scheduler import config_fingerprint
+        from repro.engine.cache import config_fingerprint
 
         base = CraftConfig()
         assert config_fingerprint(base) != config_fingerprint(
@@ -213,7 +213,7 @@ class TestStagePhaseOneBudgets:
         )
 
     def test_budgets_are_verdict_relevant_for_the_cache(self):
-        from repro.engine.scheduler import config_fingerprint
+        from repro.engine.cache import config_fingerprint
 
         base = CraftConfig.escalation()
         budgeted = CraftConfig.escalation(stage_phase_one_budgets=(25, None, None))

@@ -44,8 +44,7 @@ def doc(request):
 class TestDocTree:
     def test_expected_files_exist(self):
         for name in ("README.md", "docs/architecture.md", "docs/engines.md",
-                     "docs/certification.md", "docs/service.md",
-                     "docs/backends.md"):
+                     "docs/certification.md", "docs/service.md"):
             assert (REPO_ROOT / name).exists(), f"{name} is missing"
 
     def test_relative_links_resolve(self, doc):
@@ -77,8 +76,7 @@ class TestDocTree:
 
     def test_docs_are_cross_linked(self):
         """README links every docs page; every docs page links back."""
-        pages = ("architecture.md", "engines.md", "certification.md",
-                 "service.md", "backends.md")
+        pages = ("architecture.md", "engines.md", "certification.md", "service.md")
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         for name in pages:
             assert f"docs/{name}" in readme, f"README.md does not link docs/{name}"

@@ -60,6 +60,24 @@ class TestRelaxation:
         with pytest.raises(DomainError):
             relu_relaxation(np.array([-1.0]), np.array([1.0]), pass_through=np.array([True, False]))
 
+    def test_batched_bounds_match_row_by_row(self, rng):
+        """The batched stacks relax ``(B, n)`` bounds in one call; each row
+        must equal the single-element relaxation bit for bit."""
+        centers = rng.normal(size=(6, 5))
+        radii = rng.uniform(0.0, 1.5, size=(6, 5))
+        lower, upper = centers - radii, centers + radii
+        slopes = rng.uniform(-0.2, 1.2, size=5)
+        pass_through = np.array([False, True, False, False, True])
+        batched = relu_relaxation(lower, upper, slopes=slopes, pass_through=pass_through)
+        rows = [
+            relu_relaxation(low, up, slopes=slopes, pass_through=pass_through)
+            for low, up in zip(lower, upper)
+        ]
+        assert batched.crossing.any()
+        for name in ("slopes", "offsets", "new_errors", "crossing"):
+            stacked = np.stack([getattr(row, name) for row in rows])
+            np.testing.assert_array_equal(getattr(batched, name), stacked)
+
     def test_relaxation_dataclass_fields(self):
         relaxation = relu_relaxation(np.array([-1.0]), np.array([1.0]))
         assert isinstance(relaxation, ReLURelaxation)

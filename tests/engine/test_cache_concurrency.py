@@ -27,7 +27,7 @@ import pytest
 
 from repro.core.config import CraftConfig
 from repro.engine import BatchCertificationScheduler, FixpointCache, config_fingerprint
-from repro.engine.scheduler import weights_hash
+from repro.engine.cache import weights_hash
 from repro.utils.rng import as_generator
 
 JOIN_TIMEOUT_SECONDS = 300.0

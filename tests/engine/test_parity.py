@@ -226,10 +226,10 @@ class TestGlobalCertParity:
         )
         region = Interval.from_center_radius(xs[120], 0.05)
         batched = DomainSplittingCertifier(
-            trained_mondeq, config, max_depth=2, use_engine=True
+            trained_mondeq, config, max_depth=2, engine="batched"
         ).certify_region(region)
         sequential = DomainSplittingCertifier(
-            trained_mondeq, config, max_depth=2, use_engine=False
+            trained_mondeq, config, max_depth=2, engine="sequential"
         ).certify_region(region)
         assert batched.total_volume == pytest.approx(sequential.total_volume, rel=1e-9)
         assert batched.coverage == pytest.approx(sequential.coverage, rel=1e-9)

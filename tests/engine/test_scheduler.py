@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.config import CraftConfig
 from repro.engine.results import EngineReport
-from repro.engine.scheduler import BatchCertificationScheduler, FixpointCache, weights_hash
+from repro.engine.cache import FixpointCache, weights_hash
+from repro.engine.scheduler import BatchCertificationScheduler
 from repro.exceptions import ConfigurationError
 
 

@@ -10,6 +10,7 @@ from repro.mondeq.solvers import (
     iterate_implicit_layer,
     pr_step,
     solve_fixpoint,
+    solve_fixpoint_batch,
 )
 
 
@@ -46,12 +47,35 @@ class TestSolvers:
         with pytest.raises(ConfigurationError):
             default_alpha(small_mondeq, "newton")
 
-    def test_invalid_arguments(self, small_mondeq, rng):
+    @pytest.mark.parametrize(
+        "batched, kwargs",
+        [
+            pytest.param(False, {"method": "secant"}, id="method"),
+            pytest.param(False, {"alpha": -0.1}, id="alpha"),
+            # A zero or negative budget is a configuration error, not an
+            # IndexError from an empty residual trace.
+            *(
+                pytest.param(
+                    False,
+                    {"max_iterations": budget, "raise_on_failure": raise_on_failure},
+                    id=f"budget{budget}-raise{raise_on_failure}",
+                )
+                for budget in (0, -1)
+                for raise_on_failure in (True, False)
+            ),
+            *(
+                pytest.param(True, {"max_iterations": budget}, id=f"batch-budget{budget}")
+                for budget in (0, -1)
+            ),
+        ],
+    )
+    def test_invalid_arguments(self, small_mondeq, rng, batched, kwargs):
         x = rng.uniform(size=small_mondeq.input_dim)
         with pytest.raises(ConfigurationError):
-            solve_fixpoint(small_mondeq, x, method="secant")
-        with pytest.raises(ConfigurationError):
-            solve_fixpoint(small_mondeq, x, alpha=-0.1)
+            if batched:
+                solve_fixpoint_batch(small_mondeq, np.stack([x, x]), **kwargs)
+            else:
+                solve_fixpoint(small_mondeq, x, **kwargs)
 
     def test_non_convergence_raises_when_requested(self, small_mondeq, rng):
         x = rng.uniform(size=small_mondeq.input_dim)

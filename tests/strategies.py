@@ -120,36 +120,6 @@ def domain_ladders():
     return st.sampled_from(subsets)
 
 
-def backends():
-    """Array backends usable in this process, for cross-backend fuzzing.
-
-    Always contains ``"numpy"``; ``"torch"`` joins when torch is
-    importable (the CI torch leg), so the differential suite fuzzes
-    torch-CPU configurations exactly where they can run and the core
-    matrix stays green without torch.
-    """
-    from repro.backend import available_backends
-
-    return st.sampled_from(available_backends())
-
-
-def acceleration_configs():
-    """Acceleration knobs for the differential fuzz: off half the time,
-    and when on, varied window / margin / proposal budgets so the fuzz
-    covers both the proposer firing and it staying silent.  Whatever is
-    drawn, verdicts must not move — acceleration may only shortcut the
-    search, never the proof."""
-    from repro.core.config import AccelerationConfig
-
-    return st.builds(
-        AccelerationConfig,
-        enabled=st.booleans(),
-        window=st.sampled_from([2, 3, 5]),
-        margin=st.sampled_from([0.25, 1.0, 2.0]),
-        max_proposals=st.sampled_from([1, 3]),
-    )
-
-
 def craft_configs():
     """Verifier configurations exercising the engines' distinct code paths.
 
@@ -174,15 +144,7 @@ def craft_configs():
     from repro.core.config import ContractionSettings, CraftConfig
 
     def build(
-        domain,
-        solvers,
-        consolidate_every,
-        same_iteration,
-        use_box,
-        slope_mode,
-        basis,
-        acceleration,
-        backend,
+        domain, solvers, consolidate_every, same_iteration, use_box, slope_mode, basis
     ):
         solver1, solver2 = solvers
         return CraftConfig(
@@ -202,8 +164,6 @@ def craft_configs():
             tighten_patience=5,
             tighten_consolidate_every=consolidate_every,
             consolidation_basis=basis,
-            acceleration=acceleration,
-            backend=backend,
         )
 
     return st.builds(
@@ -216,10 +176,4 @@ def craft_configs():
         use_box=st.booleans(),
         slope_mode=st.sampled_from(["none", "none", "reduced"]),
         basis=st.sampled_from(["per_sample", "per_sample", "auto"]),
-        acceleration=acceleration_configs(),
-        # The batched engines run on every available array backend; the
-        # sequential reference is backend-independent, so the parity
-        # assertions double as cross-backend verdict-parity assertions
-        # wherever torch is importable (torch-CPU in CI).
-        backend=backends(),
     )
