@@ -36,8 +36,9 @@ def main() -> None:
           seed=0)
     eval_xs, eval_ys = xs[150:198], ys[150:198].astype(int)
     epsilon = 0.05
-    # Periodic phase-two consolidation bounds the error-term growth, which
-    # both tightens the working-set estimate and keeps workers compute-bound.
+    # Periodic phase-two consolidation bounds the error-term growth (the
+    # ReLU's Box columns per step; the input symbols share one block), which
+    # tightens the working-set estimate.
     config = CraftConfig(slope_optimization="none", tighten_consolidate_every=5)
     print(f"certifying {len(eval_xs)} regions at eps={epsilon}")
 

@@ -385,8 +385,10 @@ class CraftConfig:
         Periodic error consolidation in the *tightening* phase (Appendix C
         permits consolidation at any point of either phase).  ``0`` (the
         default) disables it; a positive cadence bounds the error-term
-        count — which otherwise grows by roughly (input dim + state dim)
-        per step — at the price of a slightly coarser abstraction.  Both
+        count — which otherwise grows by the ReLU's Box columns (at most
+        the latent dimension) per step — at the price of a slightly
+        coarser abstraction.  Each consolidation also merges the shared
+        input block, which the drivers then reopen.  Both
         the sequential and the batched driver apply the same cadence, so
         the engine parity contract is preserved.
     consolidation_basis:

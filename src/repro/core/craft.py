@@ -80,6 +80,14 @@ class FixpointProblem:
         the caller only wants the fixpoint-set abstraction.
     description:
         Free-form description used in logs and results.
+    input_terms:
+        Width of the phase-two input block.  ``0`` (the default) means the
+        tightening steps add the input with fresh error symbols.  A
+        positive width means they share the input's symbols through one
+        leading block of that many generator columns
+        (:func:`repro.mondeq.abstract_solvers.shared_input_terms`); the
+        driver then opens a zero block at phase-two entry and after every
+        consolidation.
     """
 
     input_element: AbstractElement
@@ -89,6 +97,18 @@ class FixpointProblem:
     extract_output: OutputMap
     postcondition: Optional[Postcondition] = None
     description: str = ""
+    input_terms: int = 0
+
+
+def open_input_block(state: AbstractElement, input_terms: int) -> AbstractElement:
+    """Prepend a zero input block of ``input_terms`` columns to ``state``.
+
+    Call it exactly where the state is input-independent — at phase-two
+    entry and after every consolidation — so that a shared-input step's
+    leading block starts aligned with the input's error symbols.  A zero
+    width returns ``state`` unchanged.
+    """
+    return state.pad_leading(input_terms) if input_terms else state
 
 
 @dataclass
@@ -227,9 +247,12 @@ class CraftVerifier:
         if contraction.contained and tighten_iterations > 0:
             alpha = self._default_alpha2()
             step = problem.tightening_step_factory(self._config.solver2, alpha, 0.0)
+            state = open_input_block(state, problem.input_terms)
             for iteration in range(1, tighten_iterations + 1):
                 if self._config.tighten_should_consolidate(iteration):
-                    state = self._ops.consolidate(state, None, 0.0, 0.0)
+                    state = open_input_block(
+                        self._ops.consolidate(state, None, 0.0, 0.0), problem.input_terms
+                    )
                 state = step(state)
                 width_trace_two.append(state.mean_width)
                 iterations_two += 1
@@ -318,11 +341,12 @@ class CraftVerifier:
     ) -> _PhaseTwoOutcome:
         config = self._config
         step = problem.tightening_step_factory(solver, alpha, slope_delta)
-        state = contraction.state
+        # The contained state is input-independent: open the input block.
+        state = open_input_block(contraction.state, problem.input_terms)
         previous = contraction.reference if contraction.reference is not None else state
 
         best_margin = -np.inf
-        best_state = state
+        best_state = contraction.state
         best_output: Optional[AbstractElement] = None
         certified = False
         since_improvement = 0
@@ -335,9 +359,12 @@ class CraftVerifier:
                 # Periodic phase-two consolidation (Appendix C): bounds the
                 # error-term growth at a small precision cost.  Consolidation
                 # over-approximates, so the state keeps containing the
-                # fixpoint set and certification stays sound.  The batched
+                # fixpoint set and certification stays sound.  It also
+                # merges the input block, so a fresh one opens.  The batched
                 # driver applies the identical cadence (parity contract).
-                state = self._ops.consolidate(state, None, 0.0, 0.0)
+                state = open_input_block(
+                    self._ops.consolidate(state, None, 0.0, 0.0), problem.input_terms
+                )
             new_state = step(state)
             peak_error_terms = max(
                 peak_error_terms, getattr(new_state, "num_generators", 0)

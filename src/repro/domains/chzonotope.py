@@ -224,6 +224,30 @@ class CHZonotope(AbstractElement):
             self._box + other._box,
         )
 
+    def sum_aligned(self, other: "CHZonotope") -> "CHZonotope":
+        """Sum over shared error symbols.
+
+        The ``k`` generator columns of ``other`` are the same error symbols
+        as the first ``k`` columns of ``self``, so their coefficients add
+        (the exact sum of two affine forms) instead of concatenating as in
+        :meth:`sum`.  Box radii add as in :meth:`sum`: Box errors are never
+        shared.
+        """
+        other = self._coerce(other)
+        k = other.num_generators
+        if k > self.num_generators:
+            raise DomainError(
+                f"cannot align {k} error symbols with {self.num_generators} columns"
+            )
+        generators = self._generators.copy()
+        generators[:, :k] += other._generators
+        return CHZonotope(self._center + other._center, generators, self._box + other._box)
+
+    def pad_leading(self, count: int) -> "CHZonotope":
+        """Prepend ``count`` zero generator columns (the set is unchanged)."""
+        padding = np.zeros((self.dim, count))
+        return CHZonotope(self._center, np.hstack([padding, self._generators]), self._box)
+
     def contains_point(self, point: np.ndarray, tol: float = 1e-9) -> bool:
         """Exact membership test (via the equivalent standard zonotope)."""
         return self.to_zonotope().contains_point(point, tol=tol)

@@ -83,7 +83,9 @@ class ParallelotopeZonotope(Zonotope):
     transformer immediately reduces its result to the enclosing
     PCA-aligned parallelotope (Amato & Scozzari 2012) — so the error-term
     count is reset to the dimension after every solver step instead of
-    growing by ``input_dim + state_dim`` columns per step.  That makes it
+    growing by the input's and the ReLU's columns per step.  The reduction
+    merges the input symbols into the PCA basis, so this domain adds the
+    input with fresh symbols in both Craft phases.  That makes it
     the constant-memory rung of the escalation ladder between the Box and
     the full CH-Zonotope pipelines.
 

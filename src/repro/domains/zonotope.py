@@ -153,6 +153,29 @@ class Zonotope(AbstractElement):
             np.hstack([self._generators, other._generators]),
         )
 
+    def sum_aligned(self, other: "Zonotope") -> "Zonotope":
+        """Sum over shared error symbols.
+
+        The ``k`` generator columns of ``other`` are the same error symbols
+        as the first ``k`` columns of ``self``, so their coefficients add
+        (the exact sum of two affine forms) instead of concatenating as in
+        :meth:`sum`.
+        """
+        other = self._coerce(other)
+        k = other.num_generators
+        if k > self.num_generators:
+            raise DomainError(
+                f"cannot align {k} error symbols with {self.num_generators} columns"
+            )
+        generators = self._generators.copy()
+        generators[:, :k] += other._generators
+        return Zonotope(self._center + other._center, generators)
+
+    def pad_leading(self, count: int) -> "Zonotope":
+        """Prepend ``count`` zero generator columns (the set is unchanged)."""
+        padding = np.zeros((self.dim, count))
+        return Zonotope(self._center, np.hstack([padding, self._generators]))
+
     def contains_point(self, point: np.ndarray, tol: float = 1e-9) -> bool:
         """Membership test via a small linear program (least-norm solve).
 

@@ -108,9 +108,10 @@ worker receives the (read-only) weights once at pool start and runs
 ``BatchedCraft`` per shard, verdicts stream back as shards complete, and
 all workers share the on-disk fixpoint cache through atomic per-entry
 writes.  Shard batch sizes default to the cache-aware estimate of
-:mod:`repro.engine.working_set`, which bounds the phase-two working set —
-error terms grow by roughly (input dim + state dim) per tightening step —
-to the host's last-level cache.
+:mod:`repro.engine.working_set`, which bounds the peak working set —
+phase-one steps append the input's columns plus the ReLU's, phase-two
+steps only the ReLU's (the input symbols share one block) — to the host's
+last-level cache.
 """
 
 from repro.engine.batched_chzonotope import BatchedCHZonotope

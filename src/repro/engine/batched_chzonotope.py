@@ -241,6 +241,27 @@ class BatchedCHZonotope:
             self._box + other._box,
         )
 
+    def sum_aligned(self, other: "BatchedCHZonotope") -> "BatchedCHZonotope":
+        """Sum over shared error symbols (per-sample identical to
+        :meth:`CHZonotope.sum_aligned`): ``other``'s ``k`` columns add into
+        the first ``k`` columns instead of concatenating."""
+        other = self._coerce(other)
+        k = other.num_generators
+        if k > self.num_generators:
+            raise DomainError(
+                f"cannot align {k} error symbols with {self.num_generators} columns"
+            )
+        generators = self._generators.copy()
+        generators[:, :, :k] += other._generators
+        return type(self)(self._center + other._center, generators, self._box + other._box)
+
+    def pad_leading(self, count: int) -> "BatchedCHZonotope":
+        """Prepend ``count`` zero generator columns (the sets are unchanged)."""
+        padding = np.zeros((self.batch_size, self.dim, count))
+        return type(self)(
+            self._center, np.concatenate([padding, self._generators], axis=2), self._box
+        )
+
     def scale(self, factor: float) -> "BatchedCHZonotope":
         factor = float(factor)
         return type(self)(

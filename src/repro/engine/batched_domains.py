@@ -58,6 +58,10 @@ class BatchedDomain(Protocol):
       ``relu_slopes(delta)`` for slope optimisation.  Domains without a
       notion of ``box_new_errors``/``slopes`` accept and ignore them, the
       same way their sequential transformer does.
+    * **Shared input block** (zonotope-family stacks only) —
+      ``pad_leading(count)`` prepends zero generator columns and
+      ``sum_aligned(other)`` adds ``other``'s columns into the leading
+      ones (:func:`repro.mondeq.abstract_solvers.shared_input_terms`).
     * **Containment/consolidation hooks** — ``consolidate(basis, w_mul,
       w_add)`` returning a stack usable as the *outer* operand of
       ``contains`` (``basis`` may be a per-sample ``(B, n, n)`` stack or

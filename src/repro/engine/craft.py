@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import CraftConfig
+from repro.core.craft import open_input_block
 from repro.core.expansion import ExpansionSchedule
 from repro.core.results import (
     FixpointAbstraction,
@@ -39,7 +40,11 @@ from repro.core.results import (
 from repro.domains.base import AbstractElement
 from repro.engine.batched_domains import BatchedDomain, batched_domain_for
 from repro.exceptions import ConfigurationError, VerificationError
-from repro.mondeq.abstract_solvers import layout_for, make_batched_abstract_step
+from repro.mondeq.abstract_solvers import (
+    layout_for,
+    make_batched_abstract_step,
+    shared_input_terms,
+)
 from repro.mondeq.model import MonDEQ
 from repro.mondeq.solvers import default_alpha, solve_fixpoint_batch
 from repro.verify.specs import ClassificationSpec, LinfBall
@@ -226,10 +231,12 @@ class _TighteningStacks:
     Every tightening run — the line-search probes, the full-budget
     continuation and the slope-optimisation attempts — starts from the same
     contraction states and postcondition matrices; stacking them once and
-    gathering rows per run keeps the per-run setup cost flat.
+    gathering rows per run keeps the per-run setup cost flat.  ``states``
+    already carries the opened input block of ``input_terms`` columns.
     """
 
     inputs: "BatchedDomain"
+    input_terms: int
     states: "BatchedDomain"
     previous: "BatchedDomain"
     initial_states: List[AbstractElement]
@@ -577,10 +584,16 @@ class BatchedCraft:
         # All tightening runs start from the same contraction states; stack
         # them (and the per-sample postcondition matrices) once, so probe
         # runs only gather rows instead of re-stacking elements.
+        input_terms = shared_input_terms(config.domain, input_elements)
         stacks = _TighteningStacks(
             inputs=input_elements.select(np.asarray(contained_samples)),
-            states=self._domain_cls.from_elements(
-                [containment[s].state for s in contained_samples]
+            input_terms=input_terms,
+            # The contained states are input-independent: open the block.
+            states=open_input_block(
+                self._domain_cls.from_elements(
+                    [containment[s].state for s in contained_samples]
+                ),
+                input_terms,
             ),
             previous=self._domain_cls.from_elements(
                 [
@@ -691,6 +704,7 @@ class BatchedCraft:
             alpha,
             slope_delta=slope_delta,
             use_box_component=config.use_box_component,
+            input_terms=stacks.input_terms,
         )
         state = stacks.states if full_batch else stacks.states.select(rows)
         previous = stacks.previous if full_batch else stacks.previous.select(rows)
@@ -721,14 +735,17 @@ class BatchedCraft:
             if config.tighten_should_consolidate(iteration):
                 # Periodic phase-two consolidation (Appendix C), same cadence
                 # as the sequential driver: bounds the error-term growth —
-                # roughly (input dim + state dim) fresh columns per step —
-                # which is what keeps wide-input batches inside the LLC.
-                # The cadence is indexed by the global iteration counter, and
-                # all active rows share it, so per-sample behaviour is
-                # independent of batch composition.  This is the sweep hot
-                # path the shared-basis mode amortises: one pooled basis per
-                # event instead of one SVD per sample (_consolidate).
-                state = self._consolidate(state, 0.0, 0.0)
+                # the ReLU's Box columns, at most the latent dimension per
+                # step, on top of the input block — and merges the input
+                # block, so a fresh one opens.  The cadence is indexed by the
+                # global iteration counter, and all active rows share it, so
+                # per-sample behaviour is independent of batch composition.
+                # The shared-basis mode amortises the consolidation: one
+                # pooled basis per event instead of one SVD per sample
+                # (_consolidate).
+                state = open_input_block(
+                    self._consolidate(state, 0.0, 0.0), stacks.input_terms
+                )
             new_state = current_step(state)
             iterations[active] = iteration
             peak_error_terms[active] = np.maximum(

@@ -2,17 +2,17 @@
 
 Batching wins roughly an order of magnitude on small-input models (HCAS,
 input dimension 3) because the sequential loop is interpreter-bound.  On
-wide-input models the picture inverts: every tightening step grows the
-error-term count by roughly ``input_dim + state_dim`` columns (the affine
-transformer casts the Box radii into fresh generator columns and the input
-injection contributes its own), so after ``T`` steps a batch of ``B``
-samples streams ``B * state_dim * k(T)`` doubles through every BLAS call.
-Once that working set spills the last-level cache the batch goes
-DRAM-bound and the speedup collapses (~1x at batch 64 on input-dim-64
-models, per the measurements recorded in ROADMAP.md).
+wide-input models the generator stacks decide: a batch of ``B`` samples
+streams ``B * state_dim * k`` doubles through every BLAS call, and once
+that working set spills the last-level cache the batch goes DRAM-bound
+and the speedup collapses.  Phase one appends the input's error symbols
+as fresh columns every step, so its count grows by ``input_dim`` plus the
+ReLU's Box columns per step until its next consolidation.  Phase two
+keeps the input symbols in one shared block, so it grows only by the
+ReLU's Box columns per step (:func:`error_growth_per_step`).
 
-This module estimates the phase-two working set from the model shape and
-the configuration (including the error-growth *bound* that periodic
+This module estimates the peak error-term count of both phases from the
+model shape and the configuration (including the bound that periodic
 phase-two consolidation provides, ``CraftConfig.tighten_consolidate_every``)
 and picks the largest batch size whose working set fits the last-level
 cache.  The estimate is deliberately a smooth upper-bound model — batch
@@ -80,24 +80,27 @@ def state_dim(model: MonDEQ, config: CraftConfig) -> int:
 def error_growth_per_step(model: MonDEQ, config: CraftConfig) -> int:
     """Estimated generator columns added per tightening step.
 
-    Each step's affine transformer casts the Box radii of the previous
-    state into one fresh column per state coordinate, and the input
-    injection carries one column per input coordinate (plus the clipping
-    box, also cast per step).  The model is therefore
-    ``state_dim + input_dim`` columns per step — the growth rate recorded
-    in ROADMAP.md for the wide-input regime.
+    Phase-two steps share the input's error symbols: the injection adds
+    into the input block, which :func:`max_error_terms` counts once, in its
+    base.  What a step appends are the ReLU's Box columns: its affine
+    transformer casts the Box radii the previous ReLU left into fresh
+    columns, at most one per state coordinate.
     """
-    return state_dim(model, config) + model.input_dim
+    return state_dim(model, config)
 
 
 def max_error_terms(model: MonDEQ, config: CraftConfig, domain: Optional[str] = None) -> int:
-    """Upper-bound error-term count reached during the tightening phase.
+    """Upper-bound error-term count reached during either Craft phase.
 
-    Phase one hands phase two a consolidated state (``state_dim`` square
-    generators) plus the input contribution; from there the count grows by
+    Phase two starts from a consolidated state (``state_dim`` square
+    generators) plus the input block, and grows by
     :func:`error_growth_per_step` per step until either the phase-two
     budget runs out or a periodic consolidation
-    (``tighten_consolidate_every``) resets it to ``state_dim``.
+    (``tighten_consolidate_every``) resets it.  Phase one keeps fresh input
+    symbols, so between its consolidations (every
+    ``contraction.consolidate_every`` steps) each step also appends
+    ``input_dim`` columns; on wide inputs with a tight phase-two cadence
+    its iterates are the larger of the two.
 
     The estimate is clamped to the **per-stage domain layout** (``domain``
     defaults to ``config.domain``, i.e. the most precise ladder stage):
@@ -107,29 +110,26 @@ def max_error_terms(model: MonDEQ, config: CraftConfig, domain: Optional[str] = 
       constant 1 (the per-sample bound pair folded into the stack
       constant).  Sizing a Box stage by the generator model would shrink
       its batches by orders of magnitude for no locality gain.
-    * ``"parallelotope"`` reduces to a square error matrix after every
-      ReLU, so the count is bounded by one step of growth over
-      ``state_dim`` regardless of the phase-two budget.
-    * the zonotope-family domains grow by :func:`error_growth_per_step`
-      per step up to the consolidation horizon.
+    * ``"parallelotope"`` keeps fresh input symbols and reduces to a square
+      error matrix after every ReLU, so the count is bounded by one step of
+      growth (input columns plus ReLU columns) over ``state_dim``
+      regardless of the phase-two budget.
+    * the zonotope-family domains take the larger of the two phase peaks.
     """
     if domain is None:
         domain = config.domain
     if domain == "box":
         return 1
+    n = state_dim(model, config)
+    growth = error_growth_per_step(model, config)
     if domain == "parallelotope":
-        return state_dim(model, config) + error_growth_per_step(model, config)
+        return n + model.input_dim + growth
     horizon = config.tighten_max_iterations
     if config.tighten_consolidate_every > 0:
         horizon = min(horizon, config.tighten_consolidate_every)
-    # Phase one consolidates every ``contraction.consolidate_every`` steps,
-    # so its iterates can outgrow a tighter phase-two cadence between
-    # consolidations; the peak the batch actually streams is governed by
-    # the larger of the two horizons (calibrated against the measured
-    # per-stage peaks — see StageStats.peak_error_terms).
-    horizon = max(horizon, config.contraction.consolidate_every)
-    base = state_dim(model, config) + model.input_dim
-    return base + horizon * error_growth_per_step(model, config)
+    phase_two = n + model.input_dim + horizon * growth
+    phase_one = n + config.contraction.consolidate_every * (model.input_dim + growth)
+    return max(phase_one, phase_two)
 
 
 def phase2_working_set_bytes(

@@ -12,17 +12,31 @@ into every abstract step ``g#_alpha(X, S)``.  One step is the composition of
 1. an exact affine transformer on the state (the linear part of Eq. 8 for
    FB, or the closed form of Eq. 9 for PR using the resolvent
    ``D = (I + alpha (I - W))^{-1}``),
-2. a Minkowski sum with the input-injection element (``alpha U X + alpha b``
+2. the addition of the input-injection element (``alpha U X + alpha b``
    for FB, ``2 alpha D U X + 2 alpha D b`` replicated over the ``z`` and
    ``u`` blocks for PR), and
 3. the ReLU transformer on the ``z`` block (the auxiliary block passes
    through).
 
-Treating the state and the input as independent at each step is a sound
-over-approximation of the concrete iteration for every ``x`` in the input
-region and every ``s`` in the state abstraction, so Theorems 3.1/3.3/5.1
-apply unchanged; the number of error terms grows by at most ``k_x + p`` per
-step and is periodically reduced by CH-Zonotope error consolidation.
+The injection is added in one of two ways:
+
+* **Fresh input symbols** (``input_terms == 0``): a Minkowski sum, treating
+  the state and the input as independent.  This is a sound
+  over-approximation of the concrete iteration for every ``x`` in the input
+  region and every ``s`` in the state abstraction, so Theorems 3.1/3.3/5.1
+  apply unchanged; each step appends the injection's ``k_x`` columns plus
+  the ReLU's (at most ``p``) columns.  Phase one uses it, and so do the
+  Parallelotope and Box domains throughout.
+* **Shared input symbols** (``input_terms == k_x``): the state keeps the
+  input's ``k_x`` error symbols as one leading block of its generator
+  matrix, and each step adds its injection into that block
+  (``sum_aligned``).  This is the exact affine transformer of the joint
+  element ``(s, x)`` with the unchanging ``x`` rows left implicit, so it
+  is sound for every ``x`` and each step only appends the ReLU's columns.
+  It is sound only while the block is aligned: the drivers open a zero
+  block (:func:`repro.core.craft.open_input_block`) wherever the state is
+  input-independent — at phase-two entry and after every phase-two
+  consolidation.  :func:`shared_input_terms` decides which domains share.
 
 The same construction works for every domain in :mod:`repro.domains`.
 """
@@ -44,6 +58,11 @@ from repro.mondeq.model import MonDEQ
 from repro.mondeq.solvers import pr_matrices
 
 StepFunction = Callable[[AbstractElement], AbstractElement]
+
+#: Domains whose phase-two steps share the input's error symbols.
+#: Parallelotope order-reduces after every ReLU, which merges the input
+#: block into its PCA basis, and Box has no symbols: both keep fresh ones.
+SHARED_INPUT_DOMAINS = ("chzonotope", "zonotope")
 
 
 @dataclass(frozen=True)
@@ -186,6 +205,25 @@ def pr_state_matrices(model: MonDEQ, alpha: float, layout: StateLayout):
 # ----------------------------------------------------------------------
 
 
+def _step_matrices(model: MonDEQ, layout: StateLayout, solver: str, alpha: float):
+    if solver == "fb":
+        return fb_state_matrices(model, alpha, layout)
+    if solver == "pr":
+        return pr_state_matrices(model, alpha, layout)
+    raise ConfigurationError(f"unknown solver {solver!r}")
+
+
+def _injection(input_element, input_matrix, bias, input_terms: int):
+    """The input-injection element, checked against the input block width."""
+    injection = input_element.affine(input_matrix, bias)
+    if input_terms and injection.num_generators != input_terms:
+        raise DomainError(
+            f"an input block of {input_terms} columns cannot carry the "
+            f"injection's {injection.num_generators} error symbols"
+        )
+    return injection
+
+
 def make_abstract_step(
     model: MonDEQ,
     layout: StateLayout,
@@ -194,6 +232,7 @@ def make_abstract_step(
     alpha: float,
     slope_delta: float = 0.0,
     use_box_component: bool = True,
+    input_terms: int = 0,
 ) -> StepFunction:
     """Build the abstract transformer ``S -> g#_alpha(X, S)``.
 
@@ -212,25 +251,29 @@ def make_abstract_step(
     use_box_component:
         Forwarded to the CH-Zonotope ReLU transformer; ignored by other
         domains.
+    input_terms:
+        ``0`` adds the injection with fresh input symbols.  A positive
+        value (:func:`shared_input_terms`) adds it into the state's leading
+        input block of that many columns, which the caller must keep
+        aligned with :func:`repro.core.craft.open_input_block`.
     """
-    if solver == "fb":
-        state_matrix, input_matrix, bias = fb_state_matrices(model, alpha, layout)
-    elif solver == "pr":
-        state_matrix, input_matrix, bias = pr_state_matrices(model, alpha, layout)
-    else:
-        raise ConfigurationError(f"unknown solver {solver!r}")
+    state_matrix, input_matrix, bias = _step_matrices(model, layout, solver, alpha)
     pass_through = layout.relu_pass_through()
     # The injection element carries the whole input contribution (including
     # the bias), so correlations of the input across the z and u blocks are
     # preserved within one step.
-    injection = input_element.affine(input_matrix, bias)
+    injection = _injection(input_element, input_matrix, bias, input_terms)
 
     def step(element: AbstractElement) -> AbstractElement:
         if element.dim != layout.dim:
             raise DomainError(
                 f"solver state has dimension {element.dim}, expected {layout.dim}"
             )
-        propagated = element.affine(state_matrix).sum(injection)
+        propagated = element.affine(state_matrix)
+        if input_terms:
+            propagated = propagated.sum_aligned(injection)
+        else:
+            propagated = propagated.sum(injection)
         slopes = None
         if slope_delta != 0.0:
             lower, upper = propagated.concretize_bounds()
@@ -257,12 +300,16 @@ class BatchedAbstractStep:
     only the still-active samples after early exits.
     """
 
-    def __init__(self, state_matrix, injection, pass_through, slope_delta, use_box_component):
+    def __init__(
+        self, state_matrix, injection, pass_through, slope_delta, use_box_component,
+        input_terms,
+    ):
         self._state_matrix = state_matrix
         self._injection = injection
         self._pass_through = pass_through
         self._slope_delta = slope_delta
         self._use_box_component = use_box_component
+        self._input_terms = input_terms
 
     @property
     def batch_size(self) -> int:
@@ -276,6 +323,7 @@ class BatchedAbstractStep:
             self._pass_through,
             self._slope_delta,
             self._use_box_component,
+            self._input_terms,
         )
 
     def __call__(self, state):
@@ -289,7 +337,11 @@ class BatchedAbstractStep:
                 f"state batch {state.batch_size} does not match the injection "
                 f"batch {self._injection.batch_size}"
             )
-        propagated = state.affine(self._state_matrix).sum(self._injection)
+        propagated = state.affine(self._state_matrix)
+        if self._input_terms:
+            propagated = propagated.sum_aligned(self._injection)
+        else:
+            propagated = propagated.sum(self._injection)
         slopes = None
         if self._slope_delta != 0.0:
             slopes = propagated.relu_slopes(self._slope_delta)
@@ -308,22 +360,32 @@ def make_batched_abstract_step(
     alpha: float,
     slope_delta: float = 0.0,
     use_box_component: bool = True,
+    input_terms: int = 0,
 ) -> BatchedAbstractStep:
     """Batched counterpart of :func:`make_abstract_step`.
 
     ``batched_input`` is a ``BatchedCHZonotope`` stacking the input-region
     abstractions of the whole batch (one row per certification query).
     """
-    if solver == "fb":
-        state_matrix, input_matrix, bias = fb_state_matrices(model, alpha, layout)
-    elif solver == "pr":
-        state_matrix, input_matrix, bias = pr_state_matrices(model, alpha, layout)
-    else:
-        raise ConfigurationError(f"unknown solver {solver!r}")
-    injection = batched_input.affine(input_matrix, bias)
+    state_matrix, input_matrix, bias = _step_matrices(model, layout, solver, alpha)
+    injection = _injection(batched_input, input_matrix, bias, input_terms)
     return BatchedAbstractStep(
-        state_matrix, injection, layout.relu_pass_through(), slope_delta, use_box_component
+        state_matrix, injection, layout.relu_pass_through(), slope_delta,
+        use_box_component, input_terms,
     )
+
+
+def shared_input_terms(domain: str, input_element) -> int:
+    """Width of the phase-two input block for ``domain``; 0 keeps fresh symbols.
+
+    The one rule both Craft drivers read (:data:`SHARED_INPUT_DOMAINS`):
+    one block column per error symbol of the input element, which may be a
+    sequential element or a batched stack.  The step builders reject an
+    injection whose column count differs from the block width.
+    """
+    if domain not in SHARED_INPUT_DOMAINS:
+        return 0
+    return input_element.num_generators
 
 
 def build_initial_state(

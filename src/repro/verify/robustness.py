@@ -41,6 +41,7 @@ from repro.mondeq.abstract_solvers import (
     make_abstract_step,
     make_output_map,
     make_z_extractor,
+    shared_input_terms,
 )
 from repro.mondeq.attacks import PGDConfig, pgd_attack
 from repro.mondeq.model import MonDEQ
@@ -108,10 +109,12 @@ def build_fixpoint_problem(
         use_box_component=config.use_box_component,
     )
 
+    input_terms = shared_input_terms(config.domain, input_element)
+
     def tightening_factory(solver: str, alpha: float, slope_delta: float):
         return make_abstract_step(
             model, layout, input_element, solver, alpha, slope_delta=slope_delta,
-            use_box_component=config.use_box_component,
+            use_box_component=config.use_box_component, input_terms=input_terms,
         )
 
     output_map = make_output_map(model, layout)
@@ -124,6 +127,7 @@ def build_fixpoint_problem(
         extract_output=output_map,
         postcondition=postcondition,
         description=f"{model.name}: robustness eps={ball.epsilon} target={getattr(spec, 'target', None)}",
+        input_terms=input_terms,
     )
 
 

@@ -47,10 +47,11 @@ class TestWorkingSetEstimator:
         assert state_dim(model, CraftConfig(solver1="fb", alpha1=0.04)) == 6
 
     def test_growth_rate_matches_roadmap_model(self):
-        """Error terms grow by ~(input_dim + state_dim) per tightening step."""
+        """Phase-two error terms grow by the ReLU's Box columns (at most
+        state_dim) per tightening step; the shared input block adds none."""
         config = CraftConfig()
-        assert error_growth_per_step(_model(**HCAS_LIKE), config) == 12 + 3
-        assert error_growth_per_step(_model(**WIDE_INPUT), config) == 20 + 64
+        assert error_growth_per_step(_model(**HCAS_LIKE), config) == 12
+        assert error_growth_per_step(_model(**WIDE_INPUT), config) == 20
 
     def test_wide_input_model_has_much_larger_working_set(self):
         config = CraftConfig()
