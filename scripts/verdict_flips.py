@@ -1,0 +1,127 @@
+#!/usr/bin/env python
+"""Per-region verdicts of a perfbench workload, dumped and compared across checkouts.
+
+A change that should not move verdicts (a faster phase two, a new
+kernel) is checked by dumping the same seeded regions on both checkouts
+and comparing the dumps:
+
+    python3 scripts/verdict_flips.py dump --workload fcx40-tighten --seed 77 \\
+        --draws 20 --out change.json
+    python3 scripts/verdict_flips.py dump --root ../parent --workload fcx40-tighten \\
+        --seed 77 --draws 20 --out parent.json
+    python3 scripts/verdict_flips.py compare parent.json change.json
+
+``dump`` certifies draws ``1..N`` of the workload's seeded regions (the
+draws a ``perfbench/run.py`` run times; it reads only
+``perfbench/inputs.py``) through the batched engine with the workload's
+default ``CraftConfig`` and writes each region's certified flag, margin
+and selected alpha.  ``--root`` names the checkout whose ``src/`` and
+``perfbench/inputs.py`` run (default: this one), so a checkout without
+this script can still be dumped.  ``compare`` reports certified ->
+uncertified flips from the first dump to the second, gained
+certificates, moved alphas and the largest margin difference, and exits
+non-zero on any flip.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+
+#: Workload name -> (smoke model, region function in perfbench/inputs.py).
+WORKLOADS = {
+    "fcx40-tighten": ("FCx40", "fcx40_regions"),
+    "hcas-sweep": ("HCAS-FCx100", "hcas_regions"),
+}
+
+
+def _finite(value):
+    return value if value is not None and math.isfinite(value) else None
+
+
+def dump(root: Path, workload: str, seed: int, draws: int) -> dict:
+    sys.path[:0] = [str(root / "src"), str(root)]
+    from perfbench import inputs
+    from repro.core.config import CraftConfig
+    from repro.experiments import model_zoo
+    from repro.verify.robustness import certify_local_robustness
+
+    model_name, regions_name = WORKLOADS[workload]
+    model, dataset = model_zoo.get_model(model_name, "smoke")
+    regions = getattr(inputs, regions_name)
+    rows = []
+    for draw in range(1, draws + 1):
+        xs, labels = regions(dataset.x_test, dataset.y_test, seed, draw)
+        results = certify_local_robustness(
+            model, xs, labels, inputs.EPSILON, CraftConfig(), engine="batched",
+            keep_abstractions=False,
+        )
+        for index, result in enumerate(results):
+            rows.append({
+                "draw": draw,
+                "index": index,
+                "certified": bool(result.certified),
+                "margin": _finite(result.margin),
+                "alpha": result.selected_alpha2,
+            })
+    return {"workload": workload, "seed": seed, "draws": draws, "regions": rows}
+
+
+def compare(first: dict, second: dict) -> dict:
+    """Differences from ``first`` to ``second`` over the regions both hold."""
+    before = {(row["draw"], row["index"]): row for row in first["regions"]}
+    after = {(row["draw"], row["index"]): row for row in second["regions"]}
+    if before.keys() != after.keys():
+        raise ValueError("the dumps cover different regions")
+    lost, gained, moved_alpha = [], [], []
+    margin_delta = 0.0
+    for key in sorted(before):
+        a, b = before[key], after[key]
+        if a["certified"] and not b["certified"]:
+            lost.append(key)
+        elif b["certified"] and not a["certified"]:
+            gained.append(key)
+        if a["alpha"] != b["alpha"]:
+            moved_alpha.append(key)
+        if a["margin"] is not None and b["margin"] is not None:
+            margin_delta = max(margin_delta, abs(a["margin"] - b["margin"]))
+    return {
+        "regions": len(before),
+        "certified": [sum(row["certified"] for row in rows.values()) for rows in (before, after)],
+        "lost": lost,
+        "gained": gained,
+        "moved_alpha": len(moved_alpha),
+        "max_margin_delta": margin_delta,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    commands = parser.add_subparsers(dest="command", required=True)
+    dumping = commands.add_parser("dump", help="write the verdicts of N draws")
+    dumping.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
+    dumping.add_argument("--seed", type=int, required=True)
+    dumping.add_argument("--draws", type=int, default=20)
+    dumping.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
+    dumping.add_argument("--out", type=Path, required=True)
+    comparing = commands.add_parser("compare", help="exit non-zero on a certified -> uncertified flip")
+    comparing.add_argument("first", type=Path)
+    comparing.add_argument("second", type=Path)
+    args = parser.parse_args(argv)
+
+    if args.command == "dump":
+        result = dump(args.root.resolve(), args.workload, args.seed, args.draws)
+        args.out.write_text(json.dumps(result))
+        certified = sum(row["certified"] for row in result["regions"])
+        print(f"{len(result['regions'])} regions, {certified} certified -> {args.out}")
+        return 0
+    report = compare(json.loads(args.first.read_text()), json.loads(args.second.read_text()))
+    print(json.dumps(report))
+    return 1 if report["lost"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

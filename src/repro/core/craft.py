@@ -11,10 +11,11 @@ two phases:
    contains the true fixpoint set.
 2. **Tightening phase** (lines 10–14): apply further iterations of a
    *fixpoint-set-preserving* abstract solver (Definition 3.2, Theorems 3.3
-   and 5.1) — possibly with a different operator-splitting method, an
-   adaptively chosen damping parameter (Appendix E.1) and optimised ReLU
-   slopes (Section 6.3) — and check the postcondition on the resulting
-   output abstraction after every step.
+   and 5.1) — possibly with a different operator-splitting method, a
+   damping parameter raced over a grid (Appendix E.1,
+   :meth:`~repro.core.config.CraftConfig.race_candidates`) and optimised
+   ReLU slopes (Section 6.3) — and check the postcondition on the
+   resulting output abstraction after every step.
 
 The verifier is domain- and model-agnostic: the model-specific pieces
 (abstract solver steps, output map, postcondition) are packaged in a
@@ -88,6 +89,11 @@ class FixpointProblem:
         (:func:`repro.mondeq.abstract_solvers.shared_input_terms`); the
         driver then opens a zero block at phase-two entry and after every
         consolidation.
+    contraction_factor:
+        ``alpha -> rho((1 - alpha) I + alpha W)`` of the FB tightening
+        step, which orders the phase-two alpha race
+        (:meth:`~repro.core.config.CraftConfig.race_candidates`).
+        ``None`` (the default) races the candidates in config order.
     """
 
     input_element: AbstractElement
@@ -98,6 +104,7 @@ class FixpointProblem:
     postcondition: Optional[Postcondition] = None
     description: str = ""
     input_terms: int = 0
+    contraction_factor: Optional[Callable[[float], float]] = None
 
 
 def open_input_block(state: AbstractElement, input_terms: int) -> AbstractElement:
@@ -123,6 +130,25 @@ class _PhaseTwoOutcome:
     slope_delta: float
     width_trace: List[float] = field(default_factory=list)
     peak_error_terms: int = 0
+
+
+@dataclass
+class _TighteningRun:
+    """A tightening run's iterate and bookkeeping, held between calls.
+
+    As in deepinv's ``FixedPoint``, the caller keeps the iterate, so
+    :meth:`CraftVerifier._advance` can stop a run after a race probe and
+    resume it later; the record then equals that of one uninterrupted run.
+    ``outcome`` is the record so far; ``finished`` marks a run that
+    certified, aborted or ran out of patience.
+    """
+
+    step: StepFunction
+    state: AbstractElement
+    previous: AbstractElement
+    outcome: _PhaseTwoOutcome
+    since_improvement: int = 0
+    finished: bool = False
 
 
 class CraftVerifier:
@@ -287,28 +313,20 @@ class CraftVerifier:
         self, problem: FixpointProblem, contraction: ContractionResult
     ) -> _PhaseTwoOutcome:
         config = self._config
-        probe_budget = max(5, config.tighten_max_iterations // 5)
-
-        candidates = self._candidate_parameters()
-        probes = [
-            self._run_tightening(problem, contraction, solver, alpha, 0.0, probe_budget)
-            for solver, alpha in candidates
-        ]
-        best = max(probes, key=lambda outcome: outcome.margin)
-        if best.certified:
-            return best
-
-        # Continue the most promising candidate with the full budget.
-        full = self._run_tightening(
-            problem,
-            contraction,
-            best.solver,
-            best.alpha,
-            0.0,
-            config.tighten_max_iterations,
-        )
-        if full.margin < best.margin:
-            full = best
+        # The alpha race (CraftConfig.race_candidates): probe each candidate
+        # and leave on the first certificate.  A single candidate is one
+        # run: its probe resumes as the winner.
+        probes: List[_TighteningRun] = []
+        for solver, alpha in config.race_candidates(problem.contraction_factor):
+            run = self._start_tightening(problem, contraction, solver, alpha, 0.0)
+            self._advance(problem, run, config.probe_steps())
+            if run.outcome.certified:
+                return run.outcome
+            probes.append(run)
+        # Resume the best probe (the first in race order on ties).
+        winner = max(probes, key=lambda run: run.outcome.margin)
+        self._advance(problem, winner, config.tighten_max_iterations)
+        full = winner.outcome
         if full.certified:
             return full
 
@@ -316,46 +334,52 @@ class CraftVerifier:
         # (Section 6.3) — i.e. whose margin is within the configured threshold.
         if self._slope_deltas() and full.margin > -config.slope_margin_threshold:
             for delta in self._slope_deltas():
-                attempt = self._run_tightening(
-                    problem,
-                    contraction,
-                    full.solver,
-                    full.alpha,
-                    float(delta),
-                    config.tighten_max_iterations,
+                attempt = self._start_tightening(
+                    problem, contraction, full.solver, full.alpha, float(delta)
                 )
-                if attempt.margin > full.margin:
-                    full = attempt
+                self._advance(problem, attempt, config.tighten_max_iterations)
+                if attempt.outcome.margin > full.margin:
+                    full = attempt.outcome
                 if full.certified:
                     break
         return full
 
-    def _run_tightening(
+    def _start_tightening(
         self,
         problem: FixpointProblem,
         contraction: ContractionResult,
         solver: str,
         alpha: float,
         slope_delta: float,
-        budget: int,
-    ) -> _PhaseTwoOutcome:
-        config = self._config
-        step = problem.tightening_step_factory(solver, alpha, slope_delta)
+    ) -> _TighteningRun:
+        """A tightening run that has taken no step yet."""
         # The contained state is input-independent: open the input block.
         state = open_input_block(contraction.state, problem.input_terms)
-        previous = contraction.reference if contraction.reference is not None else state
+        return _TighteningRun(
+            step=problem.tightening_step_factory(solver, alpha, slope_delta),
+            state=state,
+            previous=contraction.reference if contraction.reference is not None else state,
+            outcome=_PhaseTwoOutcome(
+                certified=False,
+                margin=-np.inf,
+                iterations=0,
+                state=contraction.state,
+                output=None,
+                alpha=alpha,
+                solver=solver,
+                slope_delta=slope_delta,
+                peak_error_terms=getattr(state, "num_generators", 0),
+            ),
+        )
 
-        best_margin = -np.inf
-        best_state = contraction.state
-        best_output: Optional[AbstractElement] = None
-        certified = False
-        since_improvement = 0
-        width_trace: List[float] = []
-        iterations = 0
-        peak_error_terms = getattr(state, "num_generators", 0)
-
-        for iterations in range(1, budget + 1):
-            if config.tighten_should_consolidate(iterations):
+    def _advance(self, problem: FixpointProblem, run: _TighteningRun, budget: int) -> None:
+        """Continue ``run`` until it finishes or has taken ``budget`` steps."""
+        config = self._config
+        outcome = run.outcome
+        while not run.finished and outcome.iterations < budget:
+            outcome.iterations += 1
+            state = run.state
+            if config.tighten_should_consolidate(outcome.iterations):
                 # Periodic phase-two consolidation (Appendix C): bounds the
                 # error-term growth at a small precision cost.  Consolidation
                 # over-approximates, so the state keeps containing the
@@ -365,51 +389,39 @@ class CraftVerifier:
                 state = open_input_block(
                     self._ops.consolidate(state, None, 0.0, 0.0), problem.input_terms
                 )
-            new_state = step(state)
-            peak_error_terms = max(
-                peak_error_terms, getattr(new_state, "num_generators", 0)
+            new_state = run.step(state)
+            outcome.peak_error_terms = max(
+                outcome.peak_error_terms, getattr(new_state, "num_generators", 0)
             )
-            width_trace.append(new_state.mean_width)
+            outcome.width_trace.append(new_state.mean_width)
 
             usable = True
             if config.same_iteration_containment:
                 # Ablation: only states contained in their predecessor may be
                 # used for certification (no reliance on Definition 3.2).
-                proper_previous = self._ops.consolidate(previous, None, 0.0, 0.0)
+                proper_previous = self._ops.consolidate(run.previous, None, 0.0, 0.0)
                 usable = self._ops.contains(proper_previous, new_state)
 
             if usable:
                 output = problem.extract_output(new_state)
                 check = problem.postcondition(output)
-                if check.margin > best_margin:
-                    best_margin = check.margin
-                    best_state = new_state
-                    best_output = output
-                    since_improvement = 0
+                if check.margin > outcome.margin:
+                    outcome.margin = float(check.margin)
+                    outcome.state = new_state
+                    outcome.output = output
+                    run.since_improvement = 0
                 else:
-                    since_improvement += 1
+                    run.since_improvement += 1
                 if check.holds:
-                    certified = True
+                    outcome.certified = True
+                    run.finished = True
                     break
             else:
-                since_improvement += 1
+                run.since_improvement += 1
 
             if not np.all(np.isfinite(new_state.width)) or new_state.max_width > config.contraction.abort_width:
-                break
-            if since_improvement >= config.tighten_patience:
-                break
-            previous = state
-            state = new_state
-
-        return _PhaseTwoOutcome(
-            certified=certified,
-            margin=float(best_margin),
-            iterations=iterations,
-            state=best_state,
-            output=best_output,
-            alpha=alpha,
-            solver=solver,
-            slope_delta=slope_delta,
-            width_trace=width_trace,
-            peak_error_terms=peak_error_terms,
-        )
+                run.finished = True
+            if run.since_improvement >= config.tighten_patience:
+                run.finished = True
+            run.previous = state
+            run.state = new_state

@@ -3,8 +3,9 @@
 :class:`BatchedCraft` runs both phases of the Craft verifier
 (:mod:`repro.core.craft`) for ``B`` certification queries against the same
 monDEQ weights simultaneously.  The per-sample semantics — consolidation
-cadence, expansion schedule, containment history, tightening line search,
-patience and abort heuristics — replicate the sequential
+cadence, expansion schedule, containment history, the phase-two alpha race
+(:meth:`~repro.core.config.CraftConfig.race_candidates`), patience and
+abort heuristics — replicate the sequential
 :class:`~repro.core.craft.CraftVerifier` exactly; what changes is that
 every abstract-transformer application advances the whole batch through
 shared BLAS calls on a batched domain stack
@@ -41,6 +42,7 @@ from repro.domains.base import AbstractElement
 from repro.engine.batched_domains import BatchedDomain, batched_domain_for
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.mondeq.abstract_solvers import (
+    fb_contraction_factor,
     layout_for,
     make_batched_abstract_step,
     shared_input_terms,
@@ -143,9 +145,9 @@ class _TighteningRecord:
     """Per-sample outcome of one batched tightening run.
 
     ``state`` and ``output`` are lazy ``(stack, row)`` references until the
-    driver materialises the finally selected record per sample — probe-run
-    records are mostly discarded, so eager extraction would dominate the
-    small-model regime.
+    driver materialises the finally selected record per sample — a slope
+    attempt's record is discarded unless it beats the race's, so eager
+    extraction would dominate the small-model regime.
     """
 
     certified: bool
@@ -228,11 +230,12 @@ def anchor_reuse_valid(model: MonDEQ, config: CraftConfig) -> bool:
 class _TighteningStacks:
     """Shared, pre-stacked phase-two inputs (built once per batch).
 
-    Every tightening run — the line-search probes, the full-budget
-    continuation and the slope-optimisation attempts — starts from the same
-    contraction states and postcondition matrices; stacking them once and
-    gathering rows per run keeps the per-run setup cost flat.  ``states``
-    already carries the opened input block of ``input_terms`` columns.
+    Every tightening run — the race probes and the slope-optimisation
+    attempts — starts from the same contraction states and postcondition
+    matrices; stacking them once and gathering rows per run keeps the
+    per-run setup cost flat.  ``states`` already carries the opened input
+    block of ``input_terms`` columns.  Runs index samples by their row in
+    these stacks.
     """
 
     inputs: "BatchedDomain"
@@ -241,6 +244,74 @@ class _TighteningStacks:
     previous: "BatchedDomain"
     initial_states: List[AbstractElement]
     differences: np.ndarray
+
+
+@dataclass
+class _TighteningRun:
+    """A batched tightening run's iterate and bookkeeping, held between calls.
+
+    As in deepinv's ``FixedPoint``, the caller keeps the iterate, so
+    :meth:`BatchedCraft._advance` can stop a run after a race probe and
+    resume it later for the samples it won; their records then equal those
+    of one uninterrupted run.  ``active`` lists the stack rows still
+    iterating, in the order of the ``state``/``previous``/``step`` stacks.
+    The per-sample arrays span all stack rows, so narrowing the run to the
+    samples it won (:meth:`keep`) moves no bookkeeping.
+    """
+
+    stacks: _TighteningStacks
+    solver: str
+    alpha: float
+    slope_delta: float
+    step: object
+    state: "BatchedDomain"
+    previous: "BatchedDomain"
+    active: np.ndarray
+    best_margin: np.ndarray
+    best_state: List[Tuple[object, Optional[int]]]
+    best_output: List[Optional[Tuple[object, int]]]
+    certified: np.ndarray
+    since_improvement: np.ndarray
+    iterations: np.ndarray
+    peak_error_terms: np.ndarray
+    steps: int = 0
+    #: ``(active rows, mean widths)`` per step, scattered into per-sample
+    #: traces only when records are built.
+    trace_log: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Narrow the run to the samples ``rows``."""
+        stay = np.nonzero(np.isin(self.active, rows))[0]
+        if stay.size < self.active.size:
+            self.active = self.active[stay]
+            if stay.size:
+                self.state = self.state.select(stay)
+                self.previous = self.previous.select(stay)
+                self.step = self.step.select(stay)
+
+    def records(self, rows: np.ndarray) -> List[_TighteningRecord]:
+        """The records of the samples ``rows`` so far."""
+        traces: Dict[int, List[float]] = {int(row): [] for row in rows}
+        for active_rows, means in self.trace_log:
+            for row, mean in zip(active_rows.tolist(), means.tolist()):
+                trace = traces.get(row)
+                if trace is not None:
+                    trace.append(mean)
+        return [
+            _TighteningRecord(
+                certified=bool(self.certified[i]),
+                margin=float(self.best_margin[i]),
+                iterations=int(self.iterations[i]),
+                state=self.best_state[i],
+                output=self.best_output[i],
+                alpha=self.alpha,
+                solver=self.solver,
+                slope_delta=self.slope_delta,
+                width_trace=traces[int(i)],
+                peak_error_terms=int(self.peak_error_terms[i]),
+            )
+            for i in rows
+        ]
 
 
 class BatchedCraft:
@@ -276,6 +347,7 @@ class BatchedCraft:
             )
         self._layout = layout_for(model, self._config.solver1)
         self._output_selector = model.v_weight @ self._layout.z_selector()
+        self._candidates = self._config.race_candidates(fb_contraction_factor(model))
 
     @property
     def config(self) -> CraftConfig:
@@ -578,12 +650,10 @@ class BatchedCraft:
         contained_samples: List[int],
     ) -> Dict[int, _TighteningRecord]:
         config = self._config
-        probe_budget = max(5, config.tighten_max_iterations // 5)
-        candidates = list(config.candidate_parameters())
 
         # All tightening runs start from the same contraction states; stack
-        # them (and the per-sample postcondition matrices) once, so probe
-        # runs only gather rows instead of re-stacking elements.
+        # them (and the per-sample postcondition matrices) once, so every
+        # run only gathers rows instead of re-stacking elements.
         input_terms = shared_input_terms(config.domain, input_elements)
         stacks = _TighteningStacks(
             inputs=input_elements.select(np.asarray(contained_samples)),
@@ -609,43 +679,41 @@ class BatchedCraft:
             ),
         )
         count = len(contained_samples)
-        all_rows = np.arange(count)
-
+        best: List[Optional[_TighteningRecord]] = [None] * count
         # Peak error-term counts are merged across every run a sample took
-        # part in (probes, full-budget continuation, slope attempts) — the
-        # measured working set the calibration counters report.
+        # part in (race probes, slope attempts) — the measured working set
+        # the calibration counters report.
         peaks = np.zeros(count, dtype=int)
 
-        def merge_peaks(rows, records):
-            for i, record in zip(rows, records):
-                peaks[i] = max(peaks[i], record.peak_error_terms)
-
-        probe_runs = [
-            self._run_tightening(stacks, all_rows, solver, alpha, 0.0, probe_budget)
-            for solver, alpha in candidates
-        ]
-        for run in probe_runs:
-            merge_peaks(all_rows, run)
-        margins = np.array([[record.margin for record in run] for run in probe_runs])
-        best_candidate = np.argmax(margins, axis=0)
-        best: List[_TighteningRecord] = [
-            probe_runs[best_candidate[i]][i] for i in range(count)
-        ]
-
-        # Continue the most promising candidate with the full budget, grouped
-        # so samples sharing a candidate advance in one batch.
-        groups: Dict[int, List[int]] = {}
-        for i in range(count):
-            if not best[i].certified:
-                groups.setdefault(int(best_candidate[i]), []).append(i)
-        for candidate_index, rows in groups.items():
-            solver, alpha = candidates[candidate_index]
-            full = self._run_tightening(
-                stacks, np.asarray(rows), solver, alpha, 0.0, config.tighten_max_iterations
-            )
-            merge_peaks(rows, full)
-            for i, record in zip(rows, full):
-                if record.margin >= best[i].margin:
+        # The alpha race (CraftConfig.race_candidates): each candidate probes
+        # the samples no earlier candidate certified, and a sample leaves on
+        # its first certificate.
+        racing = np.arange(count)
+        probes: List[_TighteningRun] = []
+        for solver, alpha in self._candidates:
+            if racing.size == 0:
+                break
+            run = self._start_tightening(stacks, racing, solver, alpha, 0.0)
+            self._advance(run, config.probe_steps())
+            peaks = np.maximum(peaks, run.peak_error_terms)
+            won = run.certified[racing]
+            for i, record in zip(racing[won], run.records(racing[won])):
+                best[i] = record
+            racing = racing[~won]
+            probes.append(run)
+        if racing.size:
+            # The rest resume their best probe (the first in race order on
+            # ties), grouped so samples sharing a candidate advance in one
+            # batch.  A single candidate is one run: its probe resumes.
+            winners = np.argmax([run.best_margin[racing] for run in probes], axis=0)
+            for index, run in enumerate(probes):
+                rows = racing[winners == index]
+                if rows.size == 0:
+                    continue
+                run.keep(rows)
+                self._advance(run, config.tighten_max_iterations)
+                peaks = np.maximum(peaks, run.peak_error_terms)
+                for i, record in zip(rows, run.records(rows)):
                     best[i] = record
 
         deltas = config.slope_deltas()
@@ -664,12 +732,11 @@ class BatchedCraft:
                 for i in rows:
                     by_candidate.setdefault((best[i].solver, best[i].alpha), []).append(i)
                 for (solver, alpha), group_rows in by_candidate.items():
-                    attempts = self._run_tightening(
-                        stacks, np.asarray(group_rows), solver, alpha,
-                        float(delta), config.tighten_max_iterations,
-                    )
-                    merge_peaks(group_rows, attempts)
-                    for i, record in zip(group_rows, attempts):
+                    group = np.asarray(group_rows)
+                    attempt = self._start_tightening(stacks, group, solver, alpha, float(delta))
+                    self._advance(attempt, config.tighten_max_iterations)
+                    peaks = np.maximum(peaks, attempt.peak_error_terms)
+                    for i, record in zip(group_rows, attempt.records(group)):
                         if record.margin > best[i].margin:
                             best[i] = record
 
@@ -682,56 +749,59 @@ class BatchedCraft:
             )
         return {contained_samples[i]: best[i] for i in range(count)}
 
-    def _run_tightening(
+    def _start_tightening(
         self,
         stacks: "_TighteningStacks",
         rows: np.ndarray,
         solver: str,
         alpha: float,
         slope_delta: float,
-        budget: int,
-    ) -> List[_TighteningRecord]:
-        config = self._config
-        count = len(rows)
-        full_batch = count == stacks.states.batch_size and np.array_equal(
-            rows, np.arange(count)
-        )
-        step = make_batched_abstract_step(
-            self._model,
-            self._layout,
-            stacks.inputs if full_batch else stacks.inputs.select(rows),
-            solver,
-            alpha,
-            slope_delta=slope_delta,
-            use_box_component=config.use_box_component,
-            input_terms=stacks.input_terms,
-        )
+    ) -> _TighteningRun:
+        """A tightening run over the stack rows ``rows`` that has taken no step yet."""
+        count = stacks.states.batch_size
+        full_batch = len(rows) == count and np.array_equal(rows, np.arange(count))
         state = stacks.states if full_batch else stacks.states.select(rows)
-        previous = stacks.previous if full_batch else stacks.previous.select(rows)
-        difference_stack = stacks.differences[rows]
-
-        best_margin = np.full(count, -np.inf)
-        # Best states/outputs are tracked as (stack, row) references and only
-        # materialised for the finally selected record per sample — margins
-        # improve on most iterations, and copying a (n, k) slice out of the
-        # stack every time would rival the cost of the step itself.
-        best_state: List[Tuple[object, Optional[int]]] = [
-            (stacks.initial_states[r], None) for r in rows
-        ]
-        best_output: List[Optional[Tuple[object, int]]] = [None] * count
-        certified = np.zeros(count, dtype=bool)
-        since_improvement = np.zeros(count, dtype=int)
-        iterations = np.zeros(count, dtype=int)
-        peak_error_terms = np.full(
-            count, getattr(state, "num_generators", 0), dtype=int
+        peak_error_terms = np.zeros(count, dtype=int)
+        peak_error_terms[rows] = getattr(state, "num_generators", 0)
+        return _TighteningRun(
+            stacks=stacks,
+            solver=solver,
+            alpha=alpha,
+            slope_delta=slope_delta,
+            step=make_batched_abstract_step(
+                self._model,
+                self._layout,
+                stacks.inputs if full_batch else stacks.inputs.select(rows),
+                solver,
+                alpha,
+                slope_delta=slope_delta,
+                use_box_component=self._config.use_box_component,
+                input_terms=stacks.input_terms,
+            ),
+            state=state,
+            previous=stacks.previous if full_batch else stacks.previous.select(rows),
+            active=rows,
+            best_margin=np.full(count, -np.inf),
+            # Best states/outputs are tracked as (stack, row) references and
+            # only materialised for the finally selected record per sample —
+            # margins improve on most iterations, and copying a (n, k) slice
+            # out of the stack every time would rival the cost of the step.
+            best_state=[(element, None) for element in stacks.initial_states],
+            best_output=[None] * count,
+            certified=np.zeros(count, dtype=bool),
+            since_improvement=np.zeros(count, dtype=int),
+            iterations=np.zeros(count, dtype=int),
+            peak_error_terms=peak_error_terms,
         )
-        trace_log: List[Tuple[np.ndarray, np.ndarray]] = []
 
-        active = np.arange(count)
-        current_step = step
-        for iteration in range(1, budget + 1):
-            if active.size == 0:
-                break
+    def _advance(self, run: _TighteningRun, budget: int) -> None:
+        """Continue ``run`` until every sample finished or ``budget`` steps were taken."""
+        config = self._config
+        while run.steps < budget and run.active.size:
+            run.steps += 1
+            iteration = run.steps
+            active = run.active
+            state = run.state
             if config.tighten_should_consolidate(iteration):
                 # Periodic phase-two consolidation (Appendix C), same cadence
                 # as the sequential driver: bounds the error-term growth —
@@ -744,78 +814,56 @@ class BatchedCraft:
                 # pooled basis per event instead of one SVD per sample
                 # (_consolidate).
                 state = open_input_block(
-                    self._consolidate(state, 0.0, 0.0), stacks.input_terms
+                    self._consolidate(state, 0.0, 0.0), run.stacks.input_terms
                 )
-            new_state = current_step(state)
-            iterations[active] = iteration
-            peak_error_terms[active] = np.maximum(
-                peak_error_terms[active], getattr(new_state, "num_generators", 0)
+            new_state = run.step(state)
+            run.iterations[active] = iteration
+            run.peak_error_terms[active] = np.maximum(
+                run.peak_error_terms[active], getattr(new_state, "num_generators", 0)
             )
-            trace_log.append((active, new_state.mean_width))
+            run.trace_log.append((active, new_state.mean_width))
 
             if config.same_iteration_containment:
-                proper_previous = self._consolidate(previous, 0.0, 0.0)
+                proper_previous = self._consolidate(run.previous, 0.0, 0.0)
                 usable = proper_previous.contains(new_state)
             else:
                 usable = np.ones(active.size, dtype=bool)
 
             outputs = new_state.affine(self._output_selector, self._model.v_bias)
-            differences = outputs.affine(difference_stack[active])
+            differences = outputs.affine(run.stacks.differences[active])
             lower, _ = differences.concretize_bounds()
             margins = lower.min(axis=1)
             holds = margins > 0.0
 
-            improved = usable & (margins > best_margin[active])
+            improved = usable & (margins > run.best_margin[active])
             for row in np.nonzero(improved)[0]:
-                sample_row = int(active[row])
-                best_margin[sample_row] = margins[row]
-                best_state[sample_row] = (new_state, int(row))
-                best_output[sample_row] = (outputs, int(row))
-                since_improvement[sample_row] = 0
-            stalled = active[~improved]
-            since_improvement[stalled] += 1
+                sample = int(active[row])
+                run.best_margin[sample] = margins[row]
+                run.best_state[sample] = (new_state, int(row))
+                run.best_output[sample] = (outputs, int(row))
+                run.since_improvement[sample] = 0
+            run.since_improvement[active[~improved]] += 1
 
             certified_now = usable & holds
-            certified[active[certified_now]] = True
+            run.certified[active[certified_now]] = True
 
             widths = new_state.width
             aborted = ~np.isfinite(widths).all(axis=1) | (
                 widths.max(axis=1) > config.contraction.abort_width
             )
-            exhausted = since_improvement[active] >= config.tighten_patience
+            exhausted = run.since_improvement[active] >= config.tighten_patience
 
             exit_mask = certified_now | aborted | exhausted
             if exit_mask.any():
                 keep = np.nonzero(~exit_mask)[0]
-                active = active[keep]
-                if active.size == 0:
-                    break
-                previous = state.select(keep)
-                state = new_state.select(keep)
-                current_step = current_step.select(keep)
+                run.active = active[keep]
+                if keep.size:
+                    run.previous = state.select(keep)
+                    run.state = new_state.select(keep)
+                    run.step = run.step.select(keep)
             else:
-                previous = state
-                state = new_state
-
-        traces: List[List[float]] = [[] for _ in range(count)]
-        for active_rows, means in trace_log:
-            for row, mean in zip(active_rows.tolist(), means.tolist()):
-                traces[row].append(mean)
-        return [
-            _TighteningRecord(
-                certified=bool(certified[i]),
-                margin=float(best_margin[i]),
-                iterations=int(iterations[i]),
-                state=best_state[i],
-                output=best_output[i],
-                alpha=alpha,
-                solver=solver,
-                slope_delta=slope_delta,
-                width_trace=traces[i],
-                peak_error_terms=int(peak_error_terms[i]),
-            )
-            for i in range(count)
-        ]
+                run.previous = state
+                run.state = new_state
 
     # ------------------------------------------------------------------
     # Result assembly (mirrors CraftVerifier.solve)

@@ -9,7 +9,8 @@ and the speedup collapses.  Phase one appends the input's error symbols
 as fresh columns every step, so its count grows by ``input_dim`` plus the
 ReLU's Box columns per step until its next consolidation.  Phase two
 keeps the input symbols in one shared block, so it grows only by the
-ReLU's Box columns per step (:func:`error_growth_per_step`).
+ReLU's Box columns per step, at most one per latent coordinate
+(:func:`error_growth_per_step`).
 
 This module estimates the peak error-term count of both phases from the
 model shape and the configuration (including the bound that periodic
@@ -84,9 +85,12 @@ def error_growth_per_step(model: MonDEQ, config: CraftConfig) -> int:
     into the input block, which :func:`max_error_terms` counts once, in its
     base.  What a step appends are the ReLU's Box columns: its affine
     transformer casts the Box radii the previous ReLU left into fresh
-    columns, at most one per state coordinate.
+    columns, one per non-zero radius.  The ReLU acts on the ``z`` block
+    only — the PR layout's auxiliary block passes through
+    (``StateLayout.relu_pass_through``) and gets no radius — so a step
+    appends at most one column per latent coordinate.
     """
-    return state_dim(model, config)
+    return model.latent_dim
 
 
 def max_error_terms(model: MonDEQ, config: CraftConfig, domain: Optional[str] = None) -> int:

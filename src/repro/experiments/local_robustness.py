@@ -260,7 +260,7 @@ def run_adaptive_alpha(
     epsilon: float = _EPSILONS_MNIST,
     max_samples: Optional[int] = None,
 ) -> List[Dict]:
-    """Distribution of the line-searched alpha2 for different alpha1 (Fig. 17)."""
+    """Distribution of the alpha2 the phase-two race selects for different alpha1 (Fig. 17)."""
     model, dataset = get_model(model_name, scale)
     if max_samples is None:
         max_samples = max(4, _SAMPLES_BY_SCALE[scale] // 2)

@@ -169,6 +169,23 @@ def fb_state_matrices(model: MonDEQ, alpha: float, layout: StateLayout):
     return state_matrix, input_matrix, bias
 
 
+def fb_contraction_factor(model: MonDEQ) -> Callable[[float], float]:
+    """``alpha -> rho((1 - alpha) I + alpha W)``, the contraction factor of
+    the FB step's linear part, from one eigenvalue computation.
+
+    The eigenvalues of ``(1 - alpha) I + alpha W`` are ``1 - alpha + alpha
+    lambda`` for the eigenvalues ``lambda`` of ``W``, so one ``eigvals``
+    serves every damping.  The phase-two alpha race probes its candidates
+    in ascending factor (:meth:`repro.core.config.CraftConfig.race_candidates`).
+    """
+    eigenvalues = np.linalg.eigvals(model.w_matrix)
+
+    def factor(alpha: float) -> float:
+        return float(np.abs(1.0 - alpha + alpha * eigenvalues).max())
+
+    return factor
+
+
 def pr_state_matrices(model: MonDEQ, alpha: float, layout: StateLayout):
     """State matrix and input-injection map of one PR step (Eq. 9).
 

@@ -37,6 +37,7 @@ from repro.domains.zonotope import Zonotope
 from repro.exceptions import VerificationError
 from repro.mondeq.abstract_solvers import (
     build_initial_state,
+    fb_contraction_factor,
     layout_for,
     make_abstract_step,
     make_output_map,
@@ -128,6 +129,7 @@ def build_fixpoint_problem(
         postcondition=postcondition,
         description=f"{model.name}: robustness eps={ball.epsilon} target={getattr(spec, 'target', None)}",
         input_terms=input_terms,
+        contraction_factor=fb_contraction_factor(model),
     )
 
 

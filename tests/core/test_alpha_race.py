@@ -1,0 +1,282 @@
+"""The phase-two alpha race (``CraftConfig.race_candidates``).
+
+Both Craft drivers probe the ``alpha2_grid`` candidates in ascending
+contraction factor rho((1 - alpha) I + alpha W) for ``PROBE_STEPS`` steps
+each, let a sample leave on its first certificate and resume the best
+probe for the rest.  Three properties pin that:
+
+* **Order.**  The factor equals the brute-force spectral radius, the order
+  is ascending with ties in grid order, and a problem without a factor
+  keeps grid order.
+* **Work.**  Counted on a synthetic problem: a step-1 certificate builds
+  one step, a losing candidate runs at most ``PROBE_STEPS`` steps, and a
+  single candidate is one run.
+* **No flips against the exhaustive search.**  The probe-every-alpha-then-
+  restart search the race replaced is rebuilt here from single-alpha
+  ``CraftVerifier.solve`` calls; no engine (sequential, batched, sharded
+  with ``REPRO_SHARD_WORKERS`` pool workers) may lose a certificate it
+  gives.
+"""
+
+import os
+
+import numpy as np
+import pytest
+from test_craft import _affine_problem, _config
+
+from repro.core.config import PROBE_STEPS, CraftConfig
+from repro.core.craft import CraftVerifier
+from repro.engine import BatchedCraft, ShardedScheduler
+from repro.experiments.model_zoo import get_model
+from repro.mondeq.abstract_solvers import fb_contraction_factor
+from repro.mondeq.model import MonDEQ
+from repro.verify.robustness import build_fixpoint_problem
+from repro.verify.specs import ClassificationSpec, LinfBall
+
+SHARD_WORKERS = int(os.environ.get("REPRO_SHARD_WORKERS", "2"))
+
+#: The probe budget of the exhaustive search the race replaced.
+EXHAUSTIVE_PROBE_STEPS = 30
+
+
+def _random_model(seed):
+    return MonDEQ.random(
+        input_dim=3 + seed, latent_dim=5 + seed, output_dim=3,
+        monotonicity=8.0 + seed, seed=20 + seed,
+    )
+
+
+# ----------------------------------------------------------------------
+# Order
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_contraction_factor_matches_brute_force(seed):
+    model = _random_model(seed)
+    factor = fb_contraction_factor(model)
+    identity = np.eye(model.latent_dim)
+    for alpha in CraftConfig().alpha2_grid:
+        brute = np.abs(np.linalg.eigvals((1 - alpha) * identity + alpha * model.w_matrix)).max()
+        assert factor(alpha) == pytest.approx(brute, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_race_order_is_ascending_in_the_factor(seed):
+    factor = fb_contraction_factor(_random_model(seed))
+    config = CraftConfig()
+    order = config.race_candidates(factor)
+    assert sorted(order) == sorted(config.candidate_parameters())
+    factors = [factor(alpha) for _, alpha in order]
+    assert factors == sorted(factors)
+
+
+def test_race_order_keeps_grid_order_on_ties_and_without_a_factor():
+    config = CraftConfig(alpha2_grid=(0.2, 0.05, 0.15, 0.1))
+    distance = lambda alpha: round(abs(alpha - 0.1), 12)  # noqa: E731
+    assert config.race_candidates(distance) == (
+        ("fb", 0.1), ("fb", 0.05), ("fb", 0.15), ("fb", 0.2)
+    )
+    assert config.race_candidates() == config.candidate_parameters()
+    assert config.with_updates(alpha2=0.3).race_candidates(distance) == (("fb", 0.3),)
+    assert config.with_updates(solver2="pr").race_candidates(distance) == (("pr", 0.1),)
+
+
+@pytest.mark.parametrize("name", ["FCx40", "HCAS-FCx100"])
+def test_alpha_005_leads_on_the_smoke_models(name):
+    model, _ = get_model(name, "smoke")
+    assert CraftConfig().race_candidates(fb_contraction_factor(model))[0] == ("fb", 0.05)
+
+
+def test_one_eigvals_call_per_problem(monkeypatch):
+    model = _random_model(0)
+    x = np.zeros(model.input_dim)
+    config = CraftConfig(slope_optimization="none")
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda matrix: calls.append(1) or eigvals(matrix))
+    problem = build_fixpoint_problem(
+        model, LinfBall(x, 0.02), ClassificationSpec(int(model.predict(x)), 3), config
+    )
+    CraftVerifier(config).solve(problem)
+    assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# Work, counted on the synthetic affine problem
+# ----------------------------------------------------------------------
+
+
+class _CountingFactory:
+    """A tightening factory recording ``[alpha, steps taken]`` per built step."""
+
+    def __init__(self, factory):
+        self._factory = factory
+        self.built = []
+
+    def __call__(self, solver, alpha, slope_delta):
+        inner = self._factory(solver, alpha, slope_delta)
+        entry = [alpha, 0]
+        self.built.append(entry)
+
+        def step(element):
+            entry[1] += 1
+            return inner(element)
+
+        return step
+
+
+def _counted(problem, contraction_factor=None):
+    counter = _CountingFactory(problem.tightening_step_factory)
+    problem.tightening_step_factory = counter
+    problem.contraction_factor = contraction_factor
+    return problem, counter
+
+
+def test_a_step_one_certificate_builds_one_step():
+    problem, counter = _counted(_affine_problem(threshold=1.5))
+    result = CraftVerifier(_config()).solve(problem)
+    assert result.certified and result.iterations_phase2 == 1
+    assert counter.built == [[CraftConfig().alpha2_grid[0], 1]]
+
+
+def test_losing_candidates_run_only_their_probe():
+    config = _config()
+    problem, counter = _counted(_affine_problem(threshold=2.5))
+    result = CraftVerifier(config).solve(problem)
+    assert not result.certified
+    assert [alpha for alpha, _ in counter.built] == list(config.alpha2_grid)
+    # Every candidate iterates the same map, so every probe margin ties
+    # and the first candidate wins and resumes.
+    (_, winner_steps), *losers = counter.built
+    assert all(steps <= PROBE_STEPS for _, steps in losers)
+    assert PROBE_STEPS < winner_steps <= config.tighten_max_iterations
+    assert result.selected_alpha2 == config.alpha2_grid[0]
+    assert result.iterations_phase2 == winner_steps
+
+
+def test_the_problem_factor_orders_the_race():
+    problem, counter = _counted(
+        _affine_problem(threshold=1.5), contraction_factor=lambda alpha: abs(alpha - 0.1)
+    )
+    result = CraftVerifier(_config()).solve(problem)
+    assert counter.built == [[0.1, 1]]
+    assert result.selected_alpha2 == 0.1
+
+
+@pytest.mark.parametrize("single", [dict(alpha2=0.5), dict(solver2="pr")])
+def test_a_single_candidate_is_one_run(single):
+    problem, counter = _counted(_affine_problem(threshold=2.5))
+    result = CraftVerifier(_config(**single)).solve(problem)
+    assert not result.certified
+    assert len(counter.built) == 1
+    assert counter.built[0][1] == result.iterations_phase2
+
+
+# ----------------------------------------------------------------------
+# Resume equals restart, and no flips against the exhaustive search
+# ----------------------------------------------------------------------
+
+
+def _regions(model, xs, epsilon, clip):
+    """Balls around ``xs`` with the model's own predictions as targets."""
+    bounds = (0.0, 1.0) if clip else (None, None)
+    balls = [LinfBall(x, epsilon, *bounds) for x in xs]
+    specs = [
+        ClassificationSpec(target=int(model.predict(x)), num_classes=model.output_dim)
+        for x in xs
+    ]
+    return balls, specs
+
+
+def _corpus():
+    model, dataset = get_model("FCx40", "smoke")
+    yield "fcx40", model, *_regions(model, dataset.x_test, 0.05, clip=True)
+    for seed in range(3):
+        model = _random_model(seed)
+        xs = np.random.default_rng(30 + seed).uniform(-1.0, 1.0, size=(6, model.input_dim))
+        yield f"random-{seed}", model, *_regions(model, xs, 0.04, clip=False)
+    # Hard cells: a larger alpha leads for the first 3 steps and a smaller
+    # one from step 4 on, so a 3-step probe loses 2 of these 12
+    # certificates in the CH-Zonotope and Zonotope domains.
+    model, dataset = get_model("HCAS-FCx100", "small")
+    yield "hcas-small", model, *_regions(model, dataset.x_test[:12], 2.0, clip=False)
+
+
+def _single_alpha(config, alpha, budget):
+    return CraftVerifier(config.with_updates(alpha2=alpha, tighten_max_iterations=budget))
+
+
+def _exhaustive_search(problem, config):
+    """Every grid alpha for 30 steps, then the best-margin alpha (the first
+    on ties) restarted at the full budget, keeping the better record."""
+    probes = [
+        _single_alpha(config, alpha, EXHAUSTIVE_PROBE_STEPS).solve(problem)
+        for alpha in config.alpha2_grid
+    ]
+    best = max(probes, key=lambda result: result.margin)
+    if best.certified or not best.contained:
+        return best
+    full = _single_alpha(config, best.selected_alpha2, config.tighten_max_iterations).solve(problem)
+    return best if full.margin < best.margin else full
+
+
+@pytest.mark.parametrize("domain", ["chzonotope", "zonotope"])
+def test_a_resumed_winner_equals_a_restart(domain):
+    """An uncertified sample's record is the one a single run of its
+    winning alpha at the full budget gives: exactly in the sequential
+    driver, and up to the float noise of a different batch composition
+    (the engine parity tolerance) in the batched one."""
+    config = CraftConfig(domain=domain, slope_optimization="none")
+    resumed = 0
+    for name, model, balls, specs in _corpus():
+        batched = BatchedCraft(model, config).certify_regions(balls, specs)
+        for ball, spec, raced_batch in zip(balls, specs, batched):
+            problem = build_fixpoint_problem(model, ball, spec, config)
+            raced = CraftVerifier(config).solve(problem)
+            assert raced.certified == raced_batch.certified, name
+            if not raced.contained or raced.certified:
+                continue
+            resumed += 1
+            single = config.with_updates(alpha2=raced.selected_alpha2)
+            restart = CraftVerifier(single).solve(problem)
+            assert raced.selected_alpha2 == restart.selected_alpha2, name
+            assert raced.margin == restart.margin, name
+            assert raced.iterations_phase2 == restart.iterations_phase2, name
+            assert (
+                raced.fixpoint_abstraction.width_trace_phase2
+                == restart.fixpoint_abstraction.width_trace_phase2
+            ), name
+            restart = BatchedCraft(model, single).certify_regions([ball], [spec])[0]
+            assert raced_batch.selected_alpha2 == restart.selected_alpha2, name
+            assert raced_batch.margin == pytest.approx(restart.margin, abs=1e-9), name
+    assert resumed > 0, "the corpus resumes no winner; the check is vacuous"
+
+
+@pytest.mark.tier1
+@pytest.mark.parametrize("domain", ["chzonotope", "zonotope", "box"])
+def test_no_flips_against_the_exhaustive_search(domain):
+    config = CraftConfig(domain=domain, slope_optimization="none")
+    reference_total = 0
+    for name, model, balls, specs in _corpus():
+        problems = [build_fixpoint_problem(model, b, s, config) for b, s in zip(balls, specs)]
+        reference = [_exhaustive_search(problem, config) for problem in problems]
+        sequential = [CraftVerifier(config).solve(problem) for problem in problems]
+        batched = BatchedCraft(model, config).certify_regions(balls, specs)
+        with ShardedScheduler(
+            model, config, num_workers=SHARD_WORKERS, batch_size=2, timeout_seconds=300.0
+        ) as scheduler:
+            sharded = scheduler.certify_regions(balls, specs)
+        reference_total += sum(r.certified for r in reference)
+        for engine, results in (
+            ("sequential", sequential), ("batched", batched), ("sharded", sharded)
+        ):
+            flips = [
+                index
+                for index, (ref, cand) in enumerate(zip(reference, results))
+                if ref.certified and not cand.certified
+            ]
+            assert not flips, f"{name}/{engine}: certified -> uncertified at {flips}"
+            assert sum(r.certified for r in results) >= sum(r.certified for r in reference)
+    if domain != "box":
+        assert reference_total > 0, "the corpus certifies nothing; the check is vacuous"

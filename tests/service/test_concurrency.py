@@ -375,7 +375,12 @@ class TestConcurrentClusterSweeps:
             shard_timeout_seconds=8.0, retry_backoff_seconds=0.05,
             retry_backoff_factor=1.5, heartbeat_seconds=0.1,
         )
-        faults = FaultSpec(seed=17, scripted=((0, 0, "kill"),))
+        # Slot 1 holds its first shard for a second, so slot 0 claims one
+        # (and dies) even when it comes up after slot 1 could have
+        # drained both sweeps alone.
+        faults = FaultSpec(
+            seed=17, scripted=((0, 0, "kill"), (1, 0, "delay")), delay_seconds=1.0
+        )
         with ClusterScheduler(
             model, config, num_workers=2, batch_size=2,
             service=service, faults=faults, timeout_seconds=120.0,

@@ -69,7 +69,12 @@ class TestKillRecovery:
         reassigned, the slot respawned, and the sweep's verdicts are
         bit-for-bit the fault-free ones — one final verdict per cell."""
         model, xs, labels, config = cluster_workload
-        faults = FaultSpec(seed=11, scripted=((0, 0, "kill"),))
+        # Slot 1 holds its first shard for a second before reporting, so
+        # slot 0 claims a shard (and dies) even when its process comes up
+        # after slot 1 could have drained the whole sweep alone.
+        faults = FaultSpec(
+            seed=11, scripted=((0, 0, "kill"), (1, 0, "delay")), delay_seconds=1.0
+        )
         with ClusterScheduler(
             model, config, num_workers=2, batch_size=3,
             service=_service(), faults=faults, timeout_seconds=120.0,
