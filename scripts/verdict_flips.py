@@ -14,13 +14,15 @@ and comparing the dumps:
 ``dump`` certifies draws ``1..N`` of the workload's seeded regions (the
 draws a ``perfbench/run.py`` run times; it reads only
 ``perfbench/inputs.py``) through the batched engine with the workload's
-default ``CraftConfig`` and writes each region's certified flag, margin
-and selected alpha.  ``--root`` names the checkout whose ``src/`` and
+default ``CraftConfig`` and writes each region's certified flag, margin,
+selected alpha, phase-one and phase-two iteration counts and peak error
+terms.  ``--root`` names the checkout whose ``src/`` and
 ``perfbench/inputs.py`` run (default: this one), so a checkout without
 this script can still be dumped.  ``compare`` reports certified ->
 uncertified flips from the first dump to the second, gained
-certificates, moved alphas and the largest margin difference, and exits
-non-zero on any flip.
+certificates, moved alphas, the regions whose iteration counts or peak
+error terms moved, and the largest margin difference, and exits non-zero
+only on a flip.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ import json
 import math
 import sys
 from pathlib import Path
+
+#: Per-region work counts a change that keeps results bit for bit must not move.
+COUNTS = ("iterations_phase1", "iterations_phase2", "peak_error_terms")
 
 #: Workload name -> (smoke model, region function in perfbench/inputs.py).
 WORKLOADS = {
@@ -66,6 +71,7 @@ def dump(root: Path, workload: str, seed: int, draws: int) -> dict:
                 "certified": bool(result.certified),
                 "margin": _finite(result.margin),
                 "alpha": result.selected_alpha2,
+                **{name: getattr(result, name) for name in COUNTS},
             })
     return {"workload": workload, "seed": seed, "draws": draws, "regions": rows}
 
@@ -76,7 +82,7 @@ def compare(first: dict, second: dict) -> dict:
     after = {(row["draw"], row["index"]): row for row in second["regions"]}
     if before.keys() != after.keys():
         raise ValueError("the dumps cover different regions")
-    lost, gained, moved_alpha = [], [], []
+    lost, gained, moved_alpha, moved_counts = [], [], [], []
     margin_delta = 0.0
     for key in sorted(before):
         a, b = before[key], after[key]
@@ -86,6 +92,8 @@ def compare(first: dict, second: dict) -> dict:
             gained.append(key)
         if a["alpha"] != b["alpha"]:
             moved_alpha.append(key)
+        if any(a.get(name) != b.get(name) for name in COUNTS):
+            moved_counts.append(key)
         if a["margin"] is not None and b["margin"] is not None:
             margin_delta = max(margin_delta, abs(a["margin"] - b["margin"]))
     return {
@@ -94,6 +102,7 @@ def compare(first: dict, second: dict) -> dict:
         "lost": lost,
         "gained": gained,
         "moved_alpha": len(moved_alpha),
+        "moved_counts": len(moved_counts),
         "max_margin_delta": margin_delta,
     }
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -92,11 +92,62 @@ class KleeneResult:
     diverged: bool = False
 
 
+class StackRow:
+    """Row ``row`` of a batched stack, standing in for the sequential element
+    it holds until a result's element is first read.
+
+    A pickled (or deep-copied) reference carries only its own row, as a
+    one-row stack, never the stack it points into.
+    """
+
+    __slots__ = ("stack", "row")
+
+    def __init__(self, stack, row: int):
+        self.stack = stack
+        self.row = row
+
+    def element(self) -> AbstractElement:
+        return self.stack.element(self.row)
+
+    def __reduce__(self):
+        return StackRow, (self.stack.select([self.row]), 0)
+
+
+class _ElementField:
+    """A dataclass field holding an abstract element or a :class:`StackRow`.
+
+    The first read of a :class:`StackRow` builds the element with the
+    domain's validating constructor and caches it in place; the batched
+    engine stores references so that elements nobody reads are never built.
+    ``dataclasses.replace``, ``==`` and ``repr`` read the field, so they
+    build it too.
+    """
+
+    def __init__(self, default=MISSING):
+        self._default = default
+
+    def __set_name__(self, owner, name):
+        self._slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            if self._default is MISSING:
+                raise AttributeError(self._slot[1:])
+            return self._default
+        value = obj.__dict__[self._slot]
+        if isinstance(value, StackRow):
+            value = obj.__dict__[self._slot] = value.element()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self._slot] = value
+
+
 @dataclass
 class FixpointAbstraction:
     """A sound abstraction of the true fixpoint set plus provenance data."""
 
-    element: AbstractElement
+    element: AbstractElement = _ElementField()
     contained: bool
     iterations_phase1: int
     iterations_phase2: int
@@ -123,7 +174,7 @@ class VerificationResult:
     selected_solver2: Optional[str] = None
     slope_optimized: bool = False
     fixpoint_abstraction: Optional[FixpointAbstraction] = None
-    output_element: Optional[AbstractElement] = None
+    output_element: Optional[AbstractElement] = _ElementField(default=None)
     notes: str = ""
     #: Abstract domain that produced this verdict.  For escalation-ladder
     #: sweeps this is the *resolving* stage (the domain the query exited

@@ -17,16 +17,20 @@ columns (samples whose Box/ReLU patterns differ carry each other's columns
 with coefficient zero — a representation difference only, never a change of
 the concretised set).
 
-Elements enter and leave the batch via :meth:`from_elements` (right-pads
-generators with zero columns to a uniform ``k``) and :meth:`select` /
-:meth:`element`, which is how the batched Craft driver implements
-per-sample early exit: finished samples are gathered out and the remaining
-rows keep iterating as a smaller stack.
+The batched Craft driver keeps every sample in a stack from its
+precondition to its result.  Input regions enter through
+:meth:`from_bounds` (one row per box), finished samples leave the iterate
+through :meth:`select` while the remaining rows keep iterating as a
+smaller stack (per-sample early exit), and :meth:`gather` re-stacks rows
+of several stacks (phase one's exits become phase two's start).  A
+sequential :class:`CHZonotope` is built by :meth:`element` only when a
+result's element is first read; :meth:`from_elements` stacks sequential
+elements, right-padding generators with zero columns to a uniform ``k``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,19 +92,64 @@ class BatchedCHZonotope:
         return cls(centers, generators, box)
 
     @classmethod
+    def from_bounds(cls, lower, upper) -> "BatchedCHZonotope":
+        """Stack of the boxes ``[lower_i, upper_i]`` (rows of two ``(B, n)``
+        arrays): diagonal generators of the radius and a zero Box, bit for
+        bit ``from_elements`` of ``CHZonotope.from_interval`` per row."""
+        center, radius = box_center_radius(lower, upper)
+        batch, dim = center.shape
+        generators = np.zeros((batch, dim, dim))
+        generators[:, np.arange(dim), np.arange(dim)] = radius
+        return cls(center, generators, None)
+
+    @classmethod
     def from_points(cls, points: np.ndarray) -> "BatchedCHZonotope":
         """Degenerate stack containing exactly the rows of ``points``."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return cls(points, np.zeros((points.shape[0], points.shape[1], 0)), None)
+
+    @classmethod
+    def gather(cls, stacks: Sequence["BatchedCHZonotope"], which, rows) -> "BatchedCHZonotope":
+        """Stack row ``rows[j]`` of ``stacks[which[j]]`` as row ``j``.
+
+        Each row keeps its non-zero generator columns, moved to the left in
+        their original order; its zero columns (``-0.0`` included) are
+        dropped, and the stack is padded with zero columns to the largest
+        count over exactly the gathered rows.  That is what
+        ``from_elements([stacks[w].element(r) ...])`` produces, bit for bit,
+        without building the elements — and the column count matters beyond
+        the set it describes, because it changes numpy's summation order.
+        """
+        rows = np.asarray(rows)
+        dim = stacks[0].dim
+        center = np.empty((rows.size, dim))
+        box = np.empty((rows.size, dim))
+        parts = []
+        for destination, stack, source in stack_parts(stacks, which, rows):
+            generators = stack._generators[source]
+            keep = np.abs(generators).sum(axis=1) > 0
+            center[destination] = stack._center[source]
+            box[destination] = stack._box[source]
+            parts.append((destination, generators, keep))
+        if len(parts) == 1:
+            _, generators, keep = parts[0]
+            if (keep == keep[0]).all():
+                # The rows share their zero columns (a single row always
+                # does): dropping those columns compacts every row.
+                return cls(center, generators if keep[0].all() else generators[:, :, keep[0]], box)
+        width = max(int(keep.sum(axis=1).max(initial=0)) for _, _, keep in parts)
+        stacked = np.zeros((rows.size, dim, width))
+        for destination, generators, keep in parts:
+            row, column = np.nonzero(keep)
+            target = np.cumsum(keep, axis=1)[row, column] - 1
+            stacked[destination[row], :, target] = generators[row, :, column]
+        return cls(center, stacked, box)
 
     def element(self, index: int) -> CHZonotope:
         """The ``index``-th sample as a sequential :class:`CHZonotope`."""
         generators = self._generators[index]
         keep = np.abs(generators).sum(axis=0) > 0
         return CHZonotope(self._center[index], generators[:, keep], self._box[index])
-
-    def to_elements(self) -> List[CHZonotope]:
-        return [self.element(index) for index in range(self.batch_size)]
 
     def select(self, indices) -> "BatchedCHZonotope":
         """Gather a sub-batch (used for per-sample early exit)."""
@@ -428,6 +477,36 @@ class BatchedCHZonotope:
             f"BatchedCHZonotope(batch={self.batch_size}, dim={self.dim}, "
             f"k={self.num_generators})"
         )
+
+
+def box_center_radius(lower, upper) -> Tuple[np.ndarray, np.ndarray]:
+    """Centres and radii of the boxes ``[lower_i, upper_i]``, computed as
+    :class:`~repro.domains.interval.Interval` computes them row by row."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if lower.ndim != 2 or lower.shape != upper.shape:
+        raise DomainError(
+            f"bounds must share a (batch, dim) shape, got {lower.shape} / {upper.shape}"
+        )
+    if np.any(lower > upper + 1e-12):
+        raise DomainError("Interval lower bounds must not exceed upper bounds")
+    upper = np.maximum(upper, lower)
+    return 0.5 * (lower + upper), 0.5 * (upper - lower)
+
+
+def stack_parts(
+    stacks: Sequence, which, rows: np.ndarray
+) -> Iterator[Tuple[np.ndarray, object, np.ndarray]]:
+    """``(destination rows, stack, source rows)`` for every stack a gather
+    reads: output row ``j`` is row ``rows[j]`` of ``stacks[which[j]]``."""
+    if len(stacks) == 1:
+        yield np.arange(rows.size), stacks[0], rows
+        return
+    which = np.asarray(which)
+    for index, stack in enumerate(stacks):
+        destination = np.nonzero(which == index)[0]
+        if destination.size:
+            yield destination, stack, rows[destination]
 
 
 def _batched_inverse(matrices: np.ndarray, context: str) -> np.ndarray:

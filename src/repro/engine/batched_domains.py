@@ -37,7 +37,7 @@ from repro.domains.chzonotope import CHZonotope
 from repro.domains.interval import Interval
 from repro.domains.relu import default_slopes
 from repro.domains.zonotope import Zonotope
-from repro.engine.batched_chzonotope import BatchedCHZonotope
+from repro.engine.batched_chzonotope import BatchedCHZonotope, box_center_radius, stack_parts
 from repro.exceptions import ConfigurationError, DimensionMismatchError, DomainError
 
 
@@ -48,10 +48,15 @@ class BatchedDomain(Protocol):
     A batched domain is a stack of ``B`` abstract elements of one domain
     sharing a common dimension ``n``.  The driver requires:
 
-    * **Conversions** — ``from_elements(seq)`` stacks sequential elements,
-      ``from_points(points)`` builds a degenerate stack, ``element(i)``
-      extracts one sample back into the sequential domain, ``select(rows)``
-      gathers a sub-batch (per-sample early exit).
+    * **Conversions** — ``from_bounds(lower, upper)`` builds the input
+      stack from ``(B, n)`` box bounds (bit for bit ``from_elements`` of
+      ``LinfBall.to_element`` per row), ``from_points(points)`` builds a
+      degenerate stack, ``select(rows)`` gathers a sub-batch (per-sample
+      early exit), and ``gather(stacks, which, rows)`` re-stacks rows of
+      several stacks as ``element`` followed by ``from_elements`` would.
+      A sample becomes a sequential element — ``element(i)`` — only when a
+      result's element is first read; ``from_elements(seq)`` stacks
+      sequential elements.
     * **Stacked transformers** — ``affine(weight, bias)`` with a shared
       ``(m, n)`` or per-sample ``(B, m, n)`` weight, ``relu(slopes,
       box_new_errors, pass_through)``, ``sum(other)`` (Minkowski sum), and
@@ -77,9 +82,13 @@ class BatchedDomain(Protocol):
 
     # Conversions -------------------------------------------------------
     @classmethod
+    def from_bounds(cls, lower, upper) -> "BatchedDomain": ...
+    @classmethod
     def from_elements(cls, elements: Sequence) -> "BatchedDomain": ...
     @classmethod
     def from_points(cls, points: np.ndarray) -> "BatchedDomain": ...
+    @classmethod
+    def gather(cls, stacks: Sequence, which, rows) -> "BatchedDomain": ...
     def element(self, index: int): ...
     def select(self, indices) -> "BatchedDomain": ...
 
@@ -149,15 +158,29 @@ class BatchedBox:
         return cls(np.stack([b[0] for b in bounds]), np.stack([b[1] for b in bounds]))
 
     @classmethod
+    def from_bounds(cls, lower, upper) -> "BatchedBox":
+        """The boxes ``[lower_i, upper_i]`` themselves (the constructor
+        validates and clamps them as :class:`Interval` does)."""
+        return cls(lower, upper)
+
+    @classmethod
     def from_points(cls, points: np.ndarray) -> "BatchedBox":
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return cls(points, points.copy())
 
+    @classmethod
+    def gather(cls, stacks: Sequence["BatchedBox"], which, rows) -> "BatchedBox":
+        """Stack row ``rows[j]`` of ``stacks[which[j]]`` as row ``j``."""
+        rows = np.asarray(rows)
+        lower = np.empty((rows.size, stacks[0].dim))
+        upper = np.empty_like(lower)
+        for destination, stack, source in stack_parts(stacks, which, rows):
+            lower[destination] = stack._lower[source]
+            upper[destination] = stack._upper[source]
+        return cls(lower, upper)
+
     def element(self, index: int) -> Interval:
         return Interval(self._lower[index], self._upper[index])
-
-    def to_elements(self) -> List[Interval]:
-        return [self.element(index) for index in range(self.batch_size)]
 
     def select(self, indices) -> "BatchedBox":
         indices = np.asarray(indices)
@@ -414,6 +437,19 @@ class BatchedZonotope(BatchedCHZonotope):
         for index, element in enumerate(lifted):
             generators[index, :, : element.num_generators] = element.generators
         return cls(centers, generators, None)
+
+    @classmethod
+    def from_bounds(cls, lower, upper) -> "BatchedZonotope":
+        """Stack of the boxes ``[lower_i, upper_i]``: one generator column per
+        non-degenerate axis, compacted to the left and zero-padded to the
+        largest count, bit for bit ``from_elements`` of
+        ``Zonotope.from_interval`` per row."""
+        center, radius = box_center_radius(lower, upper)
+        axes = radius > 0
+        generators = np.zeros(center.shape + (int(axes.sum(axis=1).max(initial=0)),))
+        row, axis = np.nonzero(axes)
+        generators[row, axis, np.cumsum(axes, axis=1)[row, axis] - 1] = radius[row, axis]
+        return cls(center, generators, None)
 
     def element(self, index: int) -> Zonotope:
         """The ``index``-th sample as a sequential :class:`Zonotope`."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,10 +35,10 @@ from repro.core.craft import open_input_block
 from repro.core.expansion import ExpansionSchedule
 from repro.core.results import (
     FixpointAbstraction,
+    StackRow,
     VerificationOutcome,
     VerificationResult,
 )
-from repro.domains.base import AbstractElement
 from repro.engine.batched_domains import BatchedDomain, batched_domain_for
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.mondeq.abstract_solvers import (
@@ -122,51 +122,90 @@ def _scatter_rows(stack, rows: np.ndarray, replacement):
     return type(stack)(stack.center, generators, stack.box)
 
 
+class _StackRows:
+    """Per-sample row references into a list of stacks: sample ``i`` is row
+    ``row[i]`` of ``stacks[stack[i]]`` (``stack[i] == -1``: none)."""
+
+    def __init__(self, count: int):
+        self.stacks: List["BatchedDomain"] = []
+        self.stack = np.full(count, -1)
+        self.row = np.zeros(count, dtype=int)
+
+    def add(self, samples: np.ndarray, stack: "BatchedDomain") -> None:
+        """The rows of ``stack`` are the samples ``samples``, in order."""
+        self.stack[samples] = len(self.stacks)
+        self.row[samples] = np.arange(len(samples))
+        self.stacks.append(stack)
+
+    def gather(self, domain_cls, samples: np.ndarray) -> "BatchedDomain":
+        """One stack of the samples' rows (:meth:`BatchedCHZonotope.gather`)."""
+        return domain_cls.gather(self.stacks, self.stack[samples], self.row[samples])
+
+    def references(self) -> List[Optional[StackRow]]:
+        stacks = self.stacks
+        return [
+            None if stack < 0 else StackRow(stacks[stack], row)
+            for stack, row in zip(self.stack.tolist(), self.row.tolist())
+        ]
+
+
+def _rows_of(stack: "BatchedDomain", rows: np.ndarray) -> "BatchedDomain":
+    """``stack.select(rows)`` for sorted distinct ``rows``; all rows is the stack itself."""
+    return stack if rows.size == stack.batch_size else stack.select(rows)
+
+
+def _scatter_traces(log: List[Tuple[np.ndarray, np.ndarray]], count: int) -> List[List[float]]:
+    """Per-sample traces from ``(samples, values)`` log entries, in log order."""
+    traces: List[List[float]] = [[] for _ in range(count)]
+    for samples, values in log:
+        for sample, value in zip(samples.tolist(), values.tolist()):
+            traces[sample].append(value)
+    return traces
+
+
 @dataclass
 class _ContainmentRecord:
-    """Per-sample outcome of the batched containment phase.
+    """Phase-one outcome of every sample, as arrays over the batch.
 
-    ``state`` and ``reference`` are sequential elements of the configured
-    domain (CHZonotope, Zonotope or Interval).
+    ``states`` holds each sample's final iterate and ``references`` the
+    consolidated history element that contained it (none unless
+    ``contained``), as rows of the stacks the phase selected them into:
+    one per iteration with exits and one per history slot referenced.
     """
 
-    contained: bool
-    diverged: bool
-    state: AbstractElement
-    reference: Optional[AbstractElement]
-    iterations: int
-    consolidations: int
-    width_trace: List[float] = field(default_factory=list)
-    peak_error_terms: int = 0
+    contained: np.ndarray
+    diverged: np.ndarray
+    iterations: np.ndarray
+    consolidations: np.ndarray
+    peak_error_terms: np.ndarray
+    states: _StackRows
+    references: _StackRows
+    width_traces: List[List[float]] = field(default_factory=list)
 
 
 @dataclass
 class _TighteningRecord:
-    """Per-sample outcome of one batched tightening run.
+    """Phase-two outcome of the contained samples, as arrays over the rows
+    of the tightening stacks.
 
-    ``state`` and ``output`` are lazy ``(stack, row)`` references until the
-    driver materialises the finally selected record per sample — a slope
-    attempt's record is discarded unless it beats the race's, so eager
-    extraction would dominate the small-model regime.
+    Sample ``i`` keeps the record of one run (a race probe or a slope
+    attempt); ``candidate[i]`` indexes that run's ``(solver, alpha,
+    slope_delta)`` in ``candidates``.  ``states`` and ``outputs`` reference
+    the best state and output in copies of only the rows results use (no
+    output: the sample never improved on its phase-one state, which
+    ``states`` then references).  ``peak_error_terms`` is merged over every
+    run the sample took part in.
     """
 
-    certified: bool
-    margin: float
-    iterations: int
-    state: Tuple[object, Optional[int]]
-    output: Optional[Tuple[object, int]]
-    alpha: Optional[float]
-    solver: Optional[str]
-    slope_delta: float
-    width_trace: List[float] = field(default_factory=list)
-    peak_error_terms: int = 0
-
-
-def _materialise(reference) -> Optional[AbstractElement]:
-    if reference is None:
-        return None
-    stack, row = reference
-    return stack if row is None else stack.element(row)
+    certified: np.ndarray
+    margin: np.ndarray
+    iterations: np.ndarray
+    peak_error_terms: np.ndarray
+    candidate: np.ndarray
+    candidates: List[Tuple[str, float, float]]
+    width_traces: List[List[float]]
+    states: _StackRows
+    outputs: _StackRows
 
 
 def prediction_pass(
@@ -232,17 +271,18 @@ class _TighteningStacks:
 
     Every tightening run — the race probes and the slope-optimisation
     attempts — starts from the same contraction states and postcondition
-    matrices; stacking them once and gathering rows per run keeps the
-    per-run setup cost flat.  ``states`` already carries the opened input
-    block of ``input_terms`` columns.  Runs index samples by their row in
-    these stacks.
+    matrices, so runs only select rows.  ``initial`` and ``previous`` are
+    one gather each of the contained samples' phase-one states and
+    references, straight out of the phase-one stacks; ``states`` is
+    ``initial`` with the opened input block of ``input_terms`` columns.
+    Runs index samples by their row in these stacks.
     """
 
     inputs: "BatchedDomain"
     input_terms: int
+    initial: "BatchedDomain"
     states: "BatchedDomain"
     previous: "BatchedDomain"
-    initial_states: List[AbstractElement]
     differences: np.ndarray
 
 
@@ -257,6 +297,10 @@ class _TighteningRun:
     iterating, in the order of the ``state``/``previous``/``step`` stacks.
     The per-sample arrays span all stack rows, so narrowing the run to the
     samples it won (:meth:`keep`) moves no bookkeeping.
+
+    A sample's best state and output are row ``best_row`` of the stacks of
+    step ``best_step`` (-1: none yet).  ``kept`` holds those stacks only
+    for the steps some sample still points into, so the others are freed.
     """
 
     stacks: _TighteningStacks
@@ -268,15 +312,16 @@ class _TighteningRun:
     previous: "BatchedDomain"
     active: np.ndarray
     best_margin: np.ndarray
-    best_state: List[Tuple[object, Optional[int]]]
-    best_output: List[Optional[Tuple[object, int]]]
+    best_step: np.ndarray
+    best_row: np.ndarray
     certified: np.ndarray
     since_improvement: np.ndarray
     iterations: np.ndarray
     peak_error_terms: np.ndarray
+    kept: Dict[int, Tuple["BatchedDomain", "BatchedDomain"]] = field(default_factory=dict)
     steps: int = 0
     #: ``(active rows, mean widths)`` per step, scattered into per-sample
-    #: traces only when records are built.
+    #: traces only when results are assembled.
     trace_log: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     def keep(self, rows: np.ndarray) -> None:
@@ -288,30 +333,6 @@ class _TighteningRun:
                 self.state = self.state.select(stay)
                 self.previous = self.previous.select(stay)
                 self.step = self.step.select(stay)
-
-    def records(self, rows: np.ndarray) -> List[_TighteningRecord]:
-        """The records of the samples ``rows`` so far."""
-        traces: Dict[int, List[float]] = {int(row): [] for row in rows}
-        for active_rows, means in self.trace_log:
-            for row, mean in zip(active_rows.tolist(), means.tolist()):
-                trace = traces.get(row)
-                if trace is not None:
-                    trace.append(mean)
-        return [
-            _TighteningRecord(
-                certified=bool(self.certified[i]),
-                margin=float(self.best_margin[i]),
-                iterations=int(self.iterations[i]),
-                state=self.best_state[i],
-                output=self.best_output[i],
-                alpha=self.alpha,
-                solver=self.solver,
-                slope_delta=self.slope_delta,
-                width_trace=traces[int(i)],
-                peak_error_terms=int(self.peak_error_terms[i]),
-            )
-            for i in rows
-        ]
 
 
 class BatchedCraft:
@@ -347,6 +368,13 @@ class BatchedCraft:
             )
         self._layout = layout_for(model, self._config.solver1)
         self._output_selector = model.v_weight @ self._layout.z_selector()
+        # The postcondition matrices of every target, shape (c, c - 1, c).
+        self._differences = np.stack(
+            [
+                ClassificationSpec(target, model.output_dim).difference_matrix()
+                for target in range(model.output_dim)
+            ]
+        )
         self._candidates = self._config.race_candidates(fb_contraction_factor(model))
 
     @property
@@ -413,19 +441,24 @@ class BatchedCraft:
             raise VerificationError("balls and specs must have matching lengths")
         if not balls:
             return []
-        for ball in balls:
+        for ball, spec in zip(balls, specs):
             if ball.dim != self._model.input_dim:
                 raise VerificationError(
                     f"precondition dimension {ball.dim} does not match the model "
                     f"input dimension {self._model.input_dim}"
                 )
+            if spec.num_classes != self._model.output_dim:
+                raise VerificationError(
+                    f"postcondition over {spec.num_classes} classes does not match "
+                    f"the model output dimension {self._model.output_dim}"
+                )
         start = time.perf_counter()
         config = self._config
-        batch = len(balls)
         self.consolidation_stats = ConsolidationStats()
 
-        input_elements = self._domain_cls.from_elements(
-            [ball.to_element(config.domain) for ball in balls]
+        bounds = [ball.bounds() for ball in balls]
+        input_elements = self._domain_cls.from_bounds(
+            np.stack([lower for lower, _ in bounds]), np.stack([upper for _, upper in bounds])
         )
         if anchor_fixpoints is None:
             centers = np.stack([ball.center for ball in balls])
@@ -449,18 +482,13 @@ class BatchedCraft:
         )
 
         containment = self._containment_phase(contraction_step, initial)
-        contained_samples = [i for i in range(batch) if containment[i].contained]
-        tightening: Dict[int, _TighteningRecord] = {}
-        if contained_samples:
-            tightening = self._tighten_and_certify(
-                input_elements, specs, containment, contained_samples
-            )
+        tightening = None
+        if containment.contained.any():
+            targets = np.fromiter((spec.target for spec in specs), dtype=int, count=len(specs))
+            tightening = self._tighten_and_certify(input_elements, targets, containment)
 
-        per_region_time = (time.perf_counter() - start) / batch
-        return [
-            self._assemble_result(containment[i], tightening.get(i), per_region_time)
-            for i in range(batch)
-        ]
+        per_region_time = (time.perf_counter() - start) / len(balls)
+        return self._assemble_results(containment, tightening, per_region_time)
 
     # ------------------------------------------------------------------
     # Consolidation-basis policy (per-sample vs shared)
@@ -529,11 +557,19 @@ class BatchedCraft:
     # Phase one: batched containment search
     # ------------------------------------------------------------------
 
-    def _containment_phase(self, step, initial: "BatchedDomain") -> List[_ContainmentRecord]:
+    def _containment_phase(self, step, initial: "BatchedDomain") -> _ContainmentRecord:
         settings = self._config.contraction
         expansion = ExpansionSchedule.from_config(self._config)
         batch = initial.batch_size
-        records: List[Optional[_ContainmentRecord]] = [None] * batch
+        record = _ContainmentRecord(
+            contained=np.zeros(batch, dtype=bool),
+            diverged=np.zeros(batch, dtype=bool),
+            iterations=np.full(batch, settings.max_iterations),
+            consolidations=np.zeros(batch, dtype=int),
+            peak_error_terms=np.zeros(batch, dtype=int),
+            states=_StackRows(batch),
+            references=_StackRows(batch),
+        )
         # (active indices, mean widths) per iteration; scattered into
         # per-sample traces only on exit to keep the hot loop free of
         # per-row Python work.
@@ -545,7 +581,6 @@ class BatchedCraft:
         history: deque = deque(maxlen=settings.history_size)
         basis: Optional[np.ndarray] = None
         consolidations = 0
-        peak_error_terms = np.zeros(batch, dtype=int)
 
         for iteration in range(settings.max_iterations):
             if active.size == 0:
@@ -567,8 +602,8 @@ class BatchedCraft:
                 consolidations += 1
 
             next_state = current_step(state)
-            peak_error_terms[active] = np.maximum(
-                peak_error_terms[active], getattr(next_state, "num_generators", 0)
+            record.peak_error_terms[active] = np.maximum(
+                record.peak_error_terms[active], getattr(next_state, "num_generators", 0)
             )
             widths = next_state.width
             if settings.track_trace:
@@ -591,22 +626,19 @@ class BatchedCraft:
                 reference_pick[newly] = h_index
 
             exit_mask = diverged | contained
-            for row in np.nonzero(exit_mask)[0]:
-                sample = int(active[row])
-                records[sample] = _ContainmentRecord(
-                    contained=bool(contained[row]),
-                    diverged=bool(diverged[row]),
-                    state=next_state.element(row),
-                    reference=(
-                        history[reference_pick[row]].element(row)
-                        if contained[row]
-                        else None
-                    ),
-                    iterations=iteration + 1,
-                    consolidations=consolidations,
-                    peak_error_terms=int(peak_error_terms[sample]),
-                )
             if exit_mask.any():
+                # The exiting rows stay in stacks: one select of them, and
+                # one per history slot that contained some of them.
+                exits = np.nonzero(exit_mask)[0]
+                samples = active[exits]
+                record.contained[samples] = contained[exits]
+                record.diverged[samples] = diverged[exits]
+                record.iterations[samples] = iteration + 1
+                record.consolidations[samples] = consolidations
+                record.states.add(samples, _rows_of(next_state, exits))
+                for h_index in np.unique(reference_pick[contained]).tolist():
+                    picked = np.nonzero(reference_pick == h_index)[0]
+                    record.references.add(active[picked], _rows_of(history[h_index], picked))
                 keep = np.nonzero(~exit_mask)[0]
                 active = active[keep]
                 if active.size == 0:
@@ -623,20 +655,11 @@ class BatchedCraft:
             else:
                 state = next_state
 
-        for row, sample in enumerate(active):
-            records[int(sample)] = _ContainmentRecord(
-                contained=False,
-                diverged=False,
-                state=state.element(row),
-                reference=None,
-                iterations=settings.max_iterations,
-                consolidations=consolidations,
-                peak_error_terms=int(peak_error_terms[int(sample)]),
-            )
-        for active_rows, means in trace_log:
-            for row, sample in zip(active_rows.tolist(), means.tolist()):
-                records[row].width_trace.append(sample)
-        return records
+        if active.size:
+            record.consolidations[active] = consolidations
+            record.states.add(active, state)
+        record.width_traces = _scatter_traces(trace_log, batch)
+        return record
 
     # ------------------------------------------------------------------
     # Phase two: batched tightening and certification
@@ -645,109 +668,116 @@ class BatchedCraft:
     def _tighten_and_certify(
         self,
         input_elements: "BatchedDomain",
-        specs: Sequence[ClassificationSpec],
-        containment: List[_ContainmentRecord],
-        contained_samples: List[int],
-    ) -> Dict[int, _TighteningRecord]:
+        targets: np.ndarray,
+        containment: _ContainmentRecord,
+    ) -> _TighteningRecord:
         config = self._config
+        samples = np.nonzero(containment.contained)[0]
+        count = samples.size
 
         # All tightening runs start from the same contraction states; stack
         # them (and the per-sample postcondition matrices) once, so every
-        # run only gathers rows instead of re-stacking elements.
+        # run only selects rows.
         input_terms = shared_input_terms(config.domain, input_elements)
+        initial = containment.states.gather(self._domain_cls, samples)
         stacks = _TighteningStacks(
-            inputs=input_elements.select(np.asarray(contained_samples)),
+            inputs=_rows_of(input_elements, samples),
             input_terms=input_terms,
+            initial=initial,
             # The contained states are input-independent: open the block.
-            states=open_input_block(
-                self._domain_cls.from_elements(
-                    [containment[s].state for s in contained_samples]
-                ),
-                input_terms,
-            ),
-            previous=self._domain_cls.from_elements(
-                [
-                    containment[s].reference
-                    if containment[s].reference is not None
-                    else containment[s].state
-                    for s in contained_samples
-                ]
-            ),
-            initial_states=[containment[s].state for s in contained_samples],
-            differences=np.stack(
-                [specs[s].difference_matrix() for s in contained_samples]
-            ),
+            states=open_input_block(initial, input_terms),
+            previous=containment.references.gather(self._domain_cls, samples),
+            differences=self._differences[targets[samples]],
         )
-        count = len(contained_samples)
-        best: List[Optional[_TighteningRecord]] = [None] * count
-        # Peak error-term counts are merged across every run a sample took
-        # part in (race probes, slope attempts) — the measured working set
-        # the calibration counters report.
-        peaks = np.zeros(count, dtype=int)
+        runs: List[_TighteningRun] = []
+        # Per sample, the run whose record it keeps.
+        chosen = np.zeros(count, dtype=int)
 
         # The alpha race (CraftConfig.race_candidates): each candidate probes
         # the samples no earlier candidate certified, and a sample leaves on
         # its first certificate.
         racing = np.arange(count)
-        probes: List[_TighteningRun] = []
         for solver, alpha in self._candidates:
             if racing.size == 0:
                 break
             run = self._start_tightening(stacks, racing, solver, alpha, 0.0)
             self._advance(run, config.probe_steps())
-            peaks = np.maximum(peaks, run.peak_error_terms)
             won = run.certified[racing]
-            for i, record in zip(racing[won], run.records(racing[won])):
-                best[i] = record
+            chosen[racing[won]] = len(runs)
             racing = racing[~won]
-            probes.append(run)
+            runs.append(run)
         if racing.size:
             # The rest resume their best probe (the first in race order on
             # ties), grouped so samples sharing a candidate advance in one
             # batch.  A single candidate is one run: its probe resumes.
-            winners = np.argmax([run.best_margin[racing] for run in probes], axis=0)
-            for index, run in enumerate(probes):
+            winners = np.argmax([run.best_margin[racing] for run in runs], axis=0)
+            for index, run in enumerate(runs):
                 rows = racing[winners == index]
                 if rows.size == 0:
                     continue
                 run.keep(rows)
                 self._advance(run, config.tighten_max_iterations)
-                peaks = np.maximum(peaks, run.peak_error_terms)
-                for i, record in zip(rows, run.records(rows)):
-                    best[i] = record
+                chosen[rows] = index
 
+        columns = np.arange(count)
+        margin = np.stack([run.best_margin for run in runs])[chosen, columns]
+        certified = np.stack([run.certified for run in runs])[chosen, columns]
         deltas = config.slope_deltas()
         if deltas:
-            eligible = [
-                i
-                for i in range(count)
-                if not best[i].certified
-                and best[i].margin > -config.slope_margin_threshold
-            ]
+            eligible = ~certified & (margin > -config.slope_margin_threshold)
             for delta in deltas:
-                rows = [i for i in eligible if not best[i].certified]
-                if not rows:
+                rows = np.nonzero(eligible & ~certified)[0]
+                if rows.size == 0:
                     break
                 by_candidate: Dict[Tuple[str, float], List[int]] = {}
-                for i in rows:
-                    by_candidate.setdefault((best[i].solver, best[i].alpha), []).append(i)
+                for i, index in zip(rows.tolist(), chosen[rows].tolist()):
+                    by_candidate.setdefault((runs[index].solver, runs[index].alpha), []).append(i)
                 for (solver, alpha), group_rows in by_candidate.items():
                     group = np.asarray(group_rows)
                     attempt = self._start_tightening(stacks, group, solver, alpha, float(delta))
                     self._advance(attempt, config.tighten_max_iterations)
-                    peaks = np.maximum(peaks, attempt.peak_error_terms)
-                    for i, record in zip(group_rows, attempt.records(group)):
-                        if record.margin > best[i].margin:
-                            best[i] = record
+                    better = group[attempt.best_margin[group] > margin[group]]
+                    chosen[better] = len(runs)
+                    margin[better] = attempt.best_margin[better]
+                    certified[better] = attempt.certified[better]
+                    runs.append(attempt)
 
-        for i in range(count):
-            best[i] = replace(
-                best[i],
-                state=_materialise(best[i].state),
-                output=_materialise(best[i].output),
-                peak_error_terms=int(peaks[i]),
-            )
-        return {contained_samples[i]: best[i] for i in range(count)}
+        # Results reference their best state and output in one copy per
+        # source stack of only the rows they use; a sample that never
+        # improved keeps its phase-one state.
+        states = _StackRows(count)
+        outputs = _StackRows(count)
+        width_traces: List[List[float]] = [[] for _ in range(count)]
+        for index, run in enumerate(runs):
+            rows = np.nonzero(chosen == index)[0]
+            if rows.size == 0:
+                continue
+            steps = run.best_step[rows]
+            for step in np.unique(steps).tolist():
+                picked = rows[steps == step]
+                if step < 0:
+                    states.add(picked, _rows_of(initial, picked))
+                    continue
+                state, output = run.kept[step]
+                states.add(picked, _rows_of(state, run.best_row[picked]))
+                outputs.add(picked, _rows_of(output, run.best_row[picked]))
+            traces = _scatter_traces(run.trace_log, count)
+            for i in rows.tolist():
+                width_traces[i] = traces[i]
+        return _TighteningRecord(
+            certified=certified,
+            margin=margin,
+            iterations=np.stack([run.iterations for run in runs])[chosen, columns],
+            # Peak error-term counts are merged across every run a sample
+            # took part in (race probes, slope attempts) — the measured
+            # working set the calibration counters report.
+            peak_error_terms=np.max([run.peak_error_terms for run in runs], axis=0),
+            candidate=chosen,
+            candidates=[(run.solver, run.alpha, run.slope_delta) for run in runs],
+            width_traces=width_traces,
+            states=states,
+            outputs=outputs,
+        )
 
     def _start_tightening(
         self,
@@ -782,12 +812,8 @@ class BatchedCraft:
             previous=stacks.previous if full_batch else stacks.previous.select(rows),
             active=rows,
             best_margin=np.full(count, -np.inf),
-            # Best states/outputs are tracked as (stack, row) references and
-            # only materialised for the finally selected record per sample —
-            # margins improve on most iterations, and copying a (n, k) slice
-            # out of the stack every time would rival the cost of the step.
-            best_state=[(element, None) for element in stacks.initial_states],
-            best_output=[None] * count,
+            best_step=np.full(count, -1),
+            best_row=np.zeros(count, dtype=int),
             certified=np.zeros(count, dtype=bool),
             since_improvement=np.zeros(count, dtype=int),
             iterations=np.zeros(count, dtype=int),
@@ -836,12 +862,19 @@ class BatchedCraft:
             holds = margins > 0.0
 
             improved = usable & (margins > run.best_margin[active])
-            for row in np.nonzero(improved)[0]:
-                sample = int(active[row])
-                run.best_margin[sample] = margins[row]
-                run.best_state[sample] = (new_state, int(row))
-                run.best_output[sample] = (outputs, int(row))
-                run.since_improvement[sample] = 0
+            if improved.any():
+                # Best states and outputs are (step, row) references into
+                # the step's stacks — margins improve on most iterations,
+                # and copying a (n, k) slice out of the stack every time
+                # would rival the cost of the step.
+                better = active[improved]
+                run.best_margin[better] = margins[improved]
+                run.best_step[better] = iteration
+                run.best_row[better] = np.nonzero(improved)[0]
+                run.since_improvement[better] = 0
+                run.kept[iteration] = (new_state, outputs)
+                for step in [step for step in run.kept if not np.any(run.best_step == step)]:
+                    del run.kept[step]
             run.since_improvement[active[~improved]] += 1
 
             certified_now = usable & holds
@@ -869,65 +902,87 @@ class BatchedCraft:
     # Result assembly (mirrors CraftVerifier.solve)
     # ------------------------------------------------------------------
 
-    def _assemble_result(
+    def _assemble_results(
         self,
         containment: _ContainmentRecord,
         tightening: Optional[_TighteningRecord],
         time_seconds: float,
-    ) -> VerificationResult:
-        if not containment.contained:
-            outcome = (
-                VerificationOutcome.DIVERGED
-                if containment.diverged
-                else VerificationOutcome.NO_CONTAINMENT
+    ) -> List[VerificationResult]:
+        stage = self._config.domain
+        contained = containment.contained.tolist()
+        diverged = containment.diverged.tolist()
+        iterations1 = containment.iterations.tolist()
+        peaks1 = containment.peak_error_terms.tolist()
+        traces1 = containment.width_traces
+        states1 = containment.states.references()
+        if tightening is not None:
+            certified = tightening.certified.tolist()
+            margins = tightening.margin.tolist()
+            iterations2 = tightening.iterations.tolist()
+            peaks2 = tightening.peak_error_terms.tolist()
+            candidates = [tightening.candidates[index] for index in tightening.candidate.tolist()]
+            traces2 = tightening.width_traces
+            states2 = tightening.states.references()
+            outputs2 = tightening.outputs.references()
+        results: List[VerificationResult] = []
+        j = 0
+        for i in range(len(contained)):
+            if not contained[i]:
+                results.append(
+                    VerificationResult(
+                        outcome=(
+                            VerificationOutcome.DIVERGED
+                            if diverged[i]
+                            else VerificationOutcome.NO_CONTAINMENT
+                        ),
+                        contained=False,
+                        certified=False,
+                        margin=-np.inf,
+                        iterations_phase1=iterations1[i],
+                        iterations_phase2=0,
+                        time_seconds=time_seconds,
+                        fixpoint_abstraction=FixpointAbstraction(
+                            element=states1[i],
+                            contained=False,
+                            iterations_phase1=iterations1[i],
+                            iterations_phase2=0,
+                            width_trace_phase1=traces1[i],
+                        ),
+                        notes="containment phase did not detect contraction",
+                        stage=stage,
+                        peak_error_terms=peaks1[i],
+                    )
+                )
+                continue
+            solver, alpha, slope_delta = candidates[j]
+            results.append(
+                VerificationResult(
+                    outcome=(
+                        VerificationOutcome.VERIFIED
+                        if certified[j]
+                        else VerificationOutcome.UNKNOWN
+                    ),
+                    contained=True,
+                    certified=certified[j],
+                    margin=margins[j],
+                    iterations_phase1=iterations1[i],
+                    iterations_phase2=iterations2[j],
+                    time_seconds=time_seconds,
+                    selected_alpha2=alpha,
+                    selected_solver2=solver,
+                    slope_optimized=slope_delta != 0.0,
+                    fixpoint_abstraction=FixpointAbstraction(
+                        element=states2[j],
+                        contained=True,
+                        iterations_phase1=iterations1[i],
+                        iterations_phase2=iterations2[j],
+                        width_trace_phase1=traces1[i],
+                        width_trace_phase2=traces2[j],
+                    ),
+                    output_element=outputs2[j],
+                    stage=stage,
+                    peak_error_terms=max(peaks1[i], peaks2[j]),
+                )
             )
-            return VerificationResult(
-                outcome=outcome,
-                contained=False,
-                certified=False,
-                margin=-np.inf,
-                iterations_phase1=containment.iterations,
-                iterations_phase2=0,
-                time_seconds=time_seconds,
-                fixpoint_abstraction=FixpointAbstraction(
-                    element=containment.state,
-                    contained=False,
-                    iterations_phase1=containment.iterations,
-                    iterations_phase2=0,
-                    width_trace_phase1=containment.width_trace,
-                ),
-                notes="containment phase did not detect contraction",
-                stage=self._config.domain,
-                peak_error_terms=containment.peak_error_terms,
-            )
-        outcome = (
-            VerificationOutcome.VERIFIED
-            if tightening.certified
-            else VerificationOutcome.UNKNOWN
-        )
-        abstraction = FixpointAbstraction(
-            element=tightening.state,
-            contained=True,
-            iterations_phase1=containment.iterations,
-            iterations_phase2=tightening.iterations,
-            width_trace_phase1=containment.width_trace,
-            width_trace_phase2=tightening.width_trace,
-        )
-        return VerificationResult(
-            outcome=outcome,
-            contained=True,
-            certified=tightening.certified,
-            margin=tightening.margin,
-            iterations_phase1=containment.iterations,
-            iterations_phase2=tightening.iterations,
-            time_seconds=time_seconds,
-            selected_alpha2=tightening.alpha,
-            selected_solver2=tightening.solver,
-            slope_optimized=tightening.slope_delta != 0.0,
-            fixpoint_abstraction=abstraction,
-            output_element=tightening.output,
-            stage=self._config.domain,
-            peak_error_terms=max(
-                containment.peak_error_terms, tightening.peak_error_terms
-            ),
-        )
+            j += 1
+        return results

@@ -193,8 +193,9 @@ def _execute_shard(
 
 
 def _strip_abstractions(result: VerificationResult) -> VerificationResult:
-    if result.fixpoint_abstraction is None and result.output_element is None:
-        return result
+    # Every shard result carries an abstraction.  ``replace`` reads only the
+    # fields it keeps, so the elements, still row references into the
+    # batch's stacks, are dropped without ever being built.
     return replace(result, fixpoint_abstraction=None, output_element=None)
 
 

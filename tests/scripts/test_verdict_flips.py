@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,13 +13,16 @@ flips = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(flips)
 
 
-def _dump(*regions):
+def _dump(*regions, counts=(3, 2, 40)):
     return {
         "workload": "fcx40-tighten",
         "seed": 1,
         "draws": 1,
         "regions": [
-            {"draw": 1, "index": index, "certified": certified, "margin": margin, "alpha": alpha}
+            {
+                "draw": 1, "index": index, "certified": certified, "margin": margin, "alpha": alpha,
+                **dict(zip(flips.COUNTS, counts)),
+            }
             for index, (certified, margin, alpha) in enumerate(regions)
         ],
     }
@@ -30,6 +34,7 @@ def test_identical_dumps_compare_clean():
     assert report["lost"] == [] and report["gained"] == []
     assert report["certified"] == [1, 1]
     assert report["moved_alpha"] == 0 and report["max_margin_delta"] == 0.0
+    assert report["moved_counts"] == 0
 
 
 def test_lost_and_gained_certificates_are_told_apart():
@@ -58,3 +63,26 @@ def test_main_exits_non_zero_only_on_a_lost_certificate(tmp_path):
 def test_dumps_of_different_regions_do_not_compare():
     with pytest.raises(ValueError):
         flips.compare(_dump((True, 0.1, 0.05)), _dump((True, 0.1, 0.05), (True, 0.1, 0.05)))
+
+
+@pytest.mark.parametrize("moved", range(3))
+def test_moved_iteration_counts_and_peak_terms_are_counted(moved, tmp_path):
+    counts = [3, 2, 40]
+    before = _dump((True, 0.1, 0.05), (False, -0.2, 0.05), counts=counts)
+    counts[moved] += 1
+    after = _dump((True, 0.1, 0.05), (False, -0.2, 0.05), counts=counts)
+    report = flips.compare(before, after)
+    assert report["moved_counts"] == 2
+    assert report["lost"] == [] and report["gained"] == [] and report["moved_alpha"] == 0
+    paths = [tmp_path / "before.json", tmp_path / "after.json"]
+    for path, dump in zip(paths, (before, after)):
+        path.write_text(json.dumps(dump))
+    assert flips.main(["compare", *map(str, paths)]) == 0
+
+
+def test_dump_records_the_counts(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    result = flips.dump(Path(__file__).resolve().parents[2], "fcx40-tighten", seed=3, draws=1)
+    row = result["regions"][0]
+    assert set(flips.COUNTS) <= row.keys()
+    assert all(isinstance(row[name], int) for name in flips.COUNTS if row[name] is not None)

@@ -38,6 +38,26 @@ def weight_matrices(rows=2, cols=DIM, bound=3.0):
     return arrays(np.float64, (rows, cols), elements=st.floats(-bound, bound, **FINITE))
 
 
+def sparse_generator_stacks(batch=3, dim=DIM, count=4, bound=2.0):
+    """Generator stacks ``(batch, dim, count)`` rich in zero entries and in
+    whole zero columns, ``-0.0`` included: the columns the batched engine
+    drops when a row leaves a stack and pads when rows are stacked."""
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-bound, bound, **FINITE))
+    # Per row and column: 0 zeroes the column, 1 sets it to -0.0, 2 keeps it.
+    kinds = arrays(np.int8, (batch, count), elements=st.sampled_from([0, 1, 2]))
+    return st.tuples(arrays(np.float64, (batch, dim, count), elements=entries), kinds).map(
+        _zero_columns
+    )
+
+
+def _zero_columns(drawn):
+    stack, kinds = drawn
+    stack = stack.copy()
+    for kind, value in ((0, 0.0), (1, -0.0)):
+        stack[np.broadcast_to((kinds == kind)[:, None, :], stack.shape)] = value
+    return stack
+
+
 def invertible_matrices(dim=DIM, bound=2.0):
     """Strictly diagonally dominant (hence invertible) ``(dim, dim)`` matrices."""
     margin = bound * dim + 1.0
