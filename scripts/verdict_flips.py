@@ -15,26 +15,34 @@ and comparing the dumps:
 draws a ``perfbench/run.py`` run times; it reads only
 ``perfbench/inputs.py``) through the batched engine with the workload's
 default ``CraftConfig`` and writes each region's certified flag, margin,
-selected alpha, phase-one and phase-two iteration counts and peak error
-terms.  ``--root`` names the checkout whose ``src/`` and
-``perfbench/inputs.py`` run (default: this one), so a checkout without
-this script can still be dumped.  ``compare`` reports certified ->
-uncertified flips from the first dump to the second, gained
-certificates, moved alphas, the regions whose iteration counts or peak
-error terms moved, and the largest margin difference, and exits non-zero
-only on a flip.
+selected alpha, phase-one and phase-two iteration counts, peak error
+terms, and two digests: one of its fixpoint abstraction's element (the
+bytes of its centre, generators and Box) and one of both width traces.
+``--root`` names the checkout whose ``src/`` and ``perfbench/inputs.py``
+run (default: this one), so a checkout without this script can still be
+dumped.  ``compare`` reports certified -> uncertified flips from the
+first dump to the second, gained certificates, moved alphas, the regions
+whose iteration counts or peak error terms moved (``moved_counts``), the
+regions whose element or width traces moved (``moved_elements``), and
+the largest margin difference, and exits non-zero only on a flip.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 #: Per-region work counts a change that keeps results bit for bit must not move.
 COUNTS = ("iterations_phase1", "iterations_phase2", "peak_error_terms")
+
+#: Per-region digests of the fixpoint abstraction a bit-for-bit change must not move.
+DIGESTS = ("element_digest", "trace_digest")
 
 #: Workload name -> (smoke model, region function in perfbench/inputs.py).
 WORKLOADS = {
@@ -45,6 +53,28 @@ WORKLOADS = {
 
 def _finite(value):
     return value if value is not None and math.isfinite(value) else None
+
+
+def _digest(*arrays) -> str:
+    """Digest of the shapes and float64 bytes of ``arrays``."""
+    digest = hashlib.blake2b(digest_size=16)
+    for array in arrays:
+        array = np.ascontiguousarray(array, dtype=float)
+        digest.update(repr(array.shape).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _digests(result) -> dict:
+    """The element and width-trace digests of ``result``'s fixpoint abstraction."""
+    abstraction = result.fixpoint_abstraction
+    if abstraction is None:
+        return dict.fromkeys(DIGESTS)
+    element = abstraction.element
+    return {
+        "element_digest": _digest(element.center, element.generators, element.box),
+        "trace_digest": _digest(abstraction.width_trace_phase1, abstraction.width_trace_phase2),
+    }
 
 
 def dump(root: Path, workload: str, seed: int, draws: int) -> dict:
@@ -61,8 +91,7 @@ def dump(root: Path, workload: str, seed: int, draws: int) -> dict:
     for draw in range(1, draws + 1):
         xs, labels = regions(dataset.x_test, dataset.y_test, seed, draw)
         results = certify_local_robustness(
-            model, xs, labels, inputs.EPSILON, CraftConfig(), engine="batched",
-            keep_abstractions=False,
+            model, xs, labels, inputs.EPSILON, CraftConfig(), engine="batched"
         )
         for index, result in enumerate(results):
             rows.append({
@@ -72,6 +101,7 @@ def dump(root: Path, workload: str, seed: int, draws: int) -> dict:
                 "margin": _finite(result.margin),
                 "alpha": result.selected_alpha2,
                 **{name: getattr(result, name) for name in COUNTS},
+                **_digests(result),
             })
     return {"workload": workload, "seed": seed, "draws": draws, "regions": rows}
 
@@ -82,7 +112,7 @@ def compare(first: dict, second: dict) -> dict:
     after = {(row["draw"], row["index"]): row for row in second["regions"]}
     if before.keys() != after.keys():
         raise ValueError("the dumps cover different regions")
-    lost, gained, moved_alpha, moved_counts = [], [], [], []
+    lost, gained, moved_alpha, moved_counts, moved_elements = [], [], [], [], []
     margin_delta = 0.0
     for key in sorted(before):
         a, b = before[key], after[key]
@@ -94,6 +124,8 @@ def compare(first: dict, second: dict) -> dict:
             moved_alpha.append(key)
         if any(a.get(name) != b.get(name) for name in COUNTS):
             moved_counts.append(key)
+        if any(a.get(name) != b.get(name) for name in DIGESTS):
+            moved_elements.append(key)
         if a["margin"] is not None and b["margin"] is not None:
             margin_delta = max(margin_delta, abs(a["margin"] - b["margin"]))
     return {
@@ -103,6 +135,7 @@ def compare(first: dict, second: dict) -> dict:
         "gained": gained,
         "moved_alpha": len(moved_alpha),
         "moved_counts": len(moved_counts),
+        "moved_elements": len(moved_elements),
         "max_margin_delta": margin_delta,
     }
 

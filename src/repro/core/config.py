@@ -291,7 +291,35 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class ContractionSettings:
-    """Settings of the phase-one contraction search (Theorem 3.1 / B.1)."""
+    """Settings of the phase-one contraction search (Theorem 3.1 / B.1).
+
+    Attributes
+    ----------
+    max_iterations:
+        Phase-one iteration budget; a query that finds no containment
+        within it ends ``NO_CONTAINMENT``.
+    consolidate_every:
+        Consolidation (and Eq. 10 expansion) cadence: the state entering
+        iteration ``i`` is consolidated when ``i % consolidate_every == 0``,
+        so iteration 0 always consolidates.  Each consolidated state joins
+        the containment history.
+    basis_recompute_every:
+        Consolidation-basis cadence.  The first basis is computed from the
+        initial state, a point, so it is the identity.  It is recomputed
+        from the current state (``CraftConfig.consolidation_basis``) at
+        every consolidation whose iteration is a multiple of this value,
+        and reused in between, so a query that leaves phase one before
+        then consolidates only onto the identity.  Box has no basis.
+    history_size:
+        Number of most recent consolidated states the current state is
+        checked against (Theorem B.1); the newest match is recorded.
+    abort_width:
+        A state wider than this in any coordinate, or non-finite, ends the
+        query as diverged.
+    track_trace:
+        Record the per-iteration mean width (``width_trace``); tracing
+        never changes a verdict.
+    """
 
     max_iterations: int = 500
     consolidate_every: int = 3
@@ -407,9 +435,13 @@ class CraftConfig:
         How consolidation bases are computed by the batched engines:
 
         * ``"per_sample"`` (default) — every sample gets the PCA basis of
-          its own error matrix (one SVD per sample per consolidation
-          event), the paper's Appendix C behaviour and the engine parity
-          reference.
+          its own error matrix, the paper's Appendix C behaviour and the
+          engine parity reference.  The basis is computed once per
+          ``contraction.basis_recompute_every`` iterations (one SVD per
+          sample each time) and reused by the consolidations in between;
+          phase one's first basis is the identity, computed from a point
+          without an SVD (see docs/engines.md, "Axis-aligned
+          consolidation").
         * ``"shared"`` — one pooled basis per batch (pooled-Gram
           eigendecomposition, or a randomized range-finder sketch for
           large stacks — :func:`repro.utils.linalg.shared_pca_basis`),

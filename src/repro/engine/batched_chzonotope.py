@@ -350,6 +350,12 @@ class BatchedCHZonotope:
         broadcasts the coefficient projection as one BLAS-3 call.
         Soundness is basis-independent (Theorem 4.1 holds for any
         invertible basis); only the approximation tightness changes.
+
+        An identity basis (phase one's first basis, computed from a point)
+        takes the axis-aligned path: no inverse and no projection, and the
+        result carries its inverse ``1/c`` for :meth:`containment_margin`.
+        Every array equals the general path's bit for bit (see
+        docs/engines.md, "Axis-aligned consolidation").
         """
         if w_mul < 0 or w_add < 0:
             raise DomainError("expansion parameters must be non-negative")
@@ -366,16 +372,25 @@ class BatchedCHZonotope:
                 f"basis must have shape ({self.batch_size}, {self.dim}, {self.dim}) "
                 f"or ({self.dim}, {self.dim}), got {basis.shape}"
             )
-        basis_inverse = _batched_inverse(basis, context="consolidation basis")
-        if self.num_generators:
-            coefficients = np.abs(np.matmul(basis_inverse, self._generators)).sum(axis=2)
+        axis_aligned = _is_identity(basis)
+        if axis_aligned:
+            # inv(I) is I exactly and |I @ G| is |G| for finite G.
+            projected = self._generators
         else:
-            coefficients = np.zeros((self.batch_size, self.dim))
+            basis_inverse = _batched_inverse(basis, context="consolidation basis")
+            projected = np.matmul(basis_inverse, self._generators)
+        # C order: numpy's sum order follows the layout, and the general
+        # path's matmul output is always C-ordered.
+        coefficients = np.abs(projected, order="C").sum(axis=2)
         coefficients = (1.0 + w_mul) * coefficients + w_add
         floor = max(w_add, 1e-12)
         coefficients = np.maximum(coefficients, floor)
         new_generators = basis * coefficients[:, None, :]
-        return type(self)(self._center, new_generators, self._box)
+        result = type(self)(self._center, new_generators, self._box)
+        if axis_aligned:
+            # What LAPACK returns for inv(diag(c)), bit for bit.
+            result._inverse_cache = 1.0 / coefficients
+        return result
 
     def pca_basis(self, jitter: float = 1e-12) -> np.ndarray:
         """Per-sample PCA bases, shape ``(B, n, n)`` (identity where no errors)."""
@@ -421,20 +436,29 @@ class BatchedCHZonotope:
         return np.all(margins <= 1.0 + tol, axis=1)
 
     def containment_margin(self, other: "BatchedCHZonotope") -> np.ndarray:
-        """Per-sample element-wise Theorem 4.2 margins, shape ``(B, n)``."""
+        """Per-sample element-wise Theorem 4.2 margins, shape ``(B, n)``.
+
+        Against an axis-aligned consolidation (inverse ``diag(1/c)``) each
+        row of the projection is one product per entry, so the margin is
+        ``Σ_j |(1/c_i)·G'_ij| + (1/c_i)·residual_i``: element-wise, with no
+        inverse and no matmul, and bit for bit the general path's value.
+        """
         other = self._coerce(other)
         inverse = self._generator_inverse()
-        if other.num_generators:
-            zonotope_part = np.abs(np.matmul(inverse, other._generators)).sum(axis=2)
-        else:
-            zonotope_part = np.zeros((self.batch_size, self.dim))
         residual = np.maximum(
             0.0, np.abs(other._center - self._center) + other._box - self._box
         )
+        if inverse.ndim == 2:
+            # C order for the general path's summation order (see consolidate).
+            zonotope_part = np.abs(inverse[:, :, None] * other._generators, order="C").sum(axis=2)
+            return zonotope_part + inverse * residual
+        zonotope_part = np.abs(np.matmul(inverse, other._generators)).sum(axis=2)
         box_part = np.abs(inverse * residual[:, None, :]).sum(axis=2)
         return zonotope_part + box_part
 
     def _generator_inverse(self) -> np.ndarray:
+        """The inverse error matrices ``(B, n, n)``, or their diagonals
+        ``(B, n)`` after an axis-aligned consolidation."""
         if self._generators.shape[1:] != (self.dim, self.dim):
             raise ImproperZonotopeError(
                 "containment check requires the outer batch to be proper "
@@ -507,6 +531,11 @@ def stack_parts(
         destination = np.nonzero(which == index)[0]
         if destination.size:
             yield destination, stack, rows[destination]
+
+
+def _is_identity(basis: np.ndarray) -> bool:
+    """Whether every ``(n, n)`` matrix of the stack is the identity."""
+    return bool((basis == np.eye(basis.shape[-1])).all())
 
 
 def _batched_inverse(matrices: np.ndarray, context: str) -> np.ndarray:

@@ -18,6 +18,21 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def stack_inverses(monkeypatch):
+    """Shapes of the stacked ``(B, n, n)`` ``np.linalg.inv`` calls the test makes."""
+    shapes = []
+    inverse = np.linalg.inv
+
+    def counting(matrices):
+        if np.ndim(matrices) == 3:
+            shapes.append(np.shape(matrices))
+        return inverse(matrices)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    return shapes
+
+
 @pytest.fixture(scope="session")
 def toy_data():
     """A small, separable Gaussian-mixture classification problem."""

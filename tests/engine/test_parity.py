@@ -162,6 +162,30 @@ class TestBatchedParity:
         for seq, bat in zip(sequential, batched):
             _assert_result_parity(seq, bat)
 
+    def test_parity_with_a_recomputed_basis(self, trained_mondeq, toy_data, stack_inverses):
+        """Phase one's first basis is the identity (axis-aligned, no inverse);
+        recomputing it at iteration 3 brings in PCA bases, which the
+        batched stack inverts (the general path) in lockstep with the
+        sequential engine.  FB, because the PR layout duplicates the z/u
+        rows: its PCA bases have a null space whose orientation follows
+        the batch's zero padding, so under PR the engines agree on
+        verdicts but margins differ by up to ~6e-5."""
+        xs, ys = _evaluation_set(toy_data)
+        config = CraftConfig(
+            slope_optimization="none",
+            solver1="fb",
+            alpha1=0.04,
+            contraction=ContractionSettings(basis_recompute_every=3),
+        )
+        sequential = [
+            certify_sample(trained_mondeq, x, int(y), 0.05, config) for x, y in zip(xs, ys)
+        ]
+        batched = BatchedCraft(trained_mondeq, config).certify(xs, ys, 0.05)
+        assert stack_inverses
+        assert max(result.iterations_phase1 for result in batched) > 3
+        for seq, bat in zip(sequential, batched):
+            _assert_result_parity(seq, bat)
+
     def test_front_end_routes_match(self, trained_mondeq, toy_data):
         """certify_local_robustness(engine=...) keeps both paths in lockstep."""
         xs, ys = _evaluation_set(toy_data, count=6)

@@ -13,7 +13,7 @@ flips = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(flips)
 
 
-def _dump(*regions, counts=(3, 2, 40)):
+def _dump(*regions, counts=(3, 2, 40), digests=("e0", "t0")):
     return {
         "workload": "fcx40-tighten",
         "seed": 1,
@@ -22,6 +22,7 @@ def _dump(*regions, counts=(3, 2, 40)):
             {
                 "draw": 1, "index": index, "certified": certified, "margin": margin, "alpha": alpha,
                 **dict(zip(flips.COUNTS, counts)),
+                **dict(zip(flips.DIGESTS, digests)),
             }
             for index, (certified, margin, alpha) in enumerate(regions)
         ],
@@ -35,6 +36,7 @@ def test_identical_dumps_compare_clean():
     assert report["certified"] == [1, 1]
     assert report["moved_alpha"] == 0 and report["max_margin_delta"] == 0.0
     assert report["moved_counts"] == 0
+    assert report["moved_elements"] == 0
 
 
 def test_lost_and_gained_certificates_are_told_apart():
@@ -80,9 +82,26 @@ def test_moved_iteration_counts_and_peak_terms_are_counted(moved, tmp_path):
     assert flips.main(["compare", *map(str, paths)]) == 0
 
 
+@pytest.mark.parametrize("moved", range(2))
+def test_moved_elements_and_width_traces_are_counted(moved):
+    digests = ["e0", "t0"]
+    before = _dump((True, 0.1, 0.05), (False, -0.2, 0.05), digests=digests)
+    digests[moved] = "moved"
+    after = _dump((True, 0.1, 0.05), (False, -0.2, 0.05), digests=digests)
+    report = flips.compare(before, after)
+    assert report["moved_elements"] == 2
+    assert report["moved_counts"] == 0 and report["max_margin_delta"] == 0.0
+
+
 def test_dump_records_the_counts(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
-    result = flips.dump(Path(__file__).resolve().parents[2], "fcx40-tighten", seed=3, draws=1)
+    root = Path(__file__).resolve().parents[2]
+    result = flips.dump(root, "fcx40-tighten", seed=3, draws=1)
     row = result["regions"][0]
     assert set(flips.COUNTS) <= row.keys()
     assert all(isinstance(row[name], int) for name in flips.COUNTS if row[name] is not None)
+    # Every region of the draw reaches the abstract analysis and gets digests;
+    # a second dump of the same draw reproduces them.
+    assert all(len(row[name]) == 32 for row in result["regions"] for name in flips.DIGESTS)
+    again = flips.dump(root, "fcx40-tighten", seed=3, draws=1)
+    assert flips.compare(result, again)["moved_elements"] == 0
