@@ -11,6 +11,8 @@ and comparing the dumps:
         --seed 77 --draws 20 --out parent.json
     python3 scripts/verdict_flips.py compare parent.json change.json
 
+A change meant to keep results bit for bit adds ``--exact`` to ``compare``.
+
 ``dump`` certifies draws ``1..N`` of the workload's seeded regions (the
 draws a ``perfbench/run.py`` run times; it reads only
 ``perfbench/inputs.py``) through the batched engine with the workload's
@@ -24,7 +26,9 @@ dumped.  ``compare`` reports certified -> uncertified flips from the
 first dump to the second, gained certificates, moved alphas, the regions
 whose iteration counts or peak error terms moved (``moved_counts``), the
 regions whose element or width traces moved (``moved_elements``), and
-the largest margin difference, and exits non-zero only on a flip.
+the largest margin difference, and exits non-zero only on a flip.  With
+``--exact`` it also exits non-zero when anything else moved: a gained
+certificate, an alpha, counts, elements or a margin.
 """
 
 from __future__ import annotations
@@ -140,6 +144,17 @@ def compare(first: dict, second: dict) -> dict:
     }
 
 
+def moved(report: dict) -> bool:
+    """Whether ``report`` shows a move other than a lost certificate."""
+    return bool(
+        report["gained"]
+        or report["moved_alpha"]
+        or report["moved_counts"]
+        or report["moved_elements"]
+        or report["max_margin_delta"]
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -152,6 +167,10 @@ def main(argv=None) -> int:
     comparing = commands.add_parser("compare", help="exit non-zero on a certified -> uncertified flip")
     comparing.add_argument("first", type=Path)
     comparing.add_argument("second", type=Path)
+    comparing.add_argument(
+        "--exact", action="store_true",
+        help="also exit non-zero on a gained certificate, a moved alpha, counts, elements or margin",
+    )
     args = parser.parse_args(argv)
 
     if args.command == "dump":
@@ -162,7 +181,7 @@ def main(argv=None) -> int:
         return 0
     report = compare(json.loads(args.first.read_text()), json.loads(args.second.read_text()))
     print(json.dumps(report))
-    return 1 if report["lost"] else 0
+    return 1 if report["lost"] or (args.exact and moved(report)) else 0
 
 
 if __name__ == "__main__":

@@ -73,6 +73,7 @@ import numpy as np
 from repro.core.config import CacheConfig, CraftConfig
 from repro.core.results import VerificationOutcome, VerificationResult
 from repro.mondeq.model import MonDEQ
+from repro.verify.specs import ball_bounds
 
 
 def weights_hash(model: MonDEQ) -> str:
@@ -175,21 +176,8 @@ class RegionQuery:
         return self.center.shape[0]
 
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Element-wise bounds of the clipped ball.
-
-        Must mirror :meth:`repro.verify.specs.LinfBall.bounds` exactly —
-        dominance is decided on the region the engine actually certifies,
-        which is the *clipped* ball.
-        """
-        lower = self.center - self.epsilon
-        upper = self.center + self.epsilon
-        if self.clip_min is not None:
-            lower = np.maximum(lower, self.clip_min)
-            upper = np.maximum(upper, self.clip_min)
-        if self.clip_max is not None:
-            lower = np.minimum(lower, self.clip_max)
-            upper = np.minimum(upper, self.clip_max)
-        return lower, upper
+        """Element-wise bounds of the clipped ball the engine certifies."""
+        return ball_bounds(self.center, self.epsilon, self.clip_min, self.clip_max)
 
     def contains(self, other: "RegionQuery") -> bool:
         """Whether this (clipped) region is a superset of ``other``'s,

@@ -49,7 +49,7 @@ from repro.mondeq.abstract_solvers import (
 )
 from repro.mondeq.model import MonDEQ
 from repro.mondeq.solvers import default_alpha, solve_fixpoint_batch
-from repro.verify.specs import ClassificationSpec, LinfBall
+from repro.verify.specs import ClassificationSpec, LinfBall, ball_bounds, check_ball
 
 
 #: Minimum pre-consolidation mean width for the shared-basis inflation
@@ -141,11 +141,12 @@ class _StackRows:
         """One stack of the samples' rows (:meth:`BatchedCHZonotope.gather`)."""
         return domain_cls.gather(self.stacks, self.stack[samples], self.row[samples])
 
-    def references(self) -> List[Optional[StackRow]]:
+    def references(self, samples=slice(None)) -> List[Optional[StackRow]]:
+        """References of the samples ``samples`` (default: all), in order."""
         stacks = self.stacks
         return [
             None if stack < 0 else StackRow(stacks[stack], row)
-            for stack, row in zip(self.stack.tolist(), self.row.tolist())
+            for stack, row in zip(self.stack[samples].tolist(), self.row[samples].tolist())
         ]
 
 
@@ -155,12 +156,15 @@ def _rows_of(stack: "BatchedDomain", rows: np.ndarray) -> "BatchedDomain":
 
 
 def _scatter_traces(log: List[Tuple[np.ndarray, np.ndarray]], count: int) -> List[List[float]]:
-    """Per-sample traces from ``(samples, values)`` log entries, in log order."""
-    traces: List[List[float]] = [[] for _ in range(count)]
-    for samples, values in log:
-        for sample, value in zip(samples.tolist(), values.tolist()):
-            traces[sample].append(value)
-    return traces
+    """Per-sample traces from ``(samples, values)`` log entries, in log order
+    (a stable sort by sample keeps each sample's values in that order)."""
+    if not log:
+        return [[] for _ in range(count)]
+    samples = np.concatenate([samples for samples, _ in log])
+    order = np.argsort(samples, kind="stable")
+    values = np.concatenate([values for _, values in log])[order].tolist()
+    ends = np.searchsorted(samples[order], np.arange(count + 1)).tolist()
+    return [values[start:stop] for start, stop in zip(ends[:-1], ends[1:])]
 
 
 @dataclass
@@ -213,14 +217,14 @@ def prediction_pass(
     config: CraftConfig,
     xs: np.ndarray,
     labels: np.ndarray,
-) -> Tuple[List[Optional[VerificationResult]], List[int], Optional[np.ndarray]]:
+) -> Tuple[List[Optional[VerificationResult]], np.ndarray, Optional[np.ndarray]]:
     """One vectorised prediction pass over a sweep's query centres.
 
     Returns ``(results, queued, anchors)``: misclassified rows get their
     ``MISCLASSIFIED`` short-circuit result (the property is trivially
-    false), ``queued`` lists the correctly classified row indices, and
-    ``anchors`` carries their solved fixpoints when the configuration can
-    reuse them as phase-zero anchors (:func:`anchor_reuse_valid`).
+    false), ``queued`` is the array of correctly classified row indices,
+    and ``anchors`` carries their solved fixpoints when the configuration
+    can reuse them as phase-zero anchors (:func:`anchor_reuse_valid`).
 
     This is the single copy of the short-circuit semantics — the batched
     driver and the sharded scheduler both route through it, so the engine
@@ -228,26 +232,80 @@ def prediction_pass(
     """
     predict = solve_fixpoint_batch(model, xs, method="pr")
     predictions = model.readout_batch(predict.z).argmax(axis=1)
+    correct = predictions == labels
     results: List[Optional[VerificationResult]] = [None] * xs.shape[0]
-    queued: List[int] = []
-    for index, (prediction, label) in enumerate(zip(predictions, labels)):
-        if int(prediction) != int(label):
-            results[index] = VerificationResult(
-                outcome=VerificationOutcome.MISCLASSIFIED,
-                contained=False,
-                certified=False,
-                margin=-np.inf,
-                iterations_phase1=0,
-                iterations_phase2=0,
-                time_seconds=0.0,
-                notes=f"model predicts class {int(prediction)}, expected {int(label)}",
-            )
-        else:
-            queued.append(index)
+    for index in np.flatnonzero(~correct).tolist():
+        results[index] = VerificationResult(
+            outcome=VerificationOutcome.MISCLASSIFIED,
+            contained=False,
+            certified=False,
+            margin=-np.inf,
+            iterations_phase1=0,
+            iterations_phase2=0,
+            time_seconds=0.0,
+            notes=f"model predicts class {int(predictions[index])}, expected {int(labels[index])}",
+        )
+    queued = np.flatnonzero(correct)
     anchors = None
-    if queued and anchor_reuse_valid(model, config):
+    if queued.size and anchor_reuse_valid(model, config):
         anchors = predict.z[queued]
     return results, queued, anchors
+
+
+def certify_sweep(
+    verifier, xs: np.ndarray, labels: np.ndarray, epsilon: float,
+    clip_min: Optional[float], clip_max: Optional[float],
+) -> List[VerificationResult]:
+    """``certify`` of :class:`BatchedCraft` and ``EscalationLadder``: one
+    prediction pass, then the clipped bounds of the correctly classified rows
+    in one array expression, onto ``verifier.certify_boxes``.  The ball is
+    checked once, and, as in a sequential sweep, only if some row is correct."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    labels = np.asarray(labels, dtype=int).reshape(-1)
+    if xs.shape[0] != labels.shape[0]:
+        raise VerificationError("xs and labels must have matching lengths")
+    # The prediction pass solves the anchor fixpoints with
+    # pr/default-alpha/1e-9/2000; when the config asks for exactly those
+    # parameters (the default) they double as the phase-zero anchors
+    # instead of re-running up to 2000 full-batch iterations.
+    results, queued, anchors = prediction_pass(verifier.model, verifier.config, xs, labels)
+    if queued.size:
+        check_ball(epsilon, clip_min, clip_max)
+        centers = xs[queued]
+        lower, upper = ball_bounds(centers, epsilon, clip_min, clip_max)
+        verdicts = verifier.certify_boxes(centers, lower, upper, labels[queued], anchors)
+        for index, result in zip(queued.tolist(), verdicts):
+            results[index] = result
+    return results
+
+
+def region_arrays(
+    model: MonDEQ, balls: Sequence[LinfBall], specs: Sequence[ClassificationSpec]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``certify_boxes`` arrays ``(centers, lower, upper, targets)`` of
+    (precondition, postcondition) pairs, checked against each other and the model."""
+    balls, specs = list(balls), list(specs)
+    if len(balls) != len(specs):
+        raise VerificationError("balls and specs must have matching lengths")
+    for ball, spec in zip(balls, specs):
+        if ball.dim != model.input_dim:
+            raise VerificationError(
+                f"precondition dimension {ball.dim} does not match the model "
+                f"input dimension {model.input_dim}"
+            )
+        if spec.num_classes != model.output_dim:
+            raise VerificationError(
+                f"postcondition over {spec.num_classes} classes does not match "
+                f"the model output dimension {model.output_dim}"
+            )
+    shape = (len(balls), model.input_dim)
+    bounds = [ball.bounds() for ball in balls]
+    return (
+        np.array([ball.center for ball in balls]).reshape(shape),
+        np.array([lower for lower, _ in bounds]).reshape(shape),
+        np.array([upper for _, upper in bounds]).reshape(shape),
+        np.array([spec.target for spec in specs], dtype=int),
+    )
 
 
 def anchor_reuse_valid(model: MonDEQ, config: CraftConfig) -> bool:
@@ -359,7 +417,7 @@ class BatchedCraft:
         # to per-sample; ladder stage configs arrive pre-resolved through
         # CraftConfig.stage_config().
         self._basis_mode = self._config.resolved_consolidation_basis()
-        #: Consolidation accounting of the most recent certify_regions run.
+        #: Consolidation accounting of the most recent certify_boxes run.
         self.consolidation_stats = ConsolidationStats()
         if self._config.solver1 == "fb" and self._config.solver2 == "pr":
             raise VerificationError(
@@ -381,6 +439,10 @@ class BatchedCraft:
     def config(self) -> CraftConfig:
         return self._config
 
+    @property
+    def model(self) -> MonDEQ:
+        return self._model
+
     # ------------------------------------------------------------------
     # Public entry points
     # ------------------------------------------------------------------
@@ -398,29 +460,10 @@ class BatchedCraft:
         Semantically equivalent to mapping
         :func:`repro.verify.robustness.certify_sample` over the rows;
         misclassified samples short-circuit exactly as in the sequential
-        path.
+        path.  The other rows enter :meth:`certify_boxes` as arrays
+        (:func:`certify_sweep`), with no per-row ball or spec.
         """
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        labels = np.asarray(labels, dtype=int).reshape(-1)
-        if xs.shape[0] != labels.shape[0]:
-            raise VerificationError("xs and labels must have matching lengths")
-        # The prediction pass solves the anchor fixpoints with
-        # pr/default-alpha/1e-9/2000; when the config asks for exactly those
-        # parameters (the default) they double as the phase-zero anchors
-        # instead of re-running up to 2000 full-batch iterations.
-        results, queued, anchors = prediction_pass(self._model, self._config, xs, labels)
-        if queued:
-            balls = [
-                LinfBall(center=xs[i], epsilon=epsilon, clip_min=clip_min, clip_max=clip_max)
-                for i in queued
-            ]
-            specs = [
-                ClassificationSpec(target=int(labels[i]), num_classes=self._model.output_dim)
-                for i in queued
-            ]
-            for index, result in zip(queued, self.certify_regions(balls, specs, anchors)):
-                results[index] = result
-        return results
+        return certify_sweep(self, xs, labels, epsilon, clip_min, clip_max)
 
     def certify_regions(
         self,
@@ -428,40 +471,34 @@ class BatchedCraft:
         specs: Sequence[ClassificationSpec],
         anchor_fixpoints: Optional[np.ndarray] = None,
     ) -> List[VerificationResult]:
-        """Run both Craft phases for every (precondition, postcondition) pair.
+        """Run both Craft phases for every (precondition, postcondition) pair:
+        the pairs are checked and converted onto :meth:`certify_boxes`
+        (:func:`region_arrays`); an empty input returns ``[]``."""
+        return self.certify_boxes(*region_arrays(self._model, balls, specs), anchor_fixpoints)
 
-        ``anchor_fixpoints`` optionally supplies the pre-solved concrete
-        fixpoints of the ball centres (shape ``(B, latent)``), skipping the
-        phase-zero batched solve; the caller is responsible for having
-        produced them with the configuration's solver parameters.
+    def certify_boxes(
+        self,
+        centers: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        targets: np.ndarray,
+        anchor_fixpoints: Optional[np.ndarray] = None,
+    ) -> List[VerificationResult]:
+        """Run both Craft phases on the boxes ``[lower[i], upper[i]]`` (rows of
+        ``(B, d)`` arrays, checked by the caller) with targets ``targets[i]``.
+
+        ``anchor_fixpoints`` optionally supplies the concrete fixpoints of
+        ``centers`` (shape ``(B, latent)``), solved with the configuration's
+        solver parameters; the centres are read only to solve them otherwise.
         """
-        balls = list(balls)
-        specs = list(specs)
-        if len(balls) != len(specs):
-            raise VerificationError("balls and specs must have matching lengths")
-        if not balls:
+        if not len(targets):
             return []
-        for ball, spec in zip(balls, specs):
-            if ball.dim != self._model.input_dim:
-                raise VerificationError(
-                    f"precondition dimension {ball.dim} does not match the model "
-                    f"input dimension {self._model.input_dim}"
-                )
-            if spec.num_classes != self._model.output_dim:
-                raise VerificationError(
-                    f"postcondition over {spec.num_classes} classes does not match "
-                    f"the model output dimension {self._model.output_dim}"
-                )
         start = time.perf_counter()
         config = self._config
         self.consolidation_stats = ConsolidationStats()
 
-        bounds = [ball.bounds() for ball in balls]
-        input_elements = self._domain_cls.from_bounds(
-            np.stack([lower for lower, _ in bounds]), np.stack([upper for _, upper in bounds])
-        )
+        input_elements = self._domain_cls.from_bounds(lower, upper)
         if anchor_fixpoints is None:
-            centers = np.stack([ball.center for ball in balls])
             anchor_fixpoints = solve_fixpoint_batch(
                 self._model,
                 centers,
@@ -484,10 +521,9 @@ class BatchedCraft:
         containment = self._containment_phase(contraction_step, initial)
         tightening = None
         if containment.contained.any():
-            targets = np.fromiter((spec.target for spec in specs), dtype=int, count=len(specs))
             tightening = self._tighten_and_certify(input_elements, targets, containment)
 
-        per_region_time = (time.perf_counter() - start) / len(balls)
+        per_region_time = (time.perf_counter() - start) / len(targets)
         return self._assemble_results(containment, tightening, per_region_time)
 
     # ------------------------------------------------------------------
@@ -909,80 +945,81 @@ class BatchedCraft:
         time_seconds: float,
     ) -> List[VerificationResult]:
         stage = self._config.domain
-        contained = containment.contained.tolist()
-        diverged = containment.diverged.tolist()
         iterations1 = containment.iterations.tolist()
         peaks1 = containment.peak_error_terms.tolist()
         traces1 = containment.width_traces
-        states1 = containment.states.references()
-        if tightening is not None:
-            certified = tightening.certified.tolist()
-            margins = tightening.margin.tolist()
-            iterations2 = tightening.iterations.tolist()
-            peaks2 = tightening.peak_error_terms.tolist()
-            candidates = [tightening.candidates[index] for index in tightening.candidate.tolist()]
-            traces2 = tightening.width_traces
-            states2 = tightening.states.references()
-            outputs2 = tightening.outputs.references()
-        results: List[VerificationResult] = []
-        j = 0
-        for i in range(len(contained)):
-            if not contained[i]:
-                results.append(
-                    VerificationResult(
-                        outcome=(
-                            VerificationOutcome.DIVERGED
-                            if diverged[i]
-                            else VerificationOutcome.NO_CONTAINMENT
-                        ),
-                        contained=False,
-                        certified=False,
-                        margin=-np.inf,
-                        iterations_phase1=iterations1[i],
-                        iterations_phase2=0,
-                        time_seconds=time_seconds,
-                        fixpoint_abstraction=FixpointAbstraction(
-                            element=states1[i],
-                            contained=False,
-                            iterations_phase1=iterations1[i],
-                            iterations_phase2=0,
-                            width_trace_phase1=traces1[i],
-                        ),
-                        notes="containment phase did not detect contraction",
-                        stage=stage,
-                        peak_error_terms=peaks1[i],
-                    )
-                )
-                continue
-            solver, alpha, slope_delta = candidates[j]
-            results.append(
-                VerificationResult(
-                    outcome=(
-                        VerificationOutcome.VERIFIED
-                        if certified[j]
-                        else VerificationOutcome.UNKNOWN
-                    ),
-                    contained=True,
-                    certified=certified[j],
-                    margin=margins[j],
+        results: List[Optional[VerificationResult]] = [None] * len(iterations1)
+        # Phase-one states are referenced only by the samples that end in
+        # phase one; the contained ones reference phase two's.
+        failed = np.flatnonzero(~containment.contained)
+        for i, diverged, element in zip(
+            failed.tolist(),
+            containment.diverged[failed].tolist(),
+            containment.states.references(failed),
+        ):
+            results[i] = VerificationResult(
+                outcome=(
+                    VerificationOutcome.DIVERGED
+                    if diverged
+                    else VerificationOutcome.NO_CONTAINMENT
+                ),
+                contained=False,
+                certified=False,
+                margin=-np.inf,
+                iterations_phase1=iterations1[i],
+                iterations_phase2=0,
+                time_seconds=time_seconds,
+                fixpoint_abstraction=FixpointAbstraction(
+                    element=element,
+                    contained=False,
                     iterations_phase1=iterations1[i],
-                    iterations_phase2=iterations2[j],
-                    time_seconds=time_seconds,
-                    selected_alpha2=alpha,
-                    selected_solver2=solver,
-                    slope_optimized=slope_delta != 0.0,
-                    fixpoint_abstraction=FixpointAbstraction(
-                        element=states2[j],
-                        contained=True,
-                        iterations_phase1=iterations1[i],
-                        iterations_phase2=iterations2[j],
-                        width_trace_phase1=traces1[i],
-                        width_trace_phase2=traces2[j],
-                    ),
-                    output_element=outputs2[j],
-                    stage=stage,
-                    peak_error_terms=max(peaks1[i], peaks2[j]),
-                )
+                    iterations_phase2=0,
+                    width_trace_phase1=traces1[i],
+                ),
+                notes="containment phase did not detect contraction",
+                stage=stage,
+                peak_error_terms=peaks1[i],
             )
-            j += 1
+        if tightening is None:
+            return results
+        # Phase-two arrays index the contained samples in ascending order.
+        for i, certified, margin, iterations2, peak2, candidate, trace2, element, output in zip(
+            np.flatnonzero(containment.contained).tolist(),
+            tightening.certified.tolist(),
+            tightening.margin.tolist(),
+            tightening.iterations.tolist(),
+            tightening.peak_error_terms.tolist(),
+            tightening.candidate.tolist(),
+            tightening.width_traces,
+            tightening.states.references(),
+            tightening.outputs.references(),
+        ):
+            solver, alpha, slope_delta = tightening.candidates[candidate]
+            results[i] = VerificationResult(
+                outcome=(
+                    VerificationOutcome.VERIFIED
+                    if certified
+                    else VerificationOutcome.UNKNOWN
+                ),
+                contained=True,
+                certified=certified,
+                margin=margin,
+                iterations_phase1=iterations1[i],
+                iterations_phase2=iterations2,
+                time_seconds=time_seconds,
+                selected_alpha2=alpha,
+                selected_solver2=solver,
+                slope_optimized=slope_delta != 0.0,
+                fixpoint_abstraction=FixpointAbstraction(
+                    element=element,
+                    contained=True,
+                    iterations_phase1=iterations1[i],
+                    iterations_phase2=iterations2,
+                    width_trace_phase1=traces1[i],
+                    width_trace_phase2=trace2,
+                ),
+                output_element=output,
+                stage=stage,
+                peak_error_terms=max(peaks1[i], peak2),
+            )
         return results

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.config import CraftConfig
 from repro.core.results import VerificationOutcome, VerificationResult
-from repro.exceptions import ConfigurationError, VerificationError
+from repro.exceptions import ConfigurationError
 from repro.mondeq.model import MonDEQ
 from repro.verify.specs import ClassificationSpec, LinfBall
 
@@ -216,7 +216,7 @@ class EscalationLadder:
     batched sweep.
 
     ``stage_stats`` holds the per-stage accounting of the most recent
-    :meth:`certify_regions` call (the schedulers surface it through
+    :meth:`certify_boxes` call (the schedulers surface it through
     :class:`~repro.engine.results.EngineReport`).
     """
 
@@ -273,28 +273,12 @@ class EscalationLadder:
 
         One shared prediction pass short-circuits misclassified queries
         (the solver parameters are ladder-invariant, so its anchors are
-        valid for every stage); correctly classified queries then climb
-        the ladder.
+        valid for every stage); the correctly classified rows then climb
+        the ladder as arrays (:meth:`certify_boxes`).
         """
-        from repro.engine.craft import prediction_pass
+        from repro.engine.craft import certify_sweep
 
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        labels = np.asarray(labels, dtype=int).reshape(-1)
-        if xs.shape[0] != labels.shape[0]:
-            raise VerificationError("xs and labels must have matching lengths")
-        results, queued, anchors = prediction_pass(self.model, self.config, xs, labels)
-        if queued:
-            balls = [
-                LinfBall(center=xs[i], epsilon=epsilon, clip_min=clip_min, clip_max=clip_max)
-                for i in queued
-            ]
-            specs = [
-                ClassificationSpec(target=int(labels[i]), num_classes=self.model.output_dim)
-                for i in queued
-            ]
-            for index, result in zip(queued, self.certify_regions(balls, specs, anchors)):
-                results[index] = result
-        return results
+        return certify_sweep(self, xs, labels, epsilon, clip_min, clip_max)
 
     def certify_regions(
         self,
@@ -302,23 +286,34 @@ class EscalationLadder:
         specs: Sequence[ClassificationSpec],
         anchor_fixpoints: Optional[np.ndarray] = None,
     ) -> List[VerificationResult]:
-        """Run the waterfall for every (precondition, postcondition) pair.
+        """Run the waterfall for every (precondition, postcondition) pair:
+        the pairs are checked and converted onto :meth:`certify_boxes`
+        (:func:`~repro.engine.craft.region_arrays`); an empty input returns ``[]``."""
+        from repro.engine.craft import region_arrays
 
-        Each stage certifies the still-pending queries in stage-sized
-        batches; resolved verdicts exit, the rest re-enqueue into the next
-        stage.  ``anchor_fixpoints`` rows are valid for every stage (the
-        solver parameters are shared), so escalated queries reuse them.
+        return self.certify_boxes(*region_arrays(self.model, balls, specs), anchor_fixpoints)
+
+    def certify_boxes(
+        self,
+        centers: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        targets: np.ndarray,
+        anchor_fixpoints: Optional[np.ndarray] = None,
+    ) -> List[VerificationResult]:
+        """Run the waterfall on a stack of input boxes (:meth:`BatchedCraft.certify_boxes`).
+
+        Each stage certifies the still-pending rows in stage-sized chunks
+        sliced out of the arrays; resolved verdicts exit, the rest re-enqueue
+        into the next stage.  ``anchor_fixpoints`` rows are valid for every
+        stage (the solver parameters are shared), so escalated rows reuse them.
         """
-        balls = list(balls)
-        specs = list(specs)
-        if len(balls) != len(specs):
-            raise VerificationError("balls and specs must have matching lengths")
-        total = len(balls)
+        total = len(targets)
         results: List[Optional[VerificationResult]] = [None] * total
         anchors = (
             np.asarray(anchor_fixpoints) if anchor_fixpoints is not None else None
         )
-        pending = list(range(total))
+        pending = np.arange(total)
         self.stage_stats = [
             StageStats(
                 domain=cfg.domain,
@@ -330,7 +325,7 @@ class EscalationLadder:
         self.num_batches = 0
         last = len(self._crafts) - 1
         for stage_index, craft in enumerate(self._crafts):
-            if not pending:
+            if not pending.size:
                 break
             stats = self.stage_stats[stage_index]
             stats.attempted = len(pending)
@@ -339,16 +334,18 @@ class EscalationLadder:
             batch = stats.batch_size
             for offset in range(0, len(pending), batch):
                 chunk = pending[offset : offset + batch]
-                chunk_results = craft.certify_regions(
-                    [balls[i] for i in chunk],
-                    [specs[i] for i in chunk],
+                chunk_results = craft.certify_boxes(
+                    centers[chunk],
+                    lower[chunk],
+                    upper[chunk],
+                    targets[chunk],
                     anchors[chunk] if anchors is not None else None,
                 )
                 stats.batches += 1
                 self.num_batches += 1
                 stats.record_consolidation(craft.consolidation_stats)
                 stats.record_results(chunk_results)
-                for index, result in zip(chunk, chunk_results):
+                for index, result in zip(chunk.tolist(), chunk_results):
                     if stage_index == last or not should_escalate(result):
                         results[index] = result
                         stats.resolved += 1
@@ -357,5 +354,5 @@ class EscalationLadder:
                         escalated.append(index)
             stats.escalated = len(escalated)
             stats.elapsed_seconds = time.perf_counter() - stage_start
-            pending = escalated
+            pending = np.array(escalated, dtype=int)
         return results

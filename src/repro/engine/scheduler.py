@@ -95,7 +95,7 @@ class BatchCertificationScheduler:
         results: List[Optional[VerificationResult]] = [None] * total
 
         queries: List[Optional[RegionQuery]] = [None] * total
-        misses: List[int] = []
+        misses: Sequence[int] = range(total)
         cache_hits = 0
         dominance_hits = 0
         if self.cache is not None:
@@ -105,8 +105,8 @@ class BatchCertificationScheduler:
             # arm CacheConfig.refresh_seconds instead, which re-checks
             # staleness on lookup between these per-sweep scans.
             self.cache.refresh()
-        for index in range(total):
-            if self.cache is not None:
+            misses = []
+            for index in range(total):
                 query = RegionQuery(
                     center=xs[index], epsilon=epsilon, target=int(labels[index]),
                     clip_min=clip_min, clip_max=clip_max,
@@ -118,7 +118,7 @@ class BatchCertificationScheduler:
                     cache_hits += 1
                     dominance_hits += int(cached.cache_tier == "dominance")
                     continue
-            misses.append(index)
+                misses.append(index)
 
         num_batches = 0
         stage_rows: List[dict] = []

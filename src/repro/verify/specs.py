@@ -11,6 +11,7 @@ independent of the concrete property being verified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -22,6 +23,36 @@ from repro.domains.chzonotope import CHZonotope
 from repro.domains.interval import Interval
 from repro.domains.zonotope import Zonotope
 from repro.exceptions import VerificationError
+
+
+def check_ball(epsilon: float, clip_min: Optional[float], clip_max: Optional[float]) -> None:
+    """Raise :class:`VerificationError` unless the ball parameters are valid:
+    a non-negative radius (``inf`` clips to the whole box) and no NaN, which
+    would slip past every comparison into a region no engine can analyse."""
+    if not epsilon >= 0:
+        raise VerificationError(f"epsilon must be non-negative, got {epsilon}")
+    for bound in (clip_min, clip_max):
+        if bound is not None and math.isnan(bound):
+            raise VerificationError("clip_min and clip_max must not be NaN")
+    if clip_min is not None and clip_max is not None and clip_min > clip_max:
+        raise VerificationError("clip_min must not exceed clip_max")
+
+
+def ball_bounds(
+    centers: np.ndarray, epsilon: float, clip_min: Optional[float], clip_max: Optional[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Element-wise bounds of the clipped l-infinity ball(s) around ``centers``,
+    one point or a ``(B, d)`` stack: each entry takes the same IEEE operations
+    either way, so a stack's rows equal the per-ball bounds bit for bit."""
+    lower = centers - epsilon
+    upper = centers + epsilon
+    if clip_min is not None:
+        lower = np.maximum(lower, clip_min)
+        upper = np.maximum(upper, clip_min)
+    if clip_max is not None:
+        lower = np.minimum(lower, clip_max)
+        upper = np.minimum(upper, clip_max)
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -46,14 +77,7 @@ class LinfBall:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(-1))
-        if self.epsilon < 0:
-            raise VerificationError("epsilon must be non-negative")
-        if (
-            self.clip_min is not None
-            and self.clip_max is not None
-            and self.clip_min > self.clip_max
-        ):
-            raise VerificationError("clip_min must not exceed clip_max")
+        check_ball(self.epsilon, self.clip_min, self.clip_max)
 
     @property
     def dim(self) -> int:
@@ -61,15 +85,7 @@ class LinfBall:
 
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Element-wise bounds of the (clipped) ball."""
-        lower = self.center - self.epsilon
-        upper = self.center + self.epsilon
-        if self.clip_min is not None:
-            lower = np.maximum(lower, self.clip_min)
-            upper = np.maximum(upper, self.clip_min)
-        if self.clip_max is not None:
-            lower = np.minimum(lower, self.clip_max)
-            upper = np.minimum(upper, self.clip_max)
-        return lower, upper
+        return ball_bounds(self.center, self.epsilon, self.clip_min, self.clip_max)
 
     def to_interval(self) -> Interval:
         lower, upper = self.bounds()

@@ -62,6 +62,35 @@ def test_main_exits_non_zero_only_on_a_lost_certificate(tmp_path):
     assert flips.main(["compare", str(paths["before"]), str(paths["lost"])]) == 1
 
 
+_MOVES = {
+    "gained": dict(regions=((True, 0.1, 0.05), (True, 0.2, 0.05))),
+    "alpha": dict(regions=((True, 0.1, 0.05), (False, -0.2, 0.1))),
+    "counts": dict(counts=(3, 2, 41)),
+    "elements": dict(digests=("e0", "t1")),
+    "margin": dict(regions=((True, 0.1, 0.05), (False, -0.2 + 1e-16, 0.05))),
+}
+
+
+@pytest.mark.parametrize("move", list(_MOVES))
+def test_exact_exits_non_zero_on_any_move(move, tmp_path):
+    regions = ((True, 0.1, 0.05), (False, -0.2, 0.05))
+    before = _dump(*regions)
+    moves = dict(_MOVES[move])
+    after = _dump(*moves.pop("regions", regions), **moves)
+    report = flips.compare(before, after)
+    assert report["lost"] == [] and flips.moved(report)
+    paths = [tmp_path / "before.json", tmp_path / "after.json"]
+    for path, dump in zip(paths, (before, after)):
+        path.write_text(json.dumps(dump))
+    assert flips.main(["compare", *map(str, paths)]) == 0
+    assert flips.main(["compare", "--exact", *map(str, paths)]) == 1
+    # Without a move, --exact passes; a lost certificate fails either way.
+    assert flips.main(["compare", "--exact", str(paths[0]), str(paths[0])]) == 0
+    lost = tmp_path / "lost.json"
+    lost.write_text(json.dumps(_dump((False, 0.1, 0.05), (False, -0.2, 0.05))))
+    assert flips.main(["compare", "--exact", str(paths[0]), str(lost)]) == 1
+
+
 def test_dumps_of_different_regions_do_not_compare():
     with pytest.raises(ValueError):
         flips.compare(_dump((True, 0.1, 0.05)), _dump((True, 0.1, 0.05), (True, 0.1, 0.05)))
