@@ -1,22 +1,12 @@
 """Sharded certification scheduler — throughput vs the single-process engine.
 
-Two workloads, matching the ROADMAP scale-up goals this subsystem closes:
-
-* **Sharding row** — a 256-region HCAS sweep (small scale, unclipped
-  epsilon 2.0 so the outcome mix contains hard cells, as the Fig. 11
-  splitting frontier does).  A 4-worker :class:`ShardedScheduler` is
-  compared against the single-process batched engine; verdicts must be
-  identical region by region.  The ≥3x wall-clock acceptance assertion
-  arms only when the host actually offers ≥4 CPUs — on fewer cores the
-  row is still measured and reported (the speedup is then physically
-  capped below 1).
-* **Cache-aware batch sizing row** — a 48-region sweep on the
-  input-dim-64 FCx40 model, where ROADMAP measured the fixed batch-64
-  stack going DRAM-bound (~1x over sequential).  The cache-aware
-  configuration (working-set-sized batches + periodic phase-two
-  consolidation bounding the error-term growth the estimator models)
-  must recover ≥2x over the fixed batch-64 engine at an unchanged
-  certified count.
+A 256-region HCAS sweep (small scale, unclipped epsilon 2.0 so the
+outcome mix contains hard cells, as the Fig. 11 splitting frontier does).
+A 4-worker :class:`ShardedScheduler` is compared against the
+single-process batched engine; verdicts must be identical region by
+region.  The ≥3x wall-clock acceptance assertion arms only when the host
+actually offers ≥4 CPUs — on fewer cores the row is still measured and
+reported (the speedup is then physically capped below 1).
 
 The row dictionaries are appended to ``BENCH_sharded_engine.json``
 (``$BENCH_OUTPUT_DIR`` or the working directory), which CI uploads as an
@@ -30,15 +20,9 @@ import numpy as np
 from _harness import append_trajectory, run_once
 
 from repro.core.config import CraftConfig
-from repro.engine import (
-    BatchCertificationScheduler,
-    ShardedScheduler,
-    auto_batch_size,
-)
+from repro.engine import BatchCertificationScheduler, ShardedScheduler
 from repro.engine.sharded import default_num_workers
-from repro.engine.working_set import detect_llc_bytes
 from repro.experiments.model_zoo import get_model
-from repro.verify.robustness import certify_local_robustness
 
 
 def _workload(model_name, scale, regions):
@@ -59,10 +43,7 @@ def _assert_identical_verdicts(reference, candidate):
 
 def _sharded_row():
     model, xs, ys = _workload("HCAS-FCx100", "small", regions=256)
-    # Both sides run the cache-aware configuration: the bounded phase-two
-    # working set keeps every worker compute-bound, so sharding scales with
-    # cores instead of fighting over the shared LLC.
-    config = CraftConfig(slope_optimization="none", tighten_consolidate_every=5)
+    config = CraftConfig(slope_optimization="none")
     epsilon, clip = 2.0, None
     workers = 4
     # The scheduler is constructed (and its pool forked) before any
@@ -102,56 +83,15 @@ def _sharded_row():
     }
 
 
-def _batch_sizing_row():
-    model, xs, ys = _workload("FCx40", "smoke", regions=48)
-    epsilon = 0.05
-    fixed = CraftConfig(slope_optimization="none")
-    # The cache-aware configuration: batches sized from the phase-two
-    # working-set estimate, with the consolidation cadence the estimate
-    # assumes bounding the per-step error growth (both engine paths apply
-    # the same cadence, so verdict parity is preserved within this
-    # configuration).
-    aware = fixed.with_updates(tighten_consolidate_every=5)
-    BatchCertificationScheduler(model, fixed, batch_size=2).certify(xs[:2], ys[:2], epsilon)
-
-    start = time.perf_counter()
-    sequential = certify_local_robustness(model, xs, ys, epsilon, fixed, engine="sequential")
-    sequential_time = time.perf_counter() - start
-
-    start = time.perf_counter()
-    fixed64 = BatchCertificationScheduler(model, fixed, batch_size=64).certify(xs, ys, epsilon)
-    fixed64_time = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sized = BatchCertificationScheduler(model, aware, batch_size=None).certify(xs, ys, epsilon)
-    sized_time = time.perf_counter() - start
-
-    return {
-        "workload": "FCx40 (input dim 64) batch sizing",
-        "regions": len(xs),
-        "epsilon": epsilon,
-        "auto_batch": auto_batch_size(model, aware),
-        "llc_bytes": detect_llc_bytes(),
-        "sequential_time": round(sequential_time, 3),
-        "fixed64_time": round(fixed64_time, 3),
-        "cache_aware_time": round(sized_time, 3),
-        "fixed64_vs_sequential": round(sequential_time / fixed64_time, 2),
-        "speedup_vs_fixed64": round(fixed64_time / sized_time, 2),
-        "certified_fixed64": fixed64.num_certified,
-        "certified_cache_aware": sized.num_certified,
-        "certified_sequential": sum(r.certified for r in sequential),
-    }
-
-
 def test_sharded_engine_throughput(benchmark, record_rows):
     def experiment():
-        return [_sharded_row(), _batch_sizing_row()]
+        return [_sharded_row()]
 
     rows = run_once(benchmark, experiment)
-    record_rows("Sharded scheduler + cache-aware batch sizing (small/smoke scale)", rows)
+    record_rows("Sharded scheduler (small scale)", rows)
     append_trajectory("sharded_engine", {"rows": rows})
 
-    sharded, sizing = rows
+    (sharded,) = rows
     # Verdict parity is unconditional: sharding must never change a verdict.
     assert sharded["verdict_mismatches"] == 0
     assert sharded["regions"] == 256
@@ -159,10 +99,3 @@ def test_sharded_engine_throughput(benchmark, record_rows):
     # host can actually run 4 workers concurrently.
     if sharded["cpus"] >= 4:
         assert sharded["speedup"] >= 3.0
-    # Acceptance: cache-aware sizing recovers ≥2x on the input-dim-64 model
-    # where the fixed batch-64 stack is DRAM-bound.  Consolidation may cost
-    # the odd certification on a razor-edge margin (it only ever
-    # over-approximates), hence the one-region slack; measured runs have
-    # been at parity (21/21).
-    assert sizing["speedup_vs_fixed64"] >= 2.0
-    assert sizing["certified_cache_aware"] >= sizing["certified_fixed64"] - 1

@@ -10,7 +10,7 @@ Run with ``python examples/escalation_sweep.py``.  The script
    and only the unresolved residue climbs — certified counts match, the
    expensive stack shrinks to the hard queries,
 4. prints the per-stage accounting (attempted / resolved / escalated and
-   the stage-aware batch sizes), and
+   the batch size every stage shares), and
 5. replays the sweep from the on-disk fixpoint cache: cached verdicts
    carry their resolving stage, so nothing re-climbs the ladder.
 """
@@ -62,7 +62,7 @@ def main() -> None:
           f"that is the >2x win benchmarks/bench_escalation.py asserts)")
 
     print("\n=== 4. per-stage accounting ===")
-    print(f"stage-aware batch sizes: {scheduler.stage_batch_sizes}")
+    print(f"batch size of every stage: {scheduler.batch_size}")
     for row in ladder.stages:
         print(f"  {row['domain']:>11}: attempted={row['attempted']:>3} "
               f"resolved={row['resolved']:>3} certified={row['certified']:>3} "

@@ -7,9 +7,8 @@ Run with ``python examples/sharded_sweep.py``.  The script
 3. certifies the same balls through the multi-process ``ShardedScheduler``
    (weights shipped to each worker once, shards streamed back as they
    finish) and checks the verdicts agree,
-4. shows cache-aware batch sizing: the shard width is derived from the
-   phase-two working-set estimate so one shard fits the last-level cache,
-   and
+4. sets the shard width explicitly (the default is 256 regions per
+   shard, split further so every worker gets one), and
 5. re-runs the sweep against the shared on-disk fixpoint cache, which all
    workers write concurrently (atomic per-entry publication — no locks).
 """
@@ -22,8 +21,7 @@ import numpy as np
 
 from repro import CraftConfig, MonDEQ, ShardedScheduler
 from repro.datasets.gaussian import make_gaussian_mixture
-from repro.engine import BatchCertificationScheduler
-from repro.engine.working_set import auto_batch_size, detect_llc_bytes, phase2_working_set_bytes
+from repro.engine import DEFAULT_BATCH_SIZE, BatchCertificationScheduler
 from repro.mondeq.training import TrainingConfig, train
 
 
@@ -36,10 +34,7 @@ def main() -> None:
           seed=0)
     eval_xs, eval_ys = xs[150:198], ys[150:198].astype(int)
     epsilon = 0.05
-    # Periodic phase-two consolidation bounds the error-term growth (the
-    # ReLU's Box columns per step; the input symbols share one block), which
-    # tightens the working-set estimate.
-    config = CraftConfig(slope_optimization="none", tighten_consolidate_every=5)
+    config = CraftConfig(slope_optimization="none")
     print(f"certifying {len(eval_xs)} regions at eps={epsilon}")
 
     print("\n=== 2. single-process batched engine ===")
@@ -59,12 +54,12 @@ def main() -> None:
           f"{sharded.num_workers} workers / {sharded.num_batches} shards — "
           f"verdicts agree: {agree}")
 
-    print("\n=== 4. cache-aware batch sizing ===")
-    batch = auto_batch_size(model, config)
-    print(f"last-level cache: {detect_llc_bytes() / 2**20:.0f} MiB")
-    print(f"estimated phase-two working set at batch {batch}: "
-          f"{phase2_working_set_bytes(model, config, batch) / 2**20:.1f} MiB")
-    print(f"chosen shard width: {batch} (override via CraftConfig.engine_batch_size)")
+    print("\n=== 4. explicit shard width ===")
+    with ShardedScheduler(model, config, num_workers=workers, batch_size=4) as scheduler:
+        narrow = scheduler.certify(eval_xs, eval_ys, epsilon)
+    agree = all(b.outcome == n.outcome for b, n in zip(batched.results, narrow.results))
+    print(f"batch_size=4 (default {DEFAULT_BATCH_SIZE}): {narrow.num_batches} shards — "
+          f"verdicts agree: {agree}")
 
     print("\n=== 5. shared fixpoint cache across workers ===")
     with tempfile.TemporaryDirectory() as cache_dir:

@@ -23,7 +23,6 @@ _VALID_DOMAINS = DOMAIN_LADDER
 _VALID_SOLVERS = ("pr", "fb")
 _VALID_EXPANSIONS = ("const", "exp", "none")
 _VALID_SLOPE_MODES = ("none", "reduced", "reference")
-_VALID_CONSOLIDATION_BASES = ("per_sample", "shared", "auto")
 _VALID_CACHE_KEY_MODES = ("exact", "quantized")
 
 #: Steps each candidate of the phase-two alpha race runs before the
@@ -306,7 +305,7 @@ class ContractionSettings:
     basis_recompute_every:
         Consolidation-basis cadence.  The first basis is computed from the
         initial state, a point, so it is the identity.  It is recomputed
-        from the current state (``CraftConfig.consolidation_basis``) at
+        from the current state (each element's own PCA basis) at
         every consolidation whose iteration is a multiple of this value,
         and reused in between, so a query that leaves phase one before
         then consolidates only onto the identity.  Box has no basis.
@@ -421,70 +420,11 @@ class CraftConfig:
     tighten_max_iterations, tighten_patience:
         Phase-two budget and the no-improvement abort heuristic (3 r' steps
         in Appendix C; here expressed directly as a step count).
-    tighten_consolidate_every:
-        Periodic error consolidation in the *tightening* phase (Appendix C
-        permits consolidation at any point of either phase).  ``0`` (the
-        default) disables it; a positive cadence bounds the error-term
-        count — which otherwise grows by the ReLU's Box columns (at most
-        the latent dimension) per step — at the price of a slightly
-        coarser abstraction.  Each consolidation also merges the shared
-        input block, which the drivers then reopen.  Both
-        the sequential and the batched driver apply the same cadence, so
-        the engine parity contract is preserved.
-    consolidation_basis:
-        How consolidation bases are computed by the batched engines:
-
-        * ``"per_sample"`` (default) — every sample gets the PCA basis of
-          its own error matrix, the paper's Appendix C behaviour and the
-          engine parity reference.  The basis is computed once per
-          ``contraction.basis_recompute_every`` iterations (one SVD per
-          sample each time) and reused by the consolidations in between;
-          phase one's first basis is the identity, computed from a point
-          without an SVD (see docs/engines.md, "Axis-aligned
-          consolidation").
-        * ``"shared"`` — one pooled basis per batch (pooled-Gram
-          eigendecomposition, or a randomized range-finder sketch for
-          large stacks — :func:`repro.utils.linalg.shared_pca_basis`),
-          applied to every sample in a single batched projection.
-          Consolidation stays *sound* for any basis (Theorem 4.1); the
-          approximation may be slightly coarser, and iterates become
-          batch-composition dependent, so verdicts can differ from the
-          per-sample mode.  The width-inflation guard
-          (``shared_basis_max_inflation``) re-runs offending samples with
-          their own basis.
-        * ``"auto"`` — shared bases on the *interim* stages of an
-          escalation ladder (where an over-coarse verdict merely
-          escalates), per-sample on the final stage — so final-stage
-          verdicts match the ``"per_sample"`` configuration and the
-          ladder's no-flip discipline is preserved.
-    shared_basis_max_inflation:
-        Fallback threshold of the shared-basis width-inflation guard: a
-        sample whose post-consolidation mean width exceeds this multiple
-        of its pre-consolidation mean width is re-consolidated with its
-        own per-sample basis.  Must be >= 1.
-    stage_phase_one_budgets:
-        Optional per-stage phase-one (containment) iteration budgets, one
-        entry per ladder stage (validated against ``len(domains)``).
-        ``None`` entries inherit ``contraction.max_iterations``.  Lets
-        interim escalation stages run smaller containment budgets than
-        the final stage — a cheap stage that will not contract within a
-        short budget should escalate rather than burn the full budget.
-    engine_batch_size:
-        Fixed batch size for the certification engines.  ``None`` (the
-        default) sizes batches from the phase-two working-set estimate so
-        a batch fits the last-level cache
-        (:func:`repro.engine.working_set.auto_batch_size`).
-    cache_budget_bytes:
-        Last-level-cache budget used by the automatic batch sizing.
-        ``None`` detects the LLC size from the host (falling back to
-        32 MiB).  Neither this field nor ``engine_batch_size`` influences
-        verdicts — they only trade memory locality against batching.
     cache:
         Layout of the fixpoint-verdict cache (:class:`CacheConfig`): key
         mode (exact vs quantised-grid), the dominance index, and the
-        in-memory LRU tier.  Like the batch-sizing knobs, these fields
-        never influence verdicts and are excluded from the cache's
-        config signature.
+        in-memory LRU tier.  These fields never influence verdicts and
+        are excluded from the cache's config signature.
     """
 
     domain: Optional[str] = None
@@ -507,14 +447,8 @@ class CraftConfig:
     slope_margin_threshold: float = 1.0
     same_iteration_containment: bool = False
     use_box_component: bool = True
-    consolidation_basis: str = "per_sample"
-    shared_basis_max_inflation: float = 4.0
-    stage_phase_one_budgets: Optional[Tuple[Optional[int], ...]] = None
     tighten_max_iterations: int = 150
     tighten_patience: int = 30
-    tighten_consolidate_every: int = 0
-    engine_batch_size: Optional[int] = None
-    cache_budget_bytes: Optional[int] = None
     cache: CacheConfig = field(default_factory=CacheConfig)
     concrete_tol: float = 1e-9
     concrete_max_iterations: int = 2000
@@ -546,37 +480,6 @@ class CraftConfig:
             raise ConfigurationError("tighten_max_iterations must be positive")
         if self.tighten_patience < 1:
             raise ConfigurationError("tighten_patience must be positive")
-        if self.tighten_consolidate_every < 0:
-            raise ConfigurationError("tighten_consolidate_every must be non-negative")
-        if self.consolidation_basis not in _VALID_CONSOLIDATION_BASES:
-            raise ConfigurationError(
-                f"consolidation_basis must be one of {_VALID_CONSOLIDATION_BASES}, "
-                f"got {self.consolidation_basis!r}"
-            )
-        if not self.shared_basis_max_inflation >= 1.0:
-            raise ConfigurationError(
-                "shared_basis_max_inflation must be >= 1 (the guard compares "
-                "post- to pre-consolidation widths)"
-            )
-        if self.stage_phase_one_budgets is not None:
-            budgets = tuple(self.stage_phase_one_budgets)
-            if len(budgets) != len(self.domains):
-                raise ConfigurationError(
-                    f"stage_phase_one_budgets must name one budget per ladder "
-                    f"stage ({len(self.domains)} stages {self.domains}), got "
-                    f"{len(budgets)} entries"
-                )
-            for budget in budgets:
-                if budget is not None and (not isinstance(budget, int) or budget < 1):
-                    raise ConfigurationError(
-                        f"stage_phase_one_budgets entries must be positive "
-                        f"integers or None, got {budget!r}"
-                    )
-            object.__setattr__(self, "stage_phase_one_budgets", budgets)
-        if self.engine_batch_size is not None and self.engine_batch_size < 1:
-            raise ConfigurationError("engine_batch_size must be positive")
-        if self.cache_budget_bytes is not None and self.cache_budget_bytes <= 0:
-            raise ConfigurationError("cache_budget_bytes must be positive")
         if not isinstance(self.cache, CacheConfig):
             raise ConfigurationError(
                 f"cache must be a CacheConfig, got {type(self.cache).__name__}"
@@ -630,51 +533,18 @@ class CraftConfig:
         """Whether this configuration escalates across multiple domains."""
         return len(self.domains) > 1
 
-    def resolved_consolidation_basis(self, final: bool = True) -> str:
-        """The concrete basis mode of one ladder stage.
-
-        ``"auto"`` resolves to ``"shared"`` on interim stages (a coarser
-        interim verdict merely escalates) and ``"per_sample"`` on the
-        final stage (final verdicts must match the per-sample
-        configuration); explicit modes pass through unchanged.  A
-        single-domain configuration is its own final stage.
-        """
-        if self.consolidation_basis != "auto":
-            return self.consolidation_basis
-        return "per_sample" if final else "shared"
-
     def stage_config(self, stage_domain: str) -> "CraftConfig":
         """The single-domain configuration of one ladder stage.
 
-        Everything except the domain choice is shared across stages —
-        with two stage-local resolutions: the stage's phase-one budget
-        (``stage_phase_one_budgets``) replaces
-        ``contraction.max_iterations``, and an ``"auto"``
-        ``consolidation_basis`` resolves to ``"shared"`` on interim
-        stages / ``"per_sample"`` on the final stage.  The final stage of
-        a default-budget, non-``auto`` ladder is therefore exactly the
-        single-domain configuration the engine parity contract compares
-        against.
+        Everything except the domain choice is shared across stages, so
+        the final stage of a ladder is exactly the single-domain
+        configuration the engine parity contract compares against.
         """
         if stage_domain not in self.domains:
             raise ConfigurationError(
                 f"{stage_domain!r} is not a stage of the ladder {self.domains}"
             )
-        index = self.domains.index(stage_domain)
-        final = index == len(self.domains) - 1
-        contraction = self.contraction
-        if self.stage_phase_one_budgets is not None:
-            budget = self.stage_phase_one_budgets[index]
-            if budget is not None:
-                contraction = replace(contraction, max_iterations=budget)
-        return replace(
-            self,
-            domain=stage_domain,
-            domains=(stage_domain,),
-            contraction=contraction,
-            stage_phase_one_budgets=None,
-            consolidation_basis=self.resolved_consolidation_basis(final=final),
-        )
+        return replace(self, domain=stage_domain, domains=(stage_domain,))
 
     def stage_configs(self) -> Tuple["CraftConfig", ...]:
         """Per-stage configurations, cheapest first."""
@@ -736,20 +606,6 @@ class CraftConfig:
         """Steps of one race probe: ``PROBE_STEPS``, capped at the phase-two budget."""
         return min(PROBE_STEPS, self.tighten_max_iterations)
 
-    def tighten_should_consolidate(self, iteration: int) -> bool:
-        """Whether to consolidate the state entering tightening step ``iteration``.
-
-        ``iteration`` is 1-based; consolidation fires every
-        ``tighten_consolidate_every`` completed steps.  This cadence is part
-        of the engine parity contract — every tightening driver (sequential,
-        batched, and the fixpoint-set path) must consult this one predicate.
-        """
-        return (
-            self.tighten_consolidate_every > 0
-            and iteration > 1
-            and (iteration - 1) % self.tighten_consolidate_every == 0
-        )
-
     def slope_deltas(self) -> Tuple[float, ...]:
         """ReLU-slope shifts tried by the slope-optimisation pass."""
         if self.slope_optimization == "none":
@@ -773,14 +629,6 @@ class CraftConfig:
         elif "domains" in kwargs and "domain" not in kwargs:
             domains = kwargs["domains"]
             kwargs["domain"] = tuple(domains)[-1] if domains else None
-        if (
-            ("domain" in kwargs or "domains" in kwargs)
-            and "stage_phase_one_budgets" not in kwargs
-            and self.stage_phase_one_budgets is not None
-        ):
-            # Per-stage budgets are positional along the ladder; a ladder
-            # change invalidates them rather than silently re-aligning.
-            kwargs["stage_phase_one_budgets"] = None
         return replace(self, **kwargs)
 
     @classmethod

@@ -32,16 +32,8 @@ from repro.domains.chzonotope import CHZonotope
 from repro.domains.interval import Interval
 from repro.domains.zonotope import Zonotope
 from repro.exceptions import ConfigurationError, DomainError
-from repro.utils.linalg import shared_pca_basis
 
 StepFunction = Callable[[AbstractElement], AbstractElement]
-
-#: Minimum pre-consolidation mean width for the shared-basis inflation
-#: guard to arm — near-point elements consolidate to floored coefficients
-#: under any basis, so a ratio against (near-)zero would only trigger
-#: pointless per-sample fallbacks.  Matches the batched guard in
-#: :mod:`repro.engine.craft`.
-_GUARD_MIN_WIDTH = 1e-9
 
 
 @dataclass
@@ -68,45 +60,12 @@ class DomainOps:
     compute_basis: Optional[Callable[[AbstractElement], np.ndarray]] = None
 
 
-def _pooled_element_basis(element: CHZonotope) -> np.ndarray:
-    """Pooled-Gram consolidation basis of a single element.
-
-    The sequential counterpart of the batched stacks'
-    ``shared_pca_basis``: the element's generators are treated as a
-    one-sample stack so the arithmetic (and hence the resulting basis)
-    matches the batched kernel exactly for ``B = 1``.
-    """
-    if element.num_generators == 0 or not np.any(element.generators):
-        return np.eye(element.dim)
-    return shared_pca_basis(element.generators[None])
-
-
-def _chzonotope_ops(
-    consolidation_basis: str = "per_sample", shared_basis_max_inflation: float = 4.0
-) -> DomainOps:
-    shared = consolidation_basis == "shared"
-
+def _chzonotope_ops() -> DomainOps:
     def compute_basis(element: CHZonotope):
-        if shared:
-            return _pooled_element_basis(element)
         return element.pca_basis()
 
     def consolidate(element: CHZonotope, basis, w_mul, w_add):
-        if not shared:
-            return element.consolidate(basis=basis, w_mul=w_mul, w_add=w_add)
-        if basis is None:
-            basis = compute_basis(element)
-        candidate = element.consolidate(basis=basis, w_mul=w_mul, w_add=w_add)
-        # Width-inflation guard: a pooled basis that fits this element
-        # badly falls back to the element's own PCA basis — the same
-        # policy the batched driver applies per sample.  Near-point
-        # elements stay unguarded (any basis gives floored coefficients).
-        before = element.mean_width
-        if before > _GUARD_MIN_WIDTH and candidate.mean_width > shared_basis_max_inflation * before:
-            candidate = element.consolidate(
-                basis=element.pca_basis(), w_mul=w_mul, w_add=w_add
-            )
-        return candidate
+        return element.consolidate(basis=basis, w_mul=w_mul, w_add=w_add)
 
     def contains(outer: CHZonotope, inner: CHZonotope):
         return outer.contains(inner)
@@ -129,9 +88,7 @@ def _interval_ops() -> DomainOps:
     return DomainOps(consolidate=consolidate, contains=contains, compute_basis=None)
 
 
-def _zonotope_ops(
-    consolidation_basis: str = "per_sample", shared_basis_max_inflation: float = 4.0
-) -> DomainOps:
+def _zonotope_ops() -> DomainOps:
     """Plain-Zonotope analyses reuse the CH-Zonotope machinery with the Box
     component disabled: consolidation lifts into CH-Zonotope space, applies
     Theorem 4.1, and projects the proper result (a parallelotope, whose Box
@@ -141,10 +98,8 @@ def _zonotope_ops(
     fresh error terms into generator columns — and keeps every transformer
     in the pipeline type-stable (a lifted state could not be Minkowski-
     summed with the plain-Zonotope input injection).  The Theorem 4.2
-    containment check applies unchanged through the same lift, and the
-    consolidation-basis policy (per-sample vs pooled) through the lifted
-    CH-Zonotope ops."""
-    chz = _chzonotope_ops(consolidation_basis, shared_basis_max_inflation)
+    containment check applies unchanged through the same lift."""
+    chz = _chzonotope_ops()
 
     def lift(element) -> CHZonotope:
         if isinstance(element, CHZonotope):
@@ -165,9 +120,7 @@ def _zonotope_ops(
     return DomainOps(consolidate=consolidate, contains=contains, compute_basis=compute_basis)
 
 
-def _parallelotope_ops(
-    consolidation_basis: str = "per_sample", shared_basis_max_inflation: float = 4.0
-) -> DomainOps:
+def _parallelotope_ops() -> DomainOps:
     """The parallelotope pipeline shares the zonotope ops through the same
     CH-Zonotope lift, but consolidation projects back into the
     :class:`~repro.domains.parallelotope.ParallelotopeZonotope` element so
@@ -175,7 +128,7 @@ def _parallelotope_ops(
     reducing to the enclosing parallelotope."""
     from repro.domains.parallelotope import ParallelotopeZonotope
 
-    base = _zonotope_ops(consolidation_basis, shared_basis_max_inflation)
+    base = _zonotope_ops()
 
     def consolidate(element, basis, w_mul, w_add):
         return ParallelotopeZonotope._wrap(base.consolidate(element, basis, w_mul, w_add))
@@ -185,29 +138,16 @@ def _parallelotope_ops(
     )
 
 
-def domain_ops_for(
-    domain: str,
-    consolidation_basis: str = "per_sample",
-    shared_basis_max_inflation: float = 4.0,
-) -> DomainOps:
+def domain_ops_for(domain: str) -> DomainOps:
     """Return the :class:`DomainOps` bundle for a domain name.
 
     ``domain`` is one of ``"chzonotope"``, ``"box"``, ``"zonotope"`` or
-    ``"parallelotope"``.  ``consolidation_basis`` selects the stage's
-    *resolved* basis policy (``"per_sample"`` or ``"shared"`` — resolve an
-    ``"auto"`` configuration through
-    :meth:`repro.core.config.CraftConfig.resolved_consolidation_basis`
-    first); ``shared_basis_max_inflation`` parameterises the shared-mode
-    width-inflation guard.  The Box domain has no basis and ignores both.
+    ``"parallelotope"``.  Every domain with a basis consolidates onto each
+    element's own PCA basis; Box has none.
     """
-    if consolidation_basis not in ("per_sample", "shared"):
-        raise ConfigurationError(
-            "domain_ops_for expects a resolved consolidation basis "
-            f"('per_sample' or 'shared'), got {consolidation_basis!r}"
-        )
     factories = {
         "chzonotope": _chzonotope_ops,
-        "box": lambda *_: _interval_ops(),
+        "box": _interval_ops,
         "zonotope": _zonotope_ops,
         "parallelotope": _parallelotope_ops,
     }
@@ -217,7 +157,7 @@ def domain_ops_for(
         raise ConfigurationError(
             f"unknown domain {domain!r}; choose from {sorted(factories)}"
         ) from None
-    return factory(consolidation_basis, shared_basis_max_inflation)
+    return factory()
 
 
 class ContractionEngine:

@@ -87,8 +87,7 @@ class FixpointProblem:
         positive width means they share the input's symbols through one
         leading block of that many generator columns
         (:func:`repro.mondeq.abstract_solvers.shared_input_terms`); the
-        driver then opens a zero block at phase-two entry and after every
-        consolidation.
+        driver then opens a zero block at phase-two entry.
     contraction_factor:
         ``alpha -> rho((1 - alpha) I + alpha W)`` of the FB tightening
         step, which orders the phase-two alpha race
@@ -111,7 +110,7 @@ def open_input_block(state: AbstractElement, input_terms: int) -> AbstractElemen
     """Prepend a zero input block of ``input_terms`` columns to ``state``.
 
     Call it exactly where the state is input-independent — at phase-two
-    entry and after every consolidation — so that a shared-input step's
+    entry, or on a consolidated state — so that a shared-input step's
     leading block starts aligned with the input's error symbols.  A zero
     width returns ``state`` unchanged.
     """
@@ -156,18 +155,7 @@ class CraftVerifier:
 
     def __init__(self, config: Optional[CraftConfig] = None, ops: Optional[DomainOps] = None):
         self._config = config if config is not None else CraftConfig()
-        # A single-domain verifier is its own final stage, so "auto"
-        # resolves to the per-sample basis policy; ladder stage configs
-        # arrive with their mode already resolved by stage_config().
-        self._ops = (
-            ops
-            if ops is not None
-            else domain_ops_for(
-                self._config.domain,
-                consolidation_basis=self._config.resolved_consolidation_basis(),
-                shared_basis_max_inflation=self._config.shared_basis_max_inflation,
-            )
-        )
+        self._ops = ops if ops is not None else domain_ops_for(self._config.domain)
 
     @property
     def config(self) -> CraftConfig:
@@ -274,11 +262,7 @@ class CraftVerifier:
             alpha = self._default_alpha2()
             step = problem.tightening_step_factory(self._config.solver2, alpha, 0.0)
             state = open_input_block(state, problem.input_terms)
-            for iteration in range(1, tighten_iterations + 1):
-                if self._config.tighten_should_consolidate(iteration):
-                    state = open_input_block(
-                        self._ops.consolidate(state, None, 0.0, 0.0), problem.input_terms
-                    )
+            for _ in range(tighten_iterations):
                 state = step(state)
                 width_trace_two.append(state.mean_width)
                 iterations_two += 1
@@ -379,16 +363,6 @@ class CraftVerifier:
         while not run.finished and outcome.iterations < budget:
             outcome.iterations += 1
             state = run.state
-            if config.tighten_should_consolidate(outcome.iterations):
-                # Periodic phase-two consolidation (Appendix C): bounds the
-                # error-term growth at a small precision cost.  Consolidation
-                # over-approximates, so the state keeps containing the
-                # fixpoint set and certification stays sound.  It also
-                # merges the input block, so a fresh one opens.  The batched
-                # driver applies the identical cadence (parity contract).
-                state = open_input_block(
-                    self._ops.consolidate(state, None, 0.0, 0.0), problem.input_terms
-                )
             new_state = run.step(state)
             outcome.peak_error_terms = max(
                 outcome.peak_error_terms, getattr(new_state, "num_generators", 0)

@@ -190,12 +190,9 @@ class VerificationResult:
     #: live verdicts.
     cache_tier: Optional[str] = None
     #: Peak error-term (generator-column) count observed across both Craft
-    #: phases — the measured counterpart of the analytic working-set
-    #: estimate (:func:`repro.engine.working_set.max_error_terms`).
-    #: ``None`` for verdicts that never ran the abstract analysis
+    #: phases.  ``None`` for verdicts that never ran the abstract analysis
     #: (misclassification short-circuits).  In the batched engines this is
-    #: the padded stack width the sample actually streamed, which is what
-    #: the cache-fitting batch sizing models.
+    #: the padded stack width the sample actually streamed.
     peak_error_terms: Optional[int] = None
 
     @property

@@ -107,11 +107,11 @@ worker processes: the query regions are partitioned into shards, each
 worker receives the (read-only) weights once at pool start and runs
 ``BatchedCraft`` per shard, verdicts stream back as shards complete, and
 all workers share the on-disk fixpoint cache through atomic per-entry
-writes.  Shard batch sizes default to the cache-aware estimate of
-:mod:`repro.engine.working_set`, which bounds the peak working set —
-phase-one steps append the input's columns plus the ReLU's, phase-two
-steps only the ReLU's (the input symbols share one block) — to the host's
-last-level cache.
+writes.  Batches and shards hold
+:data:`~repro.engine.escalation.DEFAULT_BATCH_SIZE` (256) regions unless
+the caller names a ``batch_size``: phase-two steps append only the ReLU's
+columns (the input symbols share one block), so the working set of a
+batch stays small.
 """
 
 from repro.engine.batched_chzonotope import BatchedCHZonotope
@@ -134,17 +134,15 @@ from repro.engine.batched_domains import (
     batched_domain_for,
 )
 from repro.engine.craft import BatchedCraft, ConsolidationStats
-from repro.engine.escalation import EscalationLadder, StageStats, should_escalate
+from repro.engine.escalation import (
+    DEFAULT_BATCH_SIZE,
+    EscalationLadder,
+    StageStats,
+    should_escalate,
+)
 from repro.engine.results import EngineReport
 from repro.engine.scheduler import BatchCertificationScheduler
 from repro.engine.sharded import ShardedScheduler
-from repro.engine.working_set import (
-    auto_batch_size,
-    max_error_terms,
-    phase2_working_set_bytes,
-    stage_batch_sizes,
-    stage_error_term_estimates,
-)
 
 __all__ = [
     "BatchCertificationScheduler",
@@ -156,6 +154,7 @@ __all__ = [
     "BatchedZonotope",
     "CacheStats",
     "ConsolidationStats",
+    "DEFAULT_BATCH_SIZE",
     "DominanceIndex",
     "EngineReport",
     "EscalationLadder",
@@ -165,14 +164,9 @@ __all__ = [
     "ShardedScheduler",
     "StageStats",
     "TieredVerdictCache",
-    "auto_batch_size",
     "batched_domain_for",
     "build_verdict_cache",
     "config_fingerprint",
-    "max_error_terms",
-    "phase2_working_set_bytes",
     "should_escalate",
-    "stage_batch_sizes",
-    "stage_error_term_estimates",
     "weights_hash",
 ]

@@ -37,7 +37,7 @@ import numpy as np
 from repro.domains.chzonotope import CHZonotope
 from repro.domains.relu import default_slopes, relu_relaxation
 from repro.exceptions import DimensionMismatchError, DomainError, ImproperZonotopeError
-from repro.utils.linalg import pca_basis, shared_pca_basis
+from repro.utils.linalg import pca_basis
 
 
 class BatchedCHZonotope:
@@ -343,13 +343,10 @@ class BatchedCHZonotope:
     ) -> "BatchedCHZonotope":
         """Batched error consolidation (Theorem 4.1 + Eq. 10 expansion).
 
-        ``basis`` is either a per-sample ``(B, n, n)`` stack (the default
-        when ``None``: every sample's own PCA basis) or one **shared**
-        ``(n, n)`` basis applied to the whole batch — the shared-basis
-        consolidation mode, which needs only a single inverse and
-        broadcasts the coefficient projection as one BLAS-3 call.
-        Soundness is basis-independent (Theorem 4.1 holds for any
-        invertible basis); only the approximation tightness changes.
+        ``basis`` is a per-sample ``(B, n, n)`` stack (the default when
+        ``None``: every sample's own PCA basis).  Soundness is
+        basis-independent (Theorem 4.1 holds for any invertible basis);
+        only the approximation tightness changes.
 
         An identity basis (phase one's first basis, computed from a point)
         takes the axis-aligned path: no inverse and no projection, and the
@@ -362,15 +359,10 @@ class BatchedCHZonotope:
         if basis is None:
             basis = self.pca_basis()
         basis = np.asarray(basis, dtype=float)
-        if basis.ndim == 2:
-            basis = basis[None]
-        if basis.shape not in (
-            (self.batch_size, self.dim, self.dim),
-            (1, self.dim, self.dim),
-        ):
+        if basis.shape != (self.batch_size, self.dim, self.dim):
             raise DomainError(
-                f"basis must have shape ({self.batch_size}, {self.dim}, {self.dim}) "
-                f"or ({self.dim}, {self.dim}), got {basis.shape}"
+                f"basis must have shape ({self.batch_size}, {self.dim}, {self.dim}), "
+                f"got {basis.shape}"
             )
         axis_aligned = _is_identity(basis)
         if axis_aligned:
@@ -414,21 +406,6 @@ class BatchedCHZonotope:
         if np.any(zero):
             u[zero] = np.eye(self.dim)
         return u
-
-    def shared_pca_basis(self, method: str = "auto") -> np.ndarray:
-        """One pooled consolidation basis for the whole stack, shape ``(n, n)``.
-
-        Computed from the pooled Gram ``sum_i A_i A_i^T`` (or its
-        randomized range-finder sketch for large stacks — see
-        :func:`repro.utils.linalg.shared_pca_basis`): a single ``O(n^3)``
-        factorisation replaces the ``B`` per-sample SVDs of
-        :meth:`pca_basis`.  Feed the result to :meth:`consolidate` to
-        consolidate every sample onto the common basis in one batched
-        projection.
-        """
-        if self.num_generators == 0 or not np.any(self._generators):
-            return np.eye(self.dim)
-        return shared_pca_basis(self._generators, method=method)
 
     def contains(self, other: "BatchedCHZonotope", tol: float = 1e-9) -> np.ndarray:
         """Per-sample Theorem 4.2 containment flags, shape ``(B,)``."""

@@ -69,13 +69,10 @@ class BatchedDomain(Protocol):
       ones (:func:`repro.mondeq.abstract_solvers.shared_input_terms`).
     * **Containment/consolidation hooks** — ``consolidate(basis, w_mul,
       w_add)`` returning a stack usable as the *outer* operand of
-      ``contains`` (``basis`` may be a per-sample ``(B, n, n)`` stack or
-      one shared ``(n, n)`` basis); ``contains(other)`` returning
-      per-sample ``(B,)`` soundness flags; ``pca_basis()`` returning the
-      consolidation basis stack or ``None`` when the domain has no basis
-      (Box); ``shared_pca_basis(method)`` returning one pooled ``(n, n)``
-      basis for the whole stack (or ``None`` for basis-free domains) —
-      the shared-basis consolidation mode.
+      ``contains`` (``basis`` is a per-sample ``(B, n, n)`` stack);
+      ``contains(other)`` returning per-sample ``(B,)`` soundness flags;
+      ``pca_basis()`` returning the consolidation basis stack or ``None``
+      when the domain has no basis (Box).
     * **Geometry accessors** — ``concretize_bounds()``, ``width``,
       ``mean_width``, ``max_width``, ``batch_size``, ``dim``.
     """
@@ -102,7 +99,6 @@ class BatchedDomain(Protocol):
     def consolidate(self, basis=None, w_mul: float = 0.0, w_add: float = 0.0) -> "BatchedDomain": ...
     def contains(self, other, tol: float = 1e-9) -> np.ndarray: ...
     def pca_basis(self) -> Optional[np.ndarray]: ...
-    def shared_pca_basis(self, method: str = "auto") -> Optional[np.ndarray]: ...
 
     # Geometry ----------------------------------------------------------
     def concretize_bounds(self) -> Tuple[np.ndarray, np.ndarray]: ...
@@ -350,11 +346,6 @@ class BatchedBox:
         """Boxes carry no error basis; the driver skips basis bookkeeping."""
         return None
 
-    def shared_pca_basis(self, method: str = "auto") -> Optional[np.ndarray]:
-        """Boxes carry no error basis in shared mode either."""
-        del method
-        return None
-
     def contains(self, other: "BatchedBox", tol: float = 1e-9) -> np.ndarray:
         """Exact per-sample inclusion flags, shape ``(B,)``."""
         other = self._coerce(other)
@@ -488,8 +479,7 @@ class BatchedParallelotope(BatchedZonotope):
     its result to the enclosing PCA-aligned parallelotope stack (Amato &
     Scozzari 2012) via the Theorem 4.1 consolidation with zero expansion —
     so the error-term count is reset to ``dim`` after every solver step
-    and the phase-two working set stays constant
-    (:func:`repro.engine.working_set.max_error_terms`).
+    and the phase-two working set stays constant.
 
     The reduction is applied *unconditionally* (not only when the padded
     column count exceeds ``dim``): zero-padded stacks hide the per-sample

@@ -49,77 +49,41 @@ from repro.mondeq.abstract_solvers import (
 )
 from repro.mondeq.model import MonDEQ
 from repro.mondeq.solvers import default_alpha, solve_fixpoint_batch
-from repro.verify.specs import ClassificationSpec, LinfBall, ball_bounds, check_ball
-
-
-#: Minimum pre-consolidation mean width for the shared-basis inflation
-#: guard to arm: below this the state is numerically a point, every
-#: orthonormal basis consolidates it to the same floored coefficients,
-#: and a ratio against (near-)zero would trigger pointless per-sample
-#: fallbacks.  Matches the sequential guard in
-#: :mod:`repro.core.contraction`.
-_GUARD_MIN_WIDTH = 1e-9
+from repro.verify.specs import (
+    ClassificationSpec,
+    LinfBall,
+    ball_bounds,
+    check_ball,
+    check_input_dim,
+)
 
 
 @dataclass
 class ConsolidationStats:
     """Consolidation accounting of one driver run (both Craft phases).
 
-    ``events`` counts driver-level consolidation calls, ``shared_events``
-    those that used a pooled (shared) basis, ``fallback_samples`` the
-    samples the width-inflation guard re-consolidated onto their own
-    per-sample basis, ``seconds`` the wall-clock spent inside
-    consolidation (basis computation included), and
-    ``max_width_inflation`` the largest post/pre mean-width ratio any
-    shared consolidation produced.  The escalation machinery aggregates
-    these per ladder stage (:class:`repro.engine.escalation.StageStats`).
+    ``events`` counts driver-level consolidation calls and ``seconds`` the
+    wall-clock spent inside consolidation (basis computation included).
+    The escalation machinery aggregates these per ladder stage
+    (:class:`repro.engine.escalation.StageStats`).
     """
 
     events: int = 0
-    shared_events: int = 0
-    fallback_samples: int = 0
     seconds: float = 0.0
-    max_width_inflation: float = 0.0
 
     def merge(self, other: "ConsolidationStats") -> None:
         self.events += other.events
-        self.shared_events += other.shared_events
-        self.fallback_samples += other.fallback_samples
         self.seconds += other.seconds
-        self.max_width_inflation = max(
-            self.max_width_inflation, other.max_width_inflation
-        )
 
     def as_dict(self) -> Dict:
-        return {
-            "events": self.events,
-            "shared_events": self.shared_events,
-            "fallback_samples": self.fallback_samples,
-            "seconds": self.seconds,
-            "max_width_inflation": self.max_width_inflation,
-        }
+        return {"events": self.events, "seconds": self.seconds}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ConsolidationStats":
         return cls(
             events=int(data.get("events", 0)),
-            shared_events=int(data.get("shared_events", 0)),
-            fallback_samples=int(data.get("fallback_samples", 0)),
             seconds=float(data.get("seconds", 0.0)),
-            max_width_inflation=float(data.get("max_width_inflation", 0.0)),
         )
-
-
-def _scatter_rows(stack, rows: np.ndarray, replacement):
-    """Replace the generator rows ``rows`` of ``stack`` with ``replacement``.
-
-    Used by the width-inflation guard: both stacks are consolidation
-    results (square generators, identical centres/Box radii), so only the
-    generator payload differs.
-    """
-    generators = stack.generators
-    generators[rows] = replacement.generators
-    return type(stack)(stack.center, generators, stack.box)
 
 
 class _StackRows:
@@ -261,6 +225,7 @@ def certify_sweep(
     in one array expression, onto ``verifier.certify_boxes``.  The ball is
     checked once, and, as in a sequential sweep, only if some row is correct."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    check_input_dim(xs.shape[1], verifier.model.input_dim)
     labels = np.asarray(labels, dtype=int).reshape(-1)
     if xs.shape[0] != labels.shape[0]:
         raise VerificationError("xs and labels must have matching lengths")
@@ -288,11 +253,7 @@ def region_arrays(
     if len(balls) != len(specs):
         raise VerificationError("balls and specs must have matching lengths")
     for ball, spec in zip(balls, specs):
-        if ball.dim != model.input_dim:
-            raise VerificationError(
-                f"precondition dimension {ball.dim} does not match the model "
-                f"input dimension {model.input_dim}"
-            )
+        check_input_dim(ball.dim, model.input_dim)
         if spec.num_classes != model.output_dim:
             raise VerificationError(
                 f"postcondition over {spec.num_classes} classes does not match "
@@ -413,10 +374,6 @@ class BatchedCraft:
         # repro.domains has a batched stack implementation (an unknown name
         # raises ConfigurationError — never a silent sequential fallback).
         self._domain_cls = batched_domain_for(self._config.domain)
-        # A single-domain driver is its own final stage, so "auto" resolves
-        # to per-sample; ladder stage configs arrive pre-resolved through
-        # CraftConfig.stage_config().
-        self._basis_mode = self._config.resolved_consolidation_basis()
         #: Consolidation accounting of the most recent certify_boxes run.
         self.consolidation_stats = ConsolidationStats()
         if self._config.solver1 == "fb" and self._config.solver2 == "pr":
@@ -527,66 +484,18 @@ class BatchedCraft:
         return self._assemble_results(containment, tightening, per_region_time)
 
     # ------------------------------------------------------------------
-    # Consolidation-basis policy (per-sample vs shared)
+    # Consolidation
     # ------------------------------------------------------------------
-
-    def _compute_consolidation_basis(self, state: "BatchedDomain"):
-        """Consolidation basis under the configured policy.
-
-        ``"per_sample"`` returns the ``(B, n, n)`` per-sample PCA stack
-        (one SVD per sample — the paper's Appendix C behaviour);
-        ``"shared"`` returns one pooled ``(n, n)`` basis for the whole
-        stack (a single pooled-Gram eigendecomposition or randomized
-        range-finder sketch).  Basis-free domains (Box) return ``None``
-        either way.
-        """
-        if self._basis_mode == "shared":
-            return state.shared_pca_basis()
-        return state.pca_basis()
 
     def _consolidate(
         self, state: "BatchedDomain", w_mul: float, w_add: float, basis=None
     ) -> "BatchedDomain":
-        """One driver-level consolidation under the basis policy.
-
-        In shared mode the width-inflation guard compares each sample's
-        post-consolidation mean width against its pre-consolidation width
-        and re-consolidates offending samples
-        (> ``config.shared_basis_max_inflation``) onto their own
-        per-sample basis — so a pooled basis that happens to fit one
-        sample badly costs one extra SVD for that sample instead of
-        precision for the whole batch.  Counters land in
-        :attr:`consolidation_stats`.
-        """
+        """One driver-level consolidation onto ``basis`` (``None``: every
+        sample's own PCA basis), counted in :attr:`consolidation_stats`."""
         start = time.perf_counter()
-        stats = self.consolidation_stats
-        stats.events += 1
-        if basis is None:
-            basis = self._compute_consolidation_basis(state)
-        shared = (
-            self._basis_mode == "shared" and basis is not None and basis.ndim == 2
-        )
         result = state.consolidate(basis, w_mul, w_add)
-        if shared:
-            stats.shared_events += 1
-            before = state.mean_width
-            # Only states with meaningful width can inflate *because of the
-            # basis*; near-point states consolidate to floored coefficients
-            # under any basis, so the guard stays disarmed for them.
-            eligible = before > _GUARD_MIN_WIDTH
-            inflation = np.where(eligible, result.mean_width / np.maximum(before, _GUARD_MIN_WIDTH), 0.0)
-            if np.any(eligible):
-                stats.max_width_inflation = max(
-                    stats.max_width_inflation, float(inflation.max())
-                )
-            bad = inflation > self._config.shared_basis_max_inflation
-            if np.any(bad):
-                rows = np.nonzero(bad)[0]
-                subset = state.select(rows)
-                repaired = subset.consolidate(subset.pca_basis(), w_mul, w_add)
-                result = _scatter_rows(result, rows, repaired)
-                stats.fallback_samples += int(rows.size)
-        stats.seconds += time.perf_counter() - start
+        self.consolidation_stats.events += 1
+        self.consolidation_stats.seconds += time.perf_counter() - start
         return result
 
     # ------------------------------------------------------------------
@@ -628,7 +537,7 @@ class BatchedCraft:
                     # and handed to _consolidate pre-built — this is the
                     # phase-one share of the per-sample SVD cost.
                     basis_start = time.perf_counter()
-                    basis = self._compute_consolidation_basis(state)
+                    basis = state.pca_basis()
                     self.consolidation_stats.seconds += (
                         time.perf_counter() - basis_start
                     )
@@ -683,9 +592,7 @@ class BatchedCraft:
                 history = deque(
                     (entry.select(keep) for entry in history), maxlen=settings.history_size
                 )
-                # A shared (n, n) basis is row-independent; only per-sample
-                # basis stacks are gathered down with the batch.
-                if basis is not None and basis.ndim == 3:
+                if basis is not None:
                     basis = basis[keep]
                 current_step = current_step.select(keep)
             else:
@@ -805,8 +712,7 @@ class BatchedCraft:
             margin=margin,
             iterations=np.stack([run.iterations for run in runs])[chosen, columns],
             # Peak error-term counts are merged across every run a sample
-            # took part in (race probes, slope attempts) — the measured
-            # working set the calibration counters report.
+            # took part in (race probes, slope attempts).
             peak_error_terms=np.max([run.peak_error_terms for run in runs], axis=0),
             candidate=chosen,
             candidates=[(run.solver, run.alpha, run.slope_delta) for run in runs],
@@ -864,20 +770,6 @@ class BatchedCraft:
             iteration = run.steps
             active = run.active
             state = run.state
-            if config.tighten_should_consolidate(iteration):
-                # Periodic phase-two consolidation (Appendix C), same cadence
-                # as the sequential driver: bounds the error-term growth —
-                # the ReLU's Box columns, at most the latent dimension per
-                # step, on top of the input block — and merges the input
-                # block, so a fresh one opens.  The cadence is indexed by the
-                # global iteration counter, and all active rows share it, so
-                # per-sample behaviour is independent of batch composition.
-                # The shared-basis mode amortises the consolidation: one
-                # pooled basis per event instead of one SVD per sample
-                # (_consolidate).
-                state = open_input_block(
-                    self._consolidate(state, 0.0, 0.0), run.stacks.input_terms
-                )
             new_state = run.step(state)
             run.iterations[active] = iteration
             run.peak_error_terms[active] = np.maximum(

@@ -45,6 +45,23 @@ from repro.exceptions import ConfigurationError
 from repro.mondeq.model import MonDEQ
 from repro.verify.specs import ClassificationSpec, LinfBall
 
+#: Regions per batch (per shard in the sharded scheduler) of every ladder
+#: stage when the caller names no batch size.  Phase two shares the input's
+#: error symbols and appends at most ``latent_dim`` columns per step, so a
+#: batch's working set stays small; beyond 256 rows the per-batch Python
+#: overhead is already negligible.
+DEFAULT_BATCH_SIZE = 256
+
+
+def resolve_batch_size(batch_size: Optional[int]) -> int:
+    """``batch_size``, or :data:`DEFAULT_BATCH_SIZE` for ``None``; a
+    non-positive size raises :class:`ConfigurationError`."""
+    if batch_size is None:
+        return DEFAULT_BATCH_SIZE
+    if batch_size < 1:
+        raise ConfigurationError("batch_size must be positive")
+    return batch_size
+
 
 def stage_histogram(results) -> Dict[str, int]:
     """Resolving-stage counts of a result list, cheapest domain first.
@@ -88,15 +105,8 @@ class StageStats:
     not as latency.  The same caveat applies to ``consolidation_seconds``.
 
     The consolidation counters aggregate the per-driver
-    :class:`~repro.engine.craft.ConsolidationStats`:
-    ``shared_consolidations`` / ``consolidation_fallbacks`` show how often
-    the stage used a pooled basis and how many samples its width-inflation
-    guard re-consolidated per-sample; ``max_width_inflation`` is the worst
-    post/pre mean-width ratio a shared consolidation produced.
-    ``peak_error_terms`` (measured, the largest generator-stack width any
-    query of the stage streamed) against ``estimated_error_terms`` (the
-    analytic bound of :func:`repro.engine.working_set.max_error_terms`)
-    calibrates the cache-fitting batch sizing.
+    :class:`~repro.engine.craft.ConsolidationStats`.  ``peak_error_terms``
+    is the largest generator-stack width any query of the stage streamed.
     """
 
     domain: str
@@ -108,12 +118,8 @@ class StageStats:
     batches: int = 0
     elapsed_seconds: float = 0.0
     consolidations: int = 0
-    shared_consolidations: int = 0
-    consolidation_fallbacks: int = 0
     consolidation_seconds: float = 0.0
-    max_width_inflation: float = 0.0
     peak_error_terms: int = 0
-    estimated_error_terms: int = 0
     #: Queries this stage never ran because a *dominating* cache entry —
     #: a certified superset region, or a falsifying point inside the
     #: query — resolved in this stage's domain answered them
@@ -126,12 +132,7 @@ class StageStats:
     def record_consolidation(self, stats) -> None:
         """Fold one driver run's ``ConsolidationStats`` into this stage."""
         self.consolidations += stats.events
-        self.shared_consolidations += stats.shared_events
-        self.consolidation_fallbacks += stats.fallback_samples
         self.consolidation_seconds += stats.seconds
-        self.max_width_inflation = max(
-            self.max_width_inflation, stats.max_width_inflation
-        )
 
     def record_results(self, results) -> None:
         """Fold a batch's phase-one iterations and error-term peaks."""
@@ -155,12 +156,8 @@ class StageStats:
             "batches": self.batches,
             "time": round(self.elapsed_seconds, 3),
             "consolidations": self.consolidations,
-            "shared_consolidations": self.shared_consolidations,
-            "consolidation_fallbacks": self.consolidation_fallbacks,
             "consolidation_time": round(self.consolidation_seconds, 3),
-            "max_width_inflation": round(self.max_width_inflation, 3),
             "peak_error_terms": self.peak_error_terms,
-            "estimated_error_terms": self.estimated_error_terms,
             "cache_dominance_hits": self.cache_dominance_hits,
             "phase1_iterations": self.phase1_iterations,
         }
@@ -209,11 +206,9 @@ class EscalationLadder:
 
     Each stage owns a :class:`~repro.engine.craft.BatchedCraft` built from
     the stage's single-domain configuration
-    (:meth:`CraftConfig.stage_config`) and a stage-aware batch size
-    (:func:`repro.engine.working_set.auto_batch_size` with the stage's
-    domain layout — Box stages batch wide, CH-Zonotope stages keep the
-    LLC fit).  A singleton ladder degrades to exactly the pre-escalation
-    batched sweep.
+    (:meth:`CraftConfig.stage_config`); every stage certifies in chunks of
+    ``batch_size`` rows (``None``: :data:`DEFAULT_BATCH_SIZE`).  A
+    singleton ladder degrades to exactly the pre-escalation batched sweep.
 
     ``stage_stats`` holds the per-stage accounting of the most recent
     :meth:`certify_boxes` call (the schedulers surface it through
@@ -227,29 +222,14 @@ class EscalationLadder:
         batch_size: Optional[int] = None,
     ):
         from repro.engine.craft import BatchedCraft
-        from repro.engine.working_set import auto_batch_size, stage_error_term_estimates
 
         self.model = model
         self.config = config if config is not None else CraftConfig()
+        self.batch_size = resolve_batch_size(batch_size)
         self._stage_configs = self.config.stage_configs()
         self._crafts = [
             BatchedCraft(model, stage_config) for stage_config in self._stage_configs
         ]
-        #: Analytic per-stage peak error-term estimates (the measured
-        #: counterpart lands in ``StageStats.peak_error_terms``).
-        self.estimated_error_terms: Dict[str, int] = stage_error_term_estimates(
-            model, self.config
-        )
-        if batch_size is not None and batch_size < 1:
-            raise ConfigurationError("batch_size must be positive")
-        self.batch_sizes: Dict[str, int] = {
-            stage_config.domain: (
-                batch_size
-                if batch_size is not None
-                else auto_batch_size(model, stage_config, domain=stage_config.domain)
-            )
-            for stage_config in self._stage_configs
-        }
         self.stage_stats: List[StageStats] = []
         self.num_batches: int = 0
 
@@ -315,11 +295,7 @@ class EscalationLadder:
         )
         pending = np.arange(total)
         self.stage_stats = [
-            StageStats(
-                domain=cfg.domain,
-                batch_size=self.batch_sizes[cfg.domain],
-                estimated_error_terms=self.estimated_error_terms[cfg.domain],
-            )
+            StageStats(domain=cfg.domain, batch_size=self.batch_size)
             for cfg in self._stage_configs
         ]
         self.num_batches = 0
@@ -331,9 +307,8 @@ class EscalationLadder:
             stats.attempted = len(pending)
             stage_start = time.perf_counter()
             escalated: List[int] = []
-            batch = stats.batch_size
-            for offset in range(0, len(pending), batch):
-                chunk = pending[offset : offset + batch]
+            for offset in range(0, len(pending), self.batch_size):
+                chunk = pending[offset : offset + self.batch_size]
                 chunk_results = craft.certify_boxes(
                     centers[chunk],
                     lower[chunk],

@@ -27,7 +27,6 @@ from repro.core.config import CraftConfig
 from repro.core.results import VerificationResult
 from repro.engine.cache import RegionQuery, build_verdict_cache
 from repro.engine.results import EngineReport
-from repro.exceptions import ConfigurationError
 from repro.mondeq.model import MonDEQ
 
 
@@ -40,10 +39,9 @@ class BatchCertificationScheduler:
     (``CraftConfig.domains`` with several stages) every query starts in
     the cheapest domain and only unresolved queries climb.
 
-    ``batch_size=None`` (the default) sizes every ladder stage from its
-    own phase-two working-set estimate so one batch fits the last-level
-    cache — see :mod:`repro.engine.working_set`; an integer pins the size
-    for all stages (as does ``CraftConfig.engine_batch_size``).
+    Every ladder stage certifies in batches of ``batch_size`` regions;
+    ``None`` (the default) means
+    :data:`~repro.engine.escalation.DEFAULT_BATCH_SIZE`.
 
     ``cache_dir`` enables the tiered verdict cache
     (:class:`~repro.engine.cache.TieredVerdictCache`): entries are keyed
@@ -64,13 +62,8 @@ class BatchCertificationScheduler:
 
         self.model = model
         self.config = config if config is not None else CraftConfig()
-        if batch_size is not None and batch_size < 1:
-            raise ConfigurationError("batch_size must be positive")
         self._ladder = EscalationLadder(model, self.config, batch_size=batch_size)
-        # The advertised batch size is the final (most precise) stage's —
-        # the one whose working set actually risks spilling the LLC.
-        self.batch_size = self._ladder.batch_sizes[self.config.domain]
-        self.stage_batch_sizes = dict(self._ladder.batch_sizes)
+        self.batch_size = self._ladder.batch_size
         self.cache = (
             build_verdict_cache(cache_dir, self.config, model)
             if cache_dir is not None

@@ -20,8 +20,7 @@ per **(stage, batch)**: every query starts in the cheapest domain, and a
 completed shard's unresolved queries are immediately re-sharded into the
 next stage and submitted to the pool — escalated stragglers overlap with
 still-running cheap-stage shards instead of serialising behind a stage
-barrier.  Shard batch sizes are stage-aware
-(:func:`repro.engine.working_set.stage_batch_sizes`), workers build one
+barrier.  Every stage shards at the same ``batch_size``, workers build one
 :class:`BatchedCraft` per stage lazily, and only *final* verdicts
 (resolved, or produced by the last stage) are persisted to the shared
 cache.
@@ -73,12 +72,12 @@ import numpy as np
 from repro.core.config import CraftConfig
 from repro.core.results import VerificationResult
 from repro.engine.craft import BatchedCraft, ConsolidationStats
-from repro.engine.escalation import StageStats, should_escalate
+from repro.engine.escalation import StageStats, resolve_batch_size, should_escalate
 from repro.engine.results import EngineReport
 from repro.engine.cache import RegionQuery, TieredVerdictCache, build_verdict_cache
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.mondeq.model import MonDEQ
-from repro.verify.specs import ClassificationSpec, LinfBall
+from repro.verify.specs import ClassificationSpec, LinfBall, check_input_dim
 
 _START_METHODS = ("fork", "spawn", "forkserver", "inline")
 
@@ -211,8 +210,8 @@ class ShardedScheduler:
         Worker processes; defaults to the CPUs available to this process.
         ``1`` runs inline (no subprocesses).
     batch_size:
-        Regions per shard.  ``None`` (default) picks the cache-aware size
-        (:func:`repro.engine.working_set.auto_batch_size`).  When a sweep
+        Regions per shard.  ``None`` (default) means
+        :data:`~repro.engine.escalation.DEFAULT_BATCH_SIZE`.  When a sweep
         would produce fewer shards than workers, shards are split further
         so every worker is busy.
     cache_dir:
@@ -242,12 +241,6 @@ class ShardedScheduler:
         timeout_seconds: float = 600.0,
         keep_abstractions: bool = True,
     ):
-        from repro.engine.working_set import (
-            detect_llc_bytes,
-            stage_batch_sizes,
-            stage_error_term_estimates,
-        )
-
         self.model = model
         self.config = config if config is not None else CraftConfig()
         if num_workers is None:
@@ -255,30 +248,7 @@ class ShardedScheduler:
         if num_workers < 1:
             raise ConfigurationError("num_workers must be positive")
         self.num_workers = num_workers
-        if batch_size is not None:
-            if batch_size < 1:
-                raise ConfigurationError("batch_size must be positive")
-            self.stage_batch_sizes = {name: batch_size for name in self.config.domains}
-        else:
-            # The workers run concurrently on cores sharing one last-level
-            # cache, so each shard only gets a 1/num_workers slice of the
-            # budget — otherwise the aggregate working set is num_workers
-            # times the cache and every worker goes DRAM-bound again.  Each
-            # ladder stage is sized for its own domain layout (a Box stage
-            # has no generator stack to budget for).
-            budget = (
-                self.config.cache_budget_bytes
-                if self.config.cache_budget_bytes is not None
-                else detect_llc_bytes()
-            )
-            self.stage_batch_sizes = stage_batch_sizes(
-                model, self.config, budget_bytes=max(1, budget // num_workers)
-            )
-        # The advertised batch size is the final (most precise) stage's.
-        self.batch_size = self.stage_batch_sizes[self.config.domain]
-        #: Analytic per-stage peak error-term estimates (compared against
-        #: the measured peaks the shards stream back).
-        self.stage_error_term_estimates = stage_error_term_estimates(model, self.config)
+        self.batch_size = resolve_batch_size(batch_size)
         #: Per-stage accounting of the most recent dispatch (waterfall sweeps).
         self.stage_stats: List[StageStats] = []
         if start_method is None:
@@ -395,6 +365,7 @@ class ShardedScheduler:
 
         start = time.perf_counter()
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        check_input_dim(xs.shape[1], self.model.input_dim)
         labels = np.asarray(labels, dtype=int).reshape(-1)
         if xs.shape[0] != labels.shape[0]:
             raise VerificationError("xs and labels must have matching lengths")
@@ -535,9 +506,8 @@ class ShardedScheduler:
         # otherwise serialise on a single shard.  numpy's array_split
         # balancing keeps shard sizes within one query of each other.
         domain = self.config.domains[0]
-        batch_size = self.stage_batch_sizes[domain]
         count = len(order)
-        num_shards = max(math.ceil(count / batch_size), min(self.num_workers, count))
+        num_shards = max(math.ceil(count / self.batch_size), min(self.num_workers, count))
         # Round the shard count up to a worker multiple: 6 shards over 4
         # workers would leave two workers processing two shards while the
         # others idle — a 2x makespan for no batching gain.
@@ -574,14 +544,7 @@ class ShardedScheduler:
         """
         stages = self.config.domains
         stage_index = {name: position for position, name in enumerate(stages)}
-        stats = {
-            name: StageStats(
-                domain=name,
-                batch_size=self.stage_batch_sizes[name],
-                estimated_error_terms=self.stage_error_term_estimates[name],
-            )
-            for name in stages
-        }
+        stats = {name: StageStats(domain=name, batch_size=self.batch_size) for name in stages}
         self.stage_stats = [stats[name] for name in stages]
         if not order:
             return 0, []
@@ -626,10 +589,9 @@ class ShardedScheduler:
                 if escalated:
                     next_domain = stages[position + 1]
                     stats[next_domain].attempted += len(escalated)
-                    next_batch = self.stage_batch_sizes[next_domain]
-                    for offset in range(0, len(escalated), next_batch):
+                    for offset in range(0, len(escalated), self.batch_size):
                         shard = self._build_shard(
-                            escalated[offset : offset + next_batch],
+                            escalated[offset : offset + self.batch_size],
                             balls, specs, anchor_rows, next_domain,
                         )
                         total_shards += 1

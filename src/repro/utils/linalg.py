@@ -5,13 +5,6 @@ that the abstract-domain code stays readable:
 
 * :func:`pca_basis` — the PCA basis of an error matrix, used by error
   consolidation (Kopetzki et al. 2017, as adopted in Section 4 of the paper).
-* :func:`pooled_gram_basis` / :func:`randomized_range_basis` /
-  :func:`shared_pca_basis` — one orthonormal basis for a whole *stack* of
-  error matrices, used by the shared-basis consolidation mode of the
-  batched engines (a batch shares the model weights, so a pooled basis
-  replaces O(batch) per-sample SVDs with one factorisation plus BLAS-3
-  projections).  Soundness never depends on the basis choice — Theorem 4.1
-  holds for any invertible basis — only precision does.
 * :func:`safe_inverse` / :func:`solve_with_fallback` — robust inversion with
   a diagnostic error when a "proper" CH-Zonotope turns out to be singular.
 * :func:`spectral_norm` — ||I - W||_2 used for the FB step-size bound
@@ -62,100 +55,6 @@ def pca_basis(error_matrix: np.ndarray, jitter: float = 1e-12) -> np.ndarray:
     except np.linalg.LinAlgError:
         u, _, _ = np.linalg.svd(matrix + jitter * np.eye(p, matrix.shape[1]), full_matrices=full)
     return u
-
-
-#: ``B * k`` threshold above which :func:`shared_pca_basis` prefers the
-#: randomized range finder over the exact pooled Gram: past this point the
-#: sketch's single fused einsum (no per-sample Gram accumulation) wins on
-#: memory traffic, and the basis quality difference is immaterial because
-#: consolidation is sound for any orthonormal basis.
-RANDOMIZED_BASIS_THRESHOLD = 1 << 16
-
-
-def pooled_gram_basis(generator_stack: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the pooled second-moment of a generator stack.
-
-    Accumulates the pooled Gram matrix ``G = sum_i G_i G_i^T`` over the
-    ``(B, p, k)`` stack in one einsum and eigendecomposes it — the
-    eigenvectors, sorted by descending eigenvalue, are the principal
-    directions of the *union* of all samples' error columns.  This is the
-    exact shared counterpart of the per-sample PCA basis: for ``B = 1``
-    the returned subspaces coincide with :func:`pca_basis` (eigenvectors
-    of ``G G^T`` are the left singular vectors of ``G``).
-
-    Cost: one ``O(B p^2 k)`` BLAS pass plus a single ``O(p^3)``
-    symmetric eigendecomposition — independent of the batch size where
-    the per-sample path pays ``B`` dense SVDs.
-    """
-    stack = np.asarray(generator_stack, dtype=float)
-    if stack.ndim != 3:
-        raise ValueError("generator_stack must have shape (batch, p, k)")
-    p = stack.shape[1]
-    if stack.size == 0 or not np.any(stack):
-        return np.eye(p)
-    gram = np.einsum("bik,bjk->ij", stack, stack)
-    gram = 0.5 * (gram + gram.T)
-    eigenvalues, eigenvectors = np.linalg.eigh(gram)
-    # eigh orders ascending; consolidation conventions (and pca_basis)
-    # put the dominant direction first.
-    order = np.argsort(eigenvalues)[::-1]
-    return np.ascontiguousarray(eigenvectors[:, order])
-
-
-def randomized_range_basis(
-    generator_stack: np.ndarray, oversample: int = 8, seed: int = 0
-) -> np.ndarray:
-    """Randomized range-finder basis for a large generator stack.
-
-    Halko–Martinsson–Tropp style sketch of the pooled error matrix
-    ``M = [G_1 | ... | G_B]``: the stack is compressed through a seeded
-    Gaussian test matrix in a single fused einsum (``Y = M Omega``, with
-    ``Omega`` drawn per-sample so the ``(p, B k)`` pooled matrix is never
-    materialised), and the sketch's left singular vectors — completed to
-    a full orthonormal basis of ``R^p`` by :func:`pca_basis` — become the
-    shared consolidation basis.  The seed is fixed so repeated sweeps and
-    worker processes derive identical bases.
-
-    Any orthonormal basis yields a *sound* consolidation; the sketch only
-    trades a little alignment quality for one pass over the stack, which
-    is what the shared-basis mode wants once ``B * k`` gets large.
-    """
-    stack = np.asarray(generator_stack, dtype=float)
-    if stack.ndim != 3:
-        raise ValueError("generator_stack must have shape (batch, p, k)")
-    batch, p, k = stack.shape
-    if stack.size == 0 or not np.any(stack):
-        return np.eye(p)
-    rng = np.random.default_rng(seed)
-    width = p + max(0, int(oversample))
-    omega = rng.standard_normal((batch, k, width))
-    sketch = np.einsum("bpk,bkw->pw", stack, omega)
-    return pca_basis(sketch)
-
-
-def shared_pca_basis(generator_stack: np.ndarray, method: str = "auto") -> np.ndarray:
-    """One orthonormal consolidation basis shared by a whole generator stack.
-
-    ``method`` selects the kernel: ``"gram"`` (exact pooled Gram,
-    :func:`pooled_gram_basis`), ``"randomized"``
-    (:func:`randomized_range_basis`) or ``"auto"`` (the default), which
-    uses the exact pooled Gram until the stack's total column count
-    ``B * k`` crosses :data:`RANDOMIZED_BASIS_THRESHOLD` and the sketch
-    becomes the cheaper route.
-    """
-    stack = np.asarray(generator_stack, dtype=float)
-    if stack.ndim != 3:
-        raise ValueError("generator_stack must have shape (batch, p, k)")
-    if method == "auto":
-        total_columns = stack.shape[0] * stack.shape[2]
-        method = "randomized" if total_columns > RANDOMIZED_BASIS_THRESHOLD else "gram"
-    if method == "gram":
-        return pooled_gram_basis(stack)
-    if method == "randomized":
-        return randomized_range_basis(stack)
-    raise ValueError(
-        f"method must be one of ('auto', 'gram', 'randomized'), got {method!r}"
-    )
 
 
 def safe_inverse(matrix: np.ndarray, context: str = "matrix") -> np.ndarray:

@@ -48,7 +48,7 @@ from repro.mondeq.attacks import PGDConfig, pgd_attack
 from repro.mondeq.model import MonDEQ
 from repro.mondeq.solvers import solve_fixpoint
 from repro.utils.rng import SeedLike, as_generator
-from repro.verify.specs import ClassificationSpec, LinfBall
+from repro.verify.specs import ClassificationSpec, LinfBall, check_input_dim
 
 _DOMAIN_CLASSES = {
     "chzonotope": CHZonotope,
@@ -81,11 +81,7 @@ def build_fixpoint_problem(
     config: CraftConfig,
 ) -> FixpointProblem:
     """Construct the :class:`FixpointProblem` for one robustness query."""
-    if ball.dim != model.input_dim:
-        raise VerificationError(
-            f"precondition dimension {ball.dim} does not match the model input "
-            f"dimension {model.input_dim}"
-        )
+    check_input_dim(ball.dim, model.input_dim)
     layout = layout_for(model, config.solver1)
     if config.solver1 == "fb" and config.solver2 == "pr":
         raise VerificationError(
@@ -156,6 +152,7 @@ def certify_sample(
 
     config = config if config is not None else CraftConfig()
     x = np.asarray(x, dtype=float).reshape(-1)
+    check_input_dim(x.shape[0], model.input_dim)
     prediction = model.predict(x)
     if prediction != label:
         return VerificationResult(
@@ -274,11 +271,9 @@ def certify_local_robustness(
           deployments construct a
           :class:`~repro.service.CertificationFrontend` directly.
     batch_size:
-        Regions per batched pass.  ``None`` (default) sizes batches from
-        the phase-two working-set estimate so one batch fits the
-        last-level cache (:func:`repro.engine.working_set.auto_batch_size`);
-        an explicit ``config.engine_batch_size`` takes precedence either
-        way.  Batch sizing never changes verdicts, only memory locality.
+        Regions per batched pass (per shard for ``"sharded"``).  ``None``
+        (default) means :data:`repro.engine.escalation.DEFAULT_BATCH_SIZE`.
+        Batch sizing never changes verdicts.
     cache_dir:
         Optional on-disk fixpoint-cache directory; re-running a sweep with
         unchanged weights/config answers repeated queries from the cache.
@@ -304,6 +299,7 @@ def certify_local_robustness(
             f"'sequential' or 'service'"
         )
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    check_input_dim(xs.shape[1], model.input_dim)
     labels = np.asarray(labels, dtype=int).reshape(-1)
     if xs.shape[0] != labels.shape[0]:
         raise VerificationError(
@@ -378,11 +374,6 @@ class RobustnessReport:
     model_name: str
     epsilon: float
     records: List[SampleRecord] = field(default_factory=list)
-    #: Analytic per-stage peak error-term estimates
-    #: (:func:`repro.engine.working_set.stage_error_term_estimates`),
-    #: surfaced next to the measured peaks by :meth:`as_row` so sweep
-    #: output shows how tight the working-set model is on this workload.
-    error_term_estimates: Dict[str, int] = field(default_factory=dict)
 
     @property
     def num_samples(self) -> int:
@@ -452,29 +443,10 @@ class RobustnessReport:
                 )
         return measured
 
-    @property
-    def error_term_calibration(self) -> Dict[str, Dict[str, int]]:
-        """Estimate-vs-measured peak error terms per resolving stage.
-
-        The estimate is the analytic working-set bound the batch sizing
-        uses; the measurement is the widest generator stack any query of
-        the stage actually streamed.  A large gap means batches could be
-        sized more aggressively (ROADMAP: calibrate the working-set
-        estimate).
-        """
-        measured = self.measured_error_terms
-        return {
-            stage: {
-                "estimated": self.error_term_estimates.get(stage, 0),
-                "measured": measured.get(stage, 0),
-            }
-            for stage in sorted(set(self.error_term_estimates) | set(measured))
-        }
-
     def as_row(self) -> dict:
         """Dictionary matching the columns of Table 2 (plus the fixpoint-cache,
-        escalation-stage and working-set-calibration counters of the engine
-        subsystem)."""
+        escalation-stage and per-stage peak error-term counters of the
+        engine subsystem)."""
         return {
             "model": self.model_name,
             "epsilon": self.epsilon,
@@ -488,7 +460,7 @@ class RobustnessReport:
             "cache_misses": self.cache_misses,
             "cache_dominance_hits": self.cache_dominance_hits,
             "stages": self.stage_counts,
-            "error_terms": self.error_term_calibration,
+            "error_terms": self.measured_error_terms,
             "phase1_iterations": self.phase1_iterations,
         }
 
@@ -544,9 +516,8 @@ class RobustnessVerifier:
             ``"sequential"`` restores the per-sample reference loop.
             Every ``config.domain`` (CH-Zonotope, Box, Zonotope) is
             supported by every engine, and all engines produce identical
-            verdicts (the parity contract).  Batch sizes follow
-            ``config.engine_batch_size`` / the cache-aware automatic
-            estimate, exactly as in :func:`certify_local_robustness`.
+            verdicts (the parity contract).  Batches hold the default
+            size of :func:`certify_local_robustness`.
         num_workers, timeout_seconds:
             Sharded-engine pool size and the per-shard wait bound
             (default 600 s).
@@ -581,13 +552,7 @@ class RobustnessVerifier:
         # pr/tol defaults as model.predict) instead of a sequential solve
         # per record.
         predictions = self.model.predict_batch(xs)
-        from repro.engine.working_set import stage_error_term_estimates
-
-        report = RobustnessReport(
-            model_name=self.model.name,
-            epsilon=epsilon,
-            error_term_estimates=stage_error_term_estimates(self.model, self.config),
-        )
+        report = RobustnessReport(model_name=self.model.name, epsilon=epsilon)
         for index, (x, label, result) in enumerate(zip(xs, labels, results)):
             prediction = int(predictions[index])
             correct = prediction == label

@@ -38,6 +38,16 @@ def check_ball(epsilon: float, clip_min: Optional[float], clip_max: Optional[flo
         raise VerificationError("clip_min must not exceed clip_max")
 
 
+def check_input_dim(dim: int, input_dim: int) -> None:
+    """Raise :class:`VerificationError` unless regions of dimension ``dim``
+    fit a model with ``input_dim`` inputs."""
+    if dim != input_dim:
+        raise VerificationError(
+            f"precondition dimension {dim} does not match the model input "
+            f"dimension {input_dim}"
+        )
+
+
 def ball_bounds(
     centers: np.ndarray, epsilon: float, clip_min: Optional[float], clip_max: Optional[float]
 ) -> Tuple[np.ndarray, np.ndarray]:

@@ -144,77 +144,3 @@ class TestEscalationLadderConfig:
     def test_unknown_ablation_rejected(self):
         with pytest.raises(ConfigurationError):
             CraftConfig.ablation("no_such_ablation")
-
-
-class TestConsolidationBasisConfig:
-    def test_default_is_per_sample(self):
-        config = CraftConfig()
-        assert config.consolidation_basis == "per_sample"
-        assert config.resolved_consolidation_basis() == "per_sample"
-
-    def test_invalid_mode_and_guard_rejected(self):
-        with pytest.raises(ConfigurationError, match="consolidation_basis"):
-            CraftConfig(consolidation_basis="pooled")
-        with pytest.raises(ConfigurationError, match="shared_basis_max_inflation"):
-            CraftConfig(shared_basis_max_inflation=0.5)
-
-    def test_auto_resolves_per_stage(self):
-        """"auto" = shared on interim stages, per-sample on the final one."""
-        ladder = CraftConfig.escalation(consolidation_basis="auto")
-        stages = ladder.stage_configs()
-        assert [s.consolidation_basis for s in stages] == [
-            "shared",
-            "shared",
-            "per_sample",
-        ]
-        # A single-domain config is its own final stage.
-        assert CraftConfig(consolidation_basis="auto").resolved_consolidation_basis() == (
-            "per_sample"
-        )
-        # Explicit modes pass through to every stage unchanged.
-        explicit = CraftConfig.escalation(consolidation_basis="shared")
-        assert {s.consolidation_basis for s in explicit.stage_configs()} == {"shared"}
-
-    def test_mode_is_verdict_relevant_for_the_cache(self):
-        from repro.engine.cache import config_fingerprint
-
-        base = CraftConfig()
-        assert config_fingerprint(base) != config_fingerprint(
-            base.with_updates(consolidation_basis="shared")
-        )
-
-
-class TestStagePhaseOneBudgets:
-    def test_budgets_validated_against_ladder_length(self):
-        with pytest.raises(ConfigurationError, match="one budget per ladder stage"):
-            CraftConfig.escalation(stage_phase_one_budgets=(10, 20))
-        with pytest.raises(ConfigurationError, match="positive"):
-            CraftConfig.escalation(stage_phase_one_budgets=(0, None, None))
-        with pytest.raises(ConfigurationError, match="positive"):
-            CraftConfig.escalation(stage_phase_one_budgets=(10.5, None, None))
-
-    def test_stage_configs_apply_their_budget(self):
-        ladder = CraftConfig.escalation(stage_phase_one_budgets=(20, None, 400))
-        box, zono, chz = ladder.stage_configs()
-        assert box.contraction.max_iterations == 20
-        # None inherits the shared contraction settings.
-        assert zono.contraction.max_iterations == ladder.contraction.max_iterations
-        assert chz.contraction.max_iterations == 400
-        # Stage configs are singleton ladders; their own budget field is
-        # cleared so they validate standalone.
-        assert box.stage_phase_one_budgets is None
-
-    def test_ladder_change_drops_stale_budgets(self):
-        ladder = CraftConfig.escalation(stage_phase_one_budgets=(20, 50, None))
-        assert ladder.with_updates(domain="box").stage_phase_one_budgets is None
-        assert (
-            ladder.with_updates(domains=("box", "chzonotope")).stage_phase_one_budgets
-            is None
-        )
-
-    def test_budgets_are_verdict_relevant_for_the_cache(self):
-        from repro.engine.cache import config_fingerprint
-
-        base = CraftConfig.escalation()
-        budgeted = CraftConfig.escalation(stage_phase_one_budgets=(25, None, None))
-        assert config_fingerprint(base) != config_fingerprint(budgeted)

@@ -51,9 +51,8 @@ def stacks(draw, batch, dim):
 
 @st.composite
 def identity_bases(draw, batch, dim):
-    """A per-sample ``(B, n, n)`` or a shared ``(n, n)`` identity, some of
-    its zeros ``-0.0``."""
-    shape = draw(st.sampled_from([(batch, dim, dim), (dim, dim)]))
+    """A per-sample ``(B, n, n)`` identity, some of its zeros ``-0.0``."""
+    shape = (batch, dim, dim)
     basis = np.broadcast_to(np.eye(dim), shape).copy()
     basis[draw(arrays(np.bool_, shape)) & (basis == 0)] = -0.0
     return basis

@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.config import CraftConfig
+from repro.core.config import CacheConfig, CraftConfig
 from repro.engine import BatchCertificationScheduler, FixpointCache, config_fingerprint
 from repro.engine.cache import weights_hash
 from repro.utils.rng import as_generator
@@ -295,7 +295,7 @@ class TestVersionStamp:
         assert keys
 
         matching = FixpointCache(str(tmp_path), signature=config_fingerprint(config))
-        other = config.with_updates(tighten_consolidate_every=7)
+        other = config.with_updates(tighten_patience=7)
         mismatched = FixpointCache(str(tmp_path), signature=config_fingerprint(other))
         for key in keys:
             assert matching.load(key) is not None
@@ -306,12 +306,12 @@ class TestVersionStamp:
             config.with_updates(verbose=True)
         )
         assert config_fingerprint(config) == config_fingerprint(
-            # Batch sizing must never invalidate cached verdicts.
-            config.with_updates(engine_batch_size=8, cache_budget_bytes=1 << 20)
+            # The cache layout must never invalidate cached verdicts.
+            config.with_updates(cache=CacheConfig(lru_entries=8))
         )
         for overrides in (
             {"alpha1": 0.2},
-            {"tighten_consolidate_every": 3},
+            {"tighten_patience": 3},
             {"use_box_component": False},
         ):
             assert config_fingerprint(config) != config_fingerprint(

@@ -1,8 +1,7 @@
 """Differential fuzzing: sequential, batched and sharded paths must agree.
 
 Hypothesis generates random monotone-DEQ models, input regions and
-``CraftConfig``s (including phase-two consolidation cadences and the
-Table 4 ablation switches), then asserts the three execution strategies
+``CraftConfig``s (including the Table 4 ablation switches), then asserts the three execution strategies
 return *exactly* the same verdicts — outcome, containment, certification,
 selected tightening parameters — and margins/bounds within 1e-9.  The
 sharded path runs through :class:`ShardedScheduler`'s inline mode with a
@@ -21,12 +20,6 @@ breadth for memory, never verdicts).  Escalation waterfalls are fuzzed over rand
 (ascending domain subsequences): the sequential per-sample climb, the
 batched ``EscalationLadder`` and the sharded per-(stage, batch) waterfall
 must agree on verdicts *and* resolving stages.
-
-``craft_configs`` additionally draws ``consolidation_basis`` from
-``per_sample``/``auto`` (identical resolutions on single-domain configs,
-so the strict parity contract is unaffected while the resolution logic is
-fuzzed); the batch-pooled ``shared`` mode is covered by its dedicated
-no-flip/enclosure suite in ``test_consolidation_basis.py``.
 """
 
 import tempfile
@@ -148,13 +141,7 @@ class TestDifferentialFuzzing:
         same no-flip guarantee the dedicated escalation tests pin."""
         from repro.engine import EscalationLadder
 
-        # Strict three-way agreement requires the per-sample basis: on a
-        # multi-stage ladder "auto" resolves interim stages to the shared
-        # (batch-pooled) basis, whose iterates are batch-composition
-        # dependent by design — the engines chunk batches differently, so
-        # bit-parity would not hold.  The auto-vs-per_sample no-flip
-        # contract is pinned separately in test_consolidation_basis.py.
-        config = config.with_updates(domains=ladder, consolidation_basis="per_sample")
+        config = config.with_updates(domains=ladder)
         xs = data.draw(input_regions(model.input_dim, count=3))
         labels = np.array([int(model.predict(x)) for x in xs])
         labels[-1] = (labels[-1] + 1) % model.output_dim
@@ -310,7 +297,7 @@ class TestStaggeredEarlyExit:
         verdicts as the inline shard path (the fuzzing reference)."""
         xs, ys = toy_data
         exs, eys = xs[120:132], ys[120:132].astype(int)
-        config = CraftConfig(slope_optimization="none", tighten_consolidate_every=4)
+        config = CraftConfig(slope_optimization="none")
         kwargs = dict(num_workers=2, batch_size=3, timeout_seconds=300.0)
         with ShardedScheduler(
             trained_mondeq, config, start_method="inline", **kwargs

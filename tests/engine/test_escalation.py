@@ -4,8 +4,8 @@
   or falsified verdict relative to the pure CH-Zonotope sweep; ``Unknown``
   may only improve (cheap stages can add certificates, never remove one).
 * **Stage accounting** — every resolved query records its resolving stage,
-  the per-stage rows add up, and stage-aware batch sizing gives the Box
-  stage a wider batch than the CH-Zonotope stage.
+  the per-stage rows add up, and every scheduler runs every stage at one
+  batch size.
 * **Cache replay** — cached ladder verdicts carry their resolving stage
   and replay without re-climbing; interim (escalating) verdicts are never
   persisted by non-final shards.
@@ -19,6 +19,7 @@ import pytest
 from repro.core.config import ContractionSettings, CraftConfig
 from repro.core.results import VerificationOutcome, VerificationResult
 from repro.engine import (
+    DEFAULT_BATCH_SIZE,
     BatchCertificationScheduler,
     BatchedCraft,
     EscalationLadder,
@@ -150,12 +151,33 @@ class TestStageAccounting:
             r.certified for r in results
         )
 
-    def test_stage_aware_batch_sizes(self, trained_mondeq):
-        config = _config(cache_budget_bytes=1 << 20)
-        ladder = EscalationLadder(trained_mondeq, config)
-        # The Box stage streams no generator stack, so its batches must be
-        # at least as wide as the CH-Zonotope stage's LLC-fitting batches.
-        assert ladder.batch_sizes["box"] >= ladder.batch_sizes["chzonotope"]
+    @pytest.mark.parametrize("batch_size", [None, 5])
+    def test_every_scheduler_runs_every_stage_at_one_batch_size(
+        self, trained_mondeq, toy_data, batch_size
+    ):
+        """``batch_size=None`` means ``DEFAULT_BATCH_SIZE`` on every stage of
+        every scheduler; an explicit size pins every stage."""
+        xs, ys = _eval_set(toy_data, count=40)
+        expected = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
+        config = CraftConfig.escalation(slope_optimization="none")
+        ladder = EscalationLadder(trained_mondeq, config, batch_size=batch_size)
+        ladder.certify(xs, ys, 0.3)
+        scheduler = BatchCertificationScheduler(trained_mondeq, config, batch_size=batch_size)
+        report = scheduler.certify(xs, ys, 0.3)
+        with ShardedScheduler(
+            trained_mondeq, config, num_workers=2, batch_size=batch_size, start_method="inline"
+        ) as sharded:
+            sharded_report = sharded.certify(xs, ys, 0.3)
+        assert ladder.batch_size == scheduler.batch_size == sharded.batch_size == expected
+        ladder_rows = [stats.as_row() for stats in ladder.stage_stats]
+        for rows in (ladder_rows, report.stages, sharded_report.stages):
+            assert [row["domain"] for row in rows] == list(LADDER)
+            assert [row["batch_size"] for row in rows] == [expected] * len(LADDER)
+        # The single-process waterfall cuts each stage's queries into
+        # chunks of exactly that size.
+        assert ladder_rows[0]["attempted"] > 5
+        for row in ladder_rows + report.stages:
+            assert row["batches"] == -(-row["attempted"] // expected)
 
     def test_scheduler_reports_stage_rows(self, trained_mondeq, toy_data):
         xs, ys = _eval_set(toy_data, count=8)
@@ -300,41 +322,3 @@ class TestEngineAgreement:
             trained_mondeq, config, max_depth=1, engine="sequential"
         ).certify_region(region)
         assert ladder.coverage == pytest.approx(sequential.coverage, rel=1e-9)
-
-
-class TestStagePhaseOneBudgets:
-    def test_interim_budget_limits_phase_one_iterations(self, trained_mondeq, toy_data):
-        """A tiny interim budget caps the cheap stage's containment search;
-        queries it can no longer resolve climb, and the full-budget final
-        stage keeps the ladder's no-flip contract."""
-        xs, ys = _eval_set(toy_data, count=10)
-        full = certify_local_robustness(
-            trained_mondeq, xs, ys, 0.05, _config(), engine="batched"
-        )
-        budgeted_config = _config(stage_phase_one_budgets=(2, 2, None))
-        budgeted = certify_local_robustness(
-            trained_mondeq, xs, ys, 0.05, budgeted_config, engine="batched"
-        )
-        _assert_no_flips(full, budgeted)
-        for result in budgeted:
-            # Queries resolved by a budgeted interim stage ran at most the
-            # stage budget's phase-one iterations.
-            if result.stage in ("box", "zonotope"):
-                assert result.iterations_phase1 <= 2
-
-    def test_budgets_flow_through_every_engine(self, trained_mondeq, toy_data):
-        xs, ys = _eval_set(toy_data, count=6)
-        config = _config(stage_phase_one_budgets=(3, None, None))
-        batched = certify_local_robustness(
-            trained_mondeq, xs, ys, 0.3, config, engine="batched"
-        )
-        sequential = certify_local_robustness(
-            trained_mondeq, xs, ys, 0.3, config, engine="sequential"
-        )
-        with ShardedScheduler(
-            trained_mondeq, config, num_workers=2, batch_size=3, start_method="inline"
-        ) as scheduler:
-            sharded = scheduler.certify(xs, ys, 0.3).results
-        for bat, seq, sha in zip(batched, sequential, sharded):
-            assert bat.outcome == seq.outcome == sha.outcome
-            assert bat.stage == seq.stage == sha.stage

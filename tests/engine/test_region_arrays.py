@@ -29,10 +29,10 @@ from repro.engine import ShardedScheduler
 from repro.engine.cache import RegionQuery
 from repro.engine.craft import BatchedCraft, _scatter_traces, prediction_pass
 from repro.engine.escalation import EscalationLadder
-from repro.exceptions import ConfigurationError, VerificationError
+from repro.exceptions import VerificationError
 from repro.experiments.model_zoo import get_model
 from repro.mondeq.model import MonDEQ
-from repro.verify.robustness import certify_local_robustness
+from repro.verify.robustness import certify_local_robustness, certify_sample
 from repro.verify.specs import ClassificationSpec, LinfBall, ball_bounds
 
 # ---------------------------------------------------------------------------
@@ -398,6 +398,26 @@ def test_certify_regions_keeps_its_checks(hcas, verifier_cls):
         verifier.certify_regions(balls[:2] + [LinfBall(center=np.zeros(4), epsilon=epsilon)], specs)
     with pytest.raises(VerificationError, match="classes"):
         verifier.certify_regions(balls, specs[:2] + [ClassificationSpec(0, model.output_dim + 1)])
-    # certify's prediction pass checks the input dimension first, as before.
-    with pytest.raises(ConfigurationError):
+    # certify checks the input dimension before its prediction pass.
+    with pytest.raises(VerificationError, match="dimension"):
         verifier.certify(np.hstack([xs, xs[:, :1]]), labels, epsilon)
+
+
+@pytest.mark.parametrize("engine", ["sequential", "batched", "ladder", "sharded"])
+def test_a_wrong_input_dimension_raises_one_error_on_every_engine(hcas, engine):
+    model, xs, labels, epsilon = hcas
+    wide = np.hstack([xs, xs[:, :1]])
+    message = "precondition dimension 4 does not match the model input dimension 3"
+    with pytest.raises(VerificationError, match=message):
+        if engine == "sequential":
+            certify_sample(model, wide[0], labels[0], epsilon)
+        elif engine == "batched":
+            BatchedCraft(model, CraftConfig()).certify(wide, labels, epsilon)
+        elif engine == "ladder":
+            EscalationLadder(model, CraftConfig.escalation()).certify(wide, labels, epsilon)
+        else:
+            with ShardedScheduler(model, CraftConfig(), num_workers=1, start_method="inline") as scheduler:
+                scheduler.certify(wide, labels, epsilon)
+    if engine in ("sequential", "batched"):
+        with pytest.raises(VerificationError, match=message):
+            certify_local_robustness(model, wide, labels, epsilon, engine=engine)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import CraftConfig
-from repro.engine import BatchCertificationScheduler, ShardedScheduler
+from repro.engine import BatchCertificationScheduler, ConsolidationStats, ShardedScheduler
 from repro.engine.sharded import default_num_workers, default_start_method
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.utils.rng import as_generator
@@ -63,23 +63,6 @@ class TestValidation:
     def test_defaults_are_sane(self):
         assert default_num_workers() >= 1
         assert default_start_method() in ("fork", "spawn")
-
-    def test_auto_batch_budget_divided_across_workers(self, trained_mondeq):
-        """Concurrent workers share one LLC, so each shard gets a
-        1/num_workers slice of the budget."""
-        config = CraftConfig(cache_budget_bytes=1 << 26)
-        solo = ShardedScheduler(
-            trained_mondeq, config, num_workers=1, start_method="inline"
-        )
-        four = ShardedScheduler(
-            trained_mondeq, config, num_workers=4, start_method="inline"
-        )
-        assert four.batch_size <= solo.batch_size
-        explicit = ShardedScheduler(
-            trained_mondeq, config.with_updates(engine_batch_size=5),
-            num_workers=4, start_method="inline",
-        )
-        assert explicit.batch_size == 5
 
 
 @pytest.mark.tier1
@@ -149,6 +132,15 @@ class TestShardDecomposition:
         for result in report.results:
             assert result.fixpoint_abstraction is None
             assert result.output_element is None
+
+    def test_consolidation_stats_cross_the_shard_pipe(self):
+        """A shard's consolidation accounting crosses the pool pipe as a
+        dict and merges into its stage's totals."""
+        stats = ConsolidationStats(events=4, seconds=0.5)
+        assert ConsolidationStats.from_dict(stats.as_dict()) == stats
+        merged = ConsolidationStats(events=1, seconds=0.25)
+        merged.merge(stats)
+        assert merged == ConsolidationStats(events=5, seconds=0.75)
 
     def test_spawn_start_method(self, trained_mondeq, config, eval_set):
         """Workers must also come up under spawn (fresh interpreters that

@@ -49,7 +49,7 @@ HCAS_SHAPE = dict(input_dim=3, latent_dim=6, output_dim=5)
 
 STEPS = 12
 #: The slice run consolidates once after this many steps and reopens the
-#: block, as the drivers do under ``tighten_consolidate_every``.
+#: block on the consolidated state, which is input-independent.
 CONSOLIDATE_AFTER = 6
 SAMPLES = 200
 #: Fixpoint solves stop at 1e-12; the rest is float64 round-off.
@@ -154,16 +154,13 @@ class TestSliceSoundness:
 
 @pytest.mark.parametrize("shape", [FCX40_SHAPE, HCAS_SHAPE], ids=["fcx40", "hcas"])
 def test_drivers_reopen_the_block_after_consolidation(shape):
-    """The states both drivers hand back keep an aligned block across
-    phase-two consolidations (cadence 1: every step after the first starts
-    from a reopened block)."""
+    """Phase two opens the input block once, on the contained state; the
+    states both drivers hand back after the whole budget keep it aligned."""
     model = MonDEQ.random(monotonicity=8.0, seed=4, **shape)
     regions = _contained_regions(model, epsilon=0.02, count=3, seed=5)
     nus = _input_symbols(model.input_dim, seed=6)
-    config = CraftConfig(
-        alpha2=0.1, tighten_consolidate_every=1, tighten_max_iterations=8,
-        tighten_patience=8,
-    )
+    steps = 8
+    config = CraftConfig(alpha2=0.1, tighten_max_iterations=steps, tighten_patience=steps)
     balls = [ball for ball, _, _ in regions]
     # A target the model does not predict never certifies, so both drivers
     # run the whole budget and return their best-margin state.
@@ -177,14 +174,16 @@ def test_drivers_reopen_the_block_after_consolidation(shape):
     verifier = CraftVerifier(config)
     fixpoint_sets = [
         verifier.compute_fixpoint_set(
-            build_fixpoint_problem(model, ball, None, config), tighten_iterations=8
+            build_fixpoint_problem(model, ball, None, config), tighten_iterations=steps
         ).element
         for ball in balls
     ]
-    # One step after a reopened block: square generators, the block, and
-    # at most one ReLU column per latent coordinate.
-    n, k, p = 2 * model.latent_dim, model.input_dim, model.latent_dim
-    assert all(element.num_generators <= n + k + p for element in fixpoint_sets)
+    # Phase one's generators, the block, and at most one ReLU column per
+    # latent coordinate and step.
+    contained = [state.num_generators for _, _, state in regions]
+    k, p = model.input_dim, model.latent_dim
+    for element, start in zip(fixpoint_sets, contained):
+        assert element.num_generators <= start + k + steps * p
     sequential = [
         verifier.solve(build_fixpoint_problem(model, ball, spec, config))
         for ball, spec in zip(balls, specs)

@@ -145,27 +145,13 @@ def craft_configs():
 
     Budgets are kept small (fuzzing wants many examples, not deep runs) and
     the invalid fb-then-pr solver combination is never generated.  The
-    phase-two consolidation cadence is drawn too, so the differential suite
-    pins sequential/batched/sharded agreement with consolidation on, and
-    the abstract domain is drawn from all three batched stacks
-    (CH-Zonotope, Box, plain Zonotope) — the domain-generic engine must
-    agree with the sequential reference for every one of them.
-
-    ``consolidation_basis`` is drawn from ``per_sample``/``auto``: on the
-    single-domain configs this strategy produces, ``auto`` *resolves* to
-    the per-sample basis (a single-domain sweep is its own final stage),
-    so the strict three-way parity assertions stay valid while the
-    resolution logic itself gets fuzzed.  The batch-composition-dependent
-    ``shared`` mode has its own dedicated suite
-    (``tests/engine/test_consolidation_basis.py``) — its iterates are
-    *designed* to differ across engines' batch shapes, so it has no place
-    in a bit-parity fuzz.
+    abstract domain is drawn from all three batched stacks (CH-Zonotope,
+    Box, plain Zonotope) — the domain-generic engine must agree with the
+    sequential reference for every one of them.
     """
     from repro.core.config import ContractionSettings, CraftConfig
 
-    def build(
-        domain, solvers, consolidate_every, same_iteration, use_box, slope_mode, basis
-    ):
+    def build(domain, solvers, same_iteration, use_box, slope_mode):
         solver1, solver2 = solvers
         return CraftConfig(
             domain=domain,
@@ -182,8 +168,6 @@ def craft_configs():
             use_box_component=use_box,
             tighten_max_iterations=12,
             tighten_patience=5,
-            tighten_consolidate_every=consolidate_every,
-            consolidation_basis=basis,
         )
 
     return st.builds(
@@ -191,9 +175,7 @@ def craft_configs():
         # chzonotope drawn twice: it has the most distinct code paths.
         domain=st.sampled_from(["chzonotope", "chzonotope", "box", "zonotope"]),
         solvers=st.sampled_from([("pr", "fb"), ("pr", "pr"), ("fb", "fb")]),
-        consolidate_every=st.sampled_from([0, 3, 5]),
         same_iteration=st.booleans(),
         use_box=st.booleans(),
         slope_mode=st.sampled_from(["none", "none", "reduced"]),
-        basis=st.sampled_from(["per_sample", "per_sample", "auto"]),
     )
