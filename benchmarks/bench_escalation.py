@@ -6,7 +6,8 @@ Two deliverables per run:
   pure CH-Zonotope batched sweep on the HCAS smoke benchmark: asserted
   ≥2x faster at an equal-or-better certified count with **zero**
   certified/falsified verdict flips (the ladder's no-flip contract — its
-  final stage is exactly the pure sweep's configuration).
+  final stage is exactly the pure sweep's configuration).  Each arm is
+  timed as the best of :data:`PASSES` passes.
 * **Mixed-hardness row** — a sweep whose regions span trivial to hopeless
   radii, so the waterfall actually climbs: the per-stage histogram shows
   the cheap stages absorbing the easy queries and only the hard residue
@@ -26,12 +27,14 @@ from _harness import append_trajectory, run_once
 
 from repro.core.config import CraftConfig
 from repro.core.results import VerificationOutcome
-from repro.engine.escalation import EscalationLadder
+from repro.engine import BatchCertificationScheduler
 from repro.experiments.model_zoo import get_model
 from repro.verify.robustness import certify_local_robustness
 from repro.verify.specs import ClassificationSpec, LinfBall
 
 LADDER = ("box", "zonotope", "chzonotope")
+#: Passes per arm of the acceptance row; each arm reports its fastest.
+PASSES = 5
 
 
 def _count_flips(pure, ladder):
@@ -45,6 +48,16 @@ def _count_flips(pure, ladder):
         ):
             flips += 1
     return flips
+
+
+def _best_of(passes, sweep):
+    """``(fastest wall-clock, results of the last pass)`` over ``passes`` runs."""
+    times = []
+    for _ in range(passes):
+        start = time.perf_counter()
+        results = sweep()
+        times.append(time.perf_counter() - start)
+    return min(times), results
 
 
 def _hcas_sweep(regions=192, epsilon=0.1):
@@ -64,16 +77,16 @@ def _acceptance_row():
     certify_local_robustness(model, xs[:2], ys[:2], epsilon, warm, engine="batched")
 
     pure_config = CraftConfig(slope_optimization="none")
-    start = time.perf_counter()
-    pure = certify_local_robustness(model, xs, ys, epsilon, pure_config, engine="batched")
-    pure_time = time.perf_counter() - start
+    pure_time, pure = _best_of(
+        PASSES,
+        lambda: certify_local_robustness(model, xs, ys, epsilon, pure_config, engine="batched"),
+    )
 
     ladder_config = CraftConfig.escalation(LADDER, slope_optimization="none")
-    start = time.perf_counter()
-    ladder = certify_local_robustness(
-        model, xs, ys, epsilon, ladder_config, engine="batched"
+    ladder_time, ladder = _best_of(
+        PASSES,
+        lambda: certify_local_robustness(model, xs, ys, epsilon, ladder_config, engine="batched"),
     )
-    ladder_time = time.perf_counter() - start
 
     stages = {name: 0 for name in LADDER}
     for result in ladder:
@@ -83,8 +96,9 @@ def _acceptance_row():
         "workload": "HCAS-FCx100 smoke sweep",
         "regions": len(xs),
         "epsilon": epsilon,
-        "pure_time": round(pure_time, 3),
-        "ladder_time": round(ladder_time, 3),
+        "passes": PASSES,
+        "pure_time": round(pure_time, 4),
+        "ladder_time": round(ladder_time, 4),
         "speedup": round(pure_time / ladder_time, 2),
         "pure_certified": sum(r.certified for r in pure),
         "ladder_certified": sum(r.certified for r in ladder),
@@ -122,7 +136,7 @@ def _mixed_hardness_row():
     pure = BatchedCraft(model, pure_config).certify_regions(balls, specs)
     pure_time = time.perf_counter() - start
 
-    ladder = EscalationLadder(
+    ladder = BatchCertificationScheduler(
         model, CraftConfig.escalation(LADDER, slope_optimization="none")
     )
     start = time.perf_counter()

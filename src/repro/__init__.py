@@ -64,7 +64,6 @@ from repro.engine import (
     BatchedCraft,
     BatchedParallelotope,
     BatchedZonotope,
-    EscalationLadder,
     ShardedScheduler,
 )
 from repro.mondeq.model import MonDEQ
@@ -88,7 +87,6 @@ __all__ = [
     "BatchedCraft",
     "BatchedParallelotope",
     "BatchedZonotope",
-    "EscalationLadder",
     "CertificationFrontend",
     "CHZonotope",
     "ClassificationSpec",

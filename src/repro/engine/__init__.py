@@ -31,12 +31,13 @@ Escalation waterfall
 (:mod:`repro.engine.escalation`): every query starts in the cheapest
 configured domain, certified/falsified verdicts exit early, and
 ``Unknown``/diverged queries are re-enqueued into the next, more precise
-stage.  The batch scheduler runs the waterfall through one
-:class:`~repro.engine.escalation.EscalationLadder`; the sharded scheduler
-shards per ``(stage, batch)`` and pipelines escalations, so stragglers
-overlap with still-running cheap-stage shards.  Ladders ending in
-``chzonotope`` never flip a certified/falsified verdict relative to the
-pure CH-Zonotope sweep — escalation only adds cheaper certificates.
+stage.  One implementation runs it, stage by stage over arrays:
+:class:`~repro.engine.sharded.ShardedScheduler`, whose transports are
+inline (:class:`~repro.engine.scheduler.BatchCertificationScheduler`), a
+worker pool, or the TCP cluster of :mod:`repro.service.cluster`.  Ladders
+ending in ``chzonotope`` never flip a certified/falsified verdict relative
+to the pure CH-Zonotope sweep — escalation only adds cheaper
+certificates.
 
 Batch layout
 ------------
@@ -103,15 +104,14 @@ configuration are rejected on load.
 Multi-process sharding
 ----------------------
 :class:`~repro.engine.sharded.ShardedScheduler` scales a sweep across
-worker processes: the query regions are partitioned into shards, each
-worker receives the (read-only) weights once at pool start and runs
-``BatchedCraft`` per shard, verdicts stream back as shards complete, and
-all workers share the on-disk fixpoint cache through atomic per-entry
-writes.  Batches and shards hold
-:data:`~repro.engine.escalation.DEFAULT_BATCH_SIZE` (256) regions unless
-the caller names a ``batch_size``: phase-two steps append only the ReLU's
-columns (the input symbols share one block), so the working set of a
-batch stays small.
+worker processes: each stage's regions are partitioned into shards of
+arrays, each worker receives the (read-only) weights once at pool start
+and runs ``BatchedCraft.certify_boxes`` per shard, and all workers share
+the on-disk fixpoint cache through atomic per-entry writes.  Shards hold
+at most :data:`~repro.engine.escalation.DEFAULT_BATCH_SIZE` (256) regions
+unless the caller names a ``batch_size``: phase-two steps append only the
+ReLU's columns (the input symbols share one block), so the working set of
+a batch stays small.
 """
 
 from repro.engine.batched_chzonotope import BatchedCHZonotope
@@ -134,12 +134,7 @@ from repro.engine.batched_domains import (
     batched_domain_for,
 )
 from repro.engine.craft import BatchedCraft, ConsolidationStats
-from repro.engine.escalation import (
-    DEFAULT_BATCH_SIZE,
-    EscalationLadder,
-    StageStats,
-    should_escalate,
-)
+from repro.engine.escalation import DEFAULT_BATCH_SIZE, StageStats, should_escalate
 from repro.engine.results import EngineReport
 from repro.engine.scheduler import BatchCertificationScheduler
 from repro.engine.sharded import ShardedScheduler
@@ -157,7 +152,6 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "DominanceIndex",
     "EngineReport",
-    "EscalationLadder",
     "FixpointCache",
     "LRUTier",
     "RegionQuery",

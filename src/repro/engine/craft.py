@@ -216,34 +216,6 @@ def prediction_pass(
     return results, queued, anchors
 
 
-def certify_sweep(
-    verifier, xs: np.ndarray, labels: np.ndarray, epsilon: float,
-    clip_min: Optional[float], clip_max: Optional[float],
-) -> List[VerificationResult]:
-    """``certify`` of :class:`BatchedCraft` and ``EscalationLadder``: one
-    prediction pass, then the clipped bounds of the correctly classified rows
-    in one array expression, onto ``verifier.certify_boxes``.  The ball is
-    checked once, and, as in a sequential sweep, only if some row is correct."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    check_input_dim(xs.shape[1], verifier.model.input_dim)
-    labels = np.asarray(labels, dtype=int).reshape(-1)
-    if xs.shape[0] != labels.shape[0]:
-        raise VerificationError("xs and labels must have matching lengths")
-    # The prediction pass solves the anchor fixpoints with
-    # pr/default-alpha/1e-9/2000; when the config asks for exactly those
-    # parameters (the default) they double as the phase-zero anchors
-    # instead of re-running up to 2000 full-batch iterations.
-    results, queued, anchors = prediction_pass(verifier.model, verifier.config, xs, labels)
-    if queued.size:
-        check_ball(epsilon, clip_min, clip_max)
-        centers = xs[queued]
-        lower, upper = ball_bounds(centers, epsilon, clip_min, clip_max)
-        verdicts = verifier.certify_boxes(centers, lower, upper, labels[queued], anchors)
-        for index, result in zip(queued.tolist(), verdicts):
-            results[index] = result
-    return results
-
-
 def region_arrays(
     model: MonDEQ, balls: Sequence[LinfBall], specs: Sequence[ClassificationSpec]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -362,13 +334,12 @@ class BatchedCraft:
         self._config = config if config is not None else CraftConfig()
         if self._config.is_ladder:
             # A ladder config handed to the single-domain driver would
-            # silently run only the final stage; the waterfall lives in
-            # repro.engine.escalation.EscalationLadder (and the schedulers
-            # route there automatically).
+            # silently run only the final stage; the waterfall lives in the
+            # schedulers (repro.engine.sharded.ShardedScheduler._dispatch).
             raise ConfigurationError(
                 f"BatchedCraft runs one domain per sweep, got the escalation "
-                f"ladder {self._config.domains}; use EscalationLadder or a "
-                f"scheduler front-end instead"
+                f"ladder {self._config.domains}; use BatchCertificationScheduler "
+                f"or ShardedScheduler instead"
             )
         # Dispatch on the configured abstract domain: every domain in
         # repro.domains has a batched stack implementation (an unknown name
@@ -417,10 +388,29 @@ class BatchedCraft:
         Semantically equivalent to mapping
         :func:`repro.verify.robustness.certify_sample` over the rows;
         misclassified samples short-circuit exactly as in the sequential
-        path.  The other rows enter :meth:`certify_boxes` as arrays
-        (:func:`certify_sweep`), with no per-row ball or spec.
+        path.  One prediction pass, then the clipped bounds of the correctly
+        classified rows in one array expression, onto :meth:`certify_boxes`,
+        with no per-row ball or spec.  The ball is checked once, and, as in
+        a sequential sweep, only if some row is correct.
         """
-        return certify_sweep(self, xs, labels, epsilon, clip_min, clip_max)
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        check_input_dim(xs.shape[1], self._model.input_dim)
+        labels = np.asarray(labels, dtype=int).reshape(-1)
+        if xs.shape[0] != labels.shape[0]:
+            raise VerificationError("xs and labels must have matching lengths")
+        # The prediction pass solves the anchor fixpoints with
+        # pr/default-alpha/1e-9/2000; when the config asks for exactly those
+        # parameters (the default) they double as the phase-zero anchors
+        # instead of re-running up to 2000 full-batch iterations.
+        results, queued, anchors = prediction_pass(self._model, self._config, xs, labels)
+        if queued.size:
+            check_ball(epsilon, clip_min, clip_max)
+            centers = xs[queued]
+            lower, upper = ball_bounds(centers, epsilon, clip_min, clip_max)
+            verdicts = self.certify_boxes(centers, lower, upper, labels[queued], anchors)
+            for index, result in zip(queued.tolist(), verdicts):
+                results[index] = result
+        return results
 
     def certify_regions(
         self,

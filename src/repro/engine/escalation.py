@@ -1,4 +1,4 @@
-"""Per-query domain escalation: the mixed-domain waterfall scheduler.
+"""Per-query domain escalation: the rules of the mixed-domain waterfall.
 
 The paper's Table 4 shows the precision/cost ladder Box → Zonotope →
 CH-Zonotope: the cheap domains certify many queries in a fraction of the
@@ -6,8 +6,8 @@ time, and only the hard residue needs the expensive domain.  Until PR 4
 the engines fixed **one** domain per sweep (``CraftConfig.domain``), so
 every query paid CH-Zonotope cost even when Box would have certified it.
 
-This module moves the domain choice into the scheduler.  An **escalation
-ladder** (``CraftConfig.domains``, cheapest first) is run as a waterfall:
+The domain choice lives in the scheduler.  An **escalation ladder**
+(``CraftConfig.domains``, cheapest first) is run as a waterfall:
 
 1. every query starts in the first (cheapest) configured domain;
 2. queries whose verdict is *resolved* — ``VERIFIED`` (a sound
@@ -24,32 +24,28 @@ escalation only ever *adds* certificates from cheaper stages.  That
 no-flip property is the ladder's acceptance contract
 (``tests/engine/test_escalation.py``, ``benchmarks/bench_escalation.py``).
 
-:class:`EscalationLadder` is the single-process waterfall (used by the
-batch scheduler and the domain-splitting certifier);
-:class:`~repro.engine.sharded.ShardedScheduler` runs the same waterfall
-with per-``(stage, batch)`` shards fanned out to worker processes, so
-escalated stragglers never serialize a sweep.
+The batched waterfall is ``ShardedScheduler._dispatch``
+(:class:`~repro.engine.sharded.ShardedScheduler`): it runs stage by
+stage, in shards, on an inline
+(:class:`~repro.engine.scheduler.BatchCertificationScheduler`), pool or
+cluster transport.  The sequential ``certify_sample`` climb of
+:mod:`repro.verify.robustness` is its oracle.  This module holds what both
+share: the escalation rule, the batch size and the per-stage accounting.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.core.config import CraftConfig
 from repro.core.results import VerificationOutcome, VerificationResult
 from repro.exceptions import ConfigurationError
-from repro.mondeq.model import MonDEQ
-from repro.verify.specs import ClassificationSpec, LinfBall
 
-#: Regions per batch (per shard in the sharded scheduler) of every ladder
-#: stage when the caller names no batch size.  Phase two shares the input's
-#: error symbols and appends at most ``latent_dim`` columns per step, so a
-#: batch's working set stays small; beyond 256 rows the per-batch Python
-#: overhead is already negligible.
+#: Most regions per shard of every ladder stage when the caller names no
+#: batch size.  Phase two shares the input's error symbols and appends at
+#: most ``latent_dim`` columns per step, so a batch's working set stays
+#: small; beyond 256 rows the per-batch Python overhead is already
+#: negligible.
 DEFAULT_BATCH_SIZE = 256
 
 
@@ -97,12 +93,11 @@ def should_escalate(result: VerificationResult) -> bool:
 class StageStats:
     """Per-stage accounting of one waterfall sweep.
 
-    ``elapsed_seconds`` is per-stage wall-clock in the single-process
-    :class:`EscalationLadder`; the sharded scheduler instead sums the
-    *worker-side* shard times of the stage (its shards run concurrently
-    and interleave with other stages, so a stage has no well-defined
-    wall-clock there) — compare the field across engines as work done,
-    not as latency.  The same caveat applies to ``consolidation_seconds``.
+    ``elapsed_seconds`` sums the *worker-side* times of the stage's shards.
+    On the inline transport that is the stage's wall-clock; on a pool or a
+    cluster the shards run concurrently, so compare the field across
+    transports as work done, not as latency.  The same caveat applies to
+    ``consolidation_seconds``.
 
     The consolidation counters aggregate the per-driver
     :class:`~repro.engine.craft.ConsolidationStats`.  ``peak_error_terms``
@@ -199,135 +194,3 @@ def fold_dominance_hits(stage_rows: List[Dict], results) -> List[Dict]:
                 by_domain[name].get("cache_dominance_hits", 0) + count
             )
     return rows
-
-
-class EscalationLadder:
-    """Single-process waterfall over the stages of ``config.domains``.
-
-    Each stage owns a :class:`~repro.engine.craft.BatchedCraft` built from
-    the stage's single-domain configuration
-    (:meth:`CraftConfig.stage_config`); every stage certifies in chunks of
-    ``batch_size`` rows (``None``: :data:`DEFAULT_BATCH_SIZE`).  A
-    singleton ladder degrades to exactly the pre-escalation batched sweep.
-
-    ``stage_stats`` holds the per-stage accounting of the most recent
-    :meth:`certify_boxes` call (the schedulers surface it through
-    :class:`~repro.engine.results.EngineReport`).
-    """
-
-    def __init__(
-        self,
-        model: MonDEQ,
-        config: Optional[CraftConfig] = None,
-        batch_size: Optional[int] = None,
-    ):
-        from repro.engine.craft import BatchedCraft
-
-        self.model = model
-        self.config = config if config is not None else CraftConfig()
-        self.batch_size = resolve_batch_size(batch_size)
-        self._stage_configs = self.config.stage_configs()
-        self._crafts = [
-            BatchedCraft(model, stage_config) for stage_config in self._stage_configs
-        ]
-        self.stage_stats: List[StageStats] = []
-        self.num_batches: int = 0
-
-    @property
-    def domains(self) -> Sequence[str]:
-        return self.config.domains
-
-    # ------------------------------------------------------------------
-    # Entry points (signature-compatible with BatchedCraft)
-    # ------------------------------------------------------------------
-
-    def certify(
-        self,
-        xs: np.ndarray,
-        labels: np.ndarray,
-        epsilon: float,
-        clip_min: Optional[float] = 0.0,
-        clip_max: Optional[float] = 1.0,
-    ) -> List[VerificationResult]:
-        """Waterfall counterpart of :meth:`BatchedCraft.certify`.
-
-        One shared prediction pass short-circuits misclassified queries
-        (the solver parameters are ladder-invariant, so its anchors are
-        valid for every stage); the correctly classified rows then climb
-        the ladder as arrays (:meth:`certify_boxes`).
-        """
-        from repro.engine.craft import certify_sweep
-
-        return certify_sweep(self, xs, labels, epsilon, clip_min, clip_max)
-
-    def certify_regions(
-        self,
-        balls: Sequence[LinfBall],
-        specs: Sequence[ClassificationSpec],
-        anchor_fixpoints: Optional[np.ndarray] = None,
-    ) -> List[VerificationResult]:
-        """Run the waterfall for every (precondition, postcondition) pair:
-        the pairs are checked and converted onto :meth:`certify_boxes`
-        (:func:`~repro.engine.craft.region_arrays`); an empty input returns ``[]``."""
-        from repro.engine.craft import region_arrays
-
-        return self.certify_boxes(*region_arrays(self.model, balls, specs), anchor_fixpoints)
-
-    def certify_boxes(
-        self,
-        centers: np.ndarray,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        targets: np.ndarray,
-        anchor_fixpoints: Optional[np.ndarray] = None,
-    ) -> List[VerificationResult]:
-        """Run the waterfall on a stack of input boxes (:meth:`BatchedCraft.certify_boxes`).
-
-        Each stage certifies the still-pending rows in stage-sized chunks
-        sliced out of the arrays; resolved verdicts exit, the rest re-enqueue
-        into the next stage.  ``anchor_fixpoints`` rows are valid for every
-        stage (the solver parameters are shared), so escalated rows reuse them.
-        """
-        total = len(targets)
-        results: List[Optional[VerificationResult]] = [None] * total
-        anchors = (
-            np.asarray(anchor_fixpoints) if anchor_fixpoints is not None else None
-        )
-        pending = np.arange(total)
-        self.stage_stats = [
-            StageStats(domain=cfg.domain, batch_size=self.batch_size)
-            for cfg in self._stage_configs
-        ]
-        self.num_batches = 0
-        last = len(self._crafts) - 1
-        for stage_index, craft in enumerate(self._crafts):
-            if not pending.size:
-                break
-            stats = self.stage_stats[stage_index]
-            stats.attempted = len(pending)
-            stage_start = time.perf_counter()
-            escalated: List[int] = []
-            for offset in range(0, len(pending), self.batch_size):
-                chunk = pending[offset : offset + self.batch_size]
-                chunk_results = craft.certify_boxes(
-                    centers[chunk],
-                    lower[chunk],
-                    upper[chunk],
-                    targets[chunk],
-                    anchors[chunk] if anchors is not None else None,
-                )
-                stats.batches += 1
-                self.num_batches += 1
-                stats.record_consolidation(craft.consolidation_stats)
-                stats.record_results(chunk_results)
-                for index, result in zip(chunk.tolist(), chunk_results):
-                    if stage_index == last or not should_escalate(result):
-                        results[index] = result
-                        stats.resolved += 1
-                        stats.certified += int(result.certified)
-                    else:
-                        escalated.append(index)
-            stats.escalated = len(escalated)
-            stats.elapsed_seconds = time.perf_counter() - stage_start
-            pending = np.array(escalated, dtype=int)
-        return results

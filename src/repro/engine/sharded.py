@@ -1,29 +1,38 @@
-"""Multi-process sharded certification: shards of a sweep fan out to workers.
+"""The batched certification waterfall and its transports.
 
 The paper's headline sweeps (Table 2 local robustness, Fig. 11 HCAS domain
-splitting) are embarrassingly parallel across regions: every query shares
-one set of read-only monDEQ weights.  :class:`ShardedScheduler` exploits
-that by partitioning a sweep's query regions into shards of
-``batch_size`` regions, fanning the shards out to a pool of worker
-processes — each worker receives the pickled weights *once* at pool
-initialisation and runs the vectorised
-:class:`~repro.engine.craft.BatchedCraft` per shard — and streaming
-per-region verdicts back as shards complete (``imap_unordered``).
-Per-sample early-exit semantics inside a shard are exactly those of the
-batched engine, and verdicts are independent of the sharding (the engine's
-parity contract).
+splitting, the Table 4 Box → Zonotope → CH-Zonotope ladder) certify many
+regions against one set of read-only monDEQ weights.
+:class:`ShardedScheduler` is the one batched waterfall over them: it
+answers what the verdict cache can, runs one prediction pass over the
+misses, and certifies the correctly classified regions stage by stage
+through ``config.domains`` (a single-domain configuration is a one-stage
+waterfall).  Each stage splits its pending rows into balanced shards of at
+most ``batch_size`` rows, never fewer shards than workers, and ships each
+shard as row slices of ``(centers, lower, upper, targets, anchors)`` to
+:meth:`~repro.engine.craft.BatchedCraft.certify_boxes`.  Resolved verdicts
+(certified, or misclassified by the concrete network) exit; the rest enter
+the next stage once every shard of the current one is back.  Per-sample
+early-exit semantics inside a shard are exactly those of the batched
+driver, and verdicts are independent of the sharding (the engine's parity
+contract).  The sequential ``certify_sample`` climb stays as the oracle.
 
-Escalation waterfall
---------------------
-Ladder configurations (``CraftConfig.domains`` with several stages) shard
-per **(stage, batch)**: every query starts in the cheapest domain, and a
-completed shard's unresolved queries are immediately re-sharded into the
-next stage and submitted to the pool — escalated stragglers overlap with
-still-running cheap-stage shards instead of serialising behind a stage
-barrier.  Every stage shards at the same ``batch_size``, workers build one
-:class:`BatchedCraft` per stage lazily, and only *final* verdicts
-(resolved, or produced by the last stage) are persisted to the shared
-cache.
+Transports
+----------
+The waterfall only needs four hooks (:meth:`ShardedScheduler._begin_dispatch`
+and friends), so a shard runs on one of three transports:
+
+* **inline** (``start_method="inline"``, or ``num_workers=1``): shards run
+  in the calling process through the same code path.
+  :class:`~repro.engine.scheduler.BatchCertificationScheduler` is this
+  transport pinned, working on the scheduler's own model and cache view;
+  the differential fuzzing suite uses it to check shard semantics at
+  hypothesis speed.
+* **pool** (``"fork"``, the default where available, ``"spawn"`` or
+  ``"forkserver"``): a ``multiprocessing`` pool whose workers receive the
+  pickled weights once at initialisation.
+* **cluster**: :class:`repro.service.cluster.ClusterScheduler` replaces the
+  hooks with a TCP work queue across machines.
 
 Cache sharing
 -------------
@@ -36,19 +45,11 @@ writer-unique temporary name and published with the atomic
 ``os.replace``, so concurrent workers certifying overlapping regions never
 corrupt an entry — the regression tests in
 ``tests/engine/test_cache_concurrency.py`` pin this.  The parent answers
-cache hits (including dominance hits) before sharding; workers persist
-fresh verdicts themselves, stamped with the configuration fingerprint
+cache hits (including dominance hits) before sharding and ships the
+:class:`~repro.engine.cache.RegionQuery` keys of the misses with their
+shards; workers persist their *final* verdicts (resolved, or produced by
+the last stage) themselves, stamped with the configuration fingerprint
 (:func:`~repro.engine.cache.config_fingerprint`).
-
-Execution modes
----------------
-``start_method`` selects ``"fork"`` (default where available — weights are
-inherited copy-on-write and re-pickled only for the initializer args),
-``"spawn"`` (portable; workers re-import the library) or ``"inline"``
-(no subprocesses: shards run in the parent through the identical code
-path).  Inline mode is what the differential fuzzing suite uses to check
-shard semantics at hypothesis speed, and what ``num_workers=1`` degrades
-to — a single-worker pool would only add IPC overhead.
 
 A per-shard ``timeout_seconds`` bounds every wait on the pool, so a hung
 worker fails the sweep fast (with the pool terminated) instead of stalling
@@ -71,13 +72,24 @@ import numpy as np
 
 from repro.core.config import CraftConfig
 from repro.core.results import VerificationResult
-from repro.engine.craft import BatchedCraft, ConsolidationStats
-from repro.engine.escalation import StageStats, resolve_batch_size, should_escalate
+from repro.engine.craft import BatchedCraft, ConsolidationStats, prediction_pass, region_arrays
+from repro.engine.escalation import (
+    StageStats,
+    fold_dominance_hits,
+    resolve_batch_size,
+    should_escalate,
+)
 from repro.engine.results import EngineReport
 from repro.engine.cache import RegionQuery, TieredVerdictCache, build_verdict_cache
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.mondeq.model import MonDEQ
-from repro.verify.specs import ClassificationSpec, LinfBall, check_input_dim
+from repro.verify.specs import (
+    ClassificationSpec,
+    LinfBall,
+    ball_bounds,
+    check_ball,
+    check_input_dim,
+)
 
 _START_METHODS = ("fork", "spawn", "forkserver", "inline")
 
@@ -105,12 +117,16 @@ def default_num_workers() -> int:
 @dataclass
 class _WorkerState:
     """Per-worker state: the weights plus one lazily built
-    :class:`BatchedCraft` per ladder stage the worker actually sees."""
+    :class:`BatchedCraft` per ladder stage the worker actually sees.
+    ``cache_lock`` guards every admission into ``cache``; the in-process
+    scheduler passes the lock of its own lookups, because it shares the
+    view."""
 
     model: MonDEQ
     config: CraftConfig
     cache: Optional[TieredVerdictCache]
     keep_abstractions: bool
+    cache_lock: threading.Lock = field(default_factory=threading.Lock)
     crafts: Dict[str, BatchedCraft] = field(default_factory=dict)
 
     def craft_for(self, domain: str) -> BatchedCraft:
@@ -146,49 +162,63 @@ def _init_worker(payload: bytes) -> None:
 
 @dataclass
 class _Shard:
-    """One unit of work: a chunk of cache-miss queries at one ladder stage."""
+    """One unit of work: rows of one stage's pending regions, as arrays.
 
-    indices: List[int]
-    balls: List[LinfBall]
-    specs: List[ClassificationSpec]
+    ``indices`` are the rows' positions in the sweep's arrays and come back
+    with the results.  ``queries`` are the cache keys the parent looked the
+    rows up by; they travel only when a cache is configured, so that the
+    worker can admit its final verdicts.
+    """
+
+    indices: np.ndarray
+    centers: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    targets: np.ndarray
     anchors: Optional[np.ndarray]
+    queries: Optional[List[RegionQuery]]
     #: Ladder stage (domain name) this shard certifies in.
-    domain: str = "chzonotope"
+    domain: str
     #: Whether this is the ladder's last stage (its verdicts are final).
-    final: bool = True
+    final: bool
 
 
-def _run_shard(
-    shard: _Shard,
-) -> Tuple[List[int], List[VerificationResult], str, float, Dict]:
+#: What a shard returns: its ``indices``, their results, the seconds the
+#: worker spent on it and its consolidation accounting as a dict.
+_ShardOutcome = Tuple[np.ndarray, List[VerificationResult], float, Dict]
+
+
+def _run_shard(shard: _Shard) -> _ShardOutcome:
     return _execute_shard(_WORKER, shard)
 
 
-def _execute_shard(
-    state: _WorkerState, shard: _Shard
-) -> Tuple[List[int], List[VerificationResult], str, float, Dict]:
+def _execute_shard(state: _WorkerState, shard: _Shard) -> _ShardOutcome:
     start = time.perf_counter()
     craft = state.craft_for(shard.domain)
-    results = craft.certify_regions(shard.balls, shard.specs, shard.anchors)
+    results = craft.certify_boxes(
+        shard.centers, shard.lower, shard.upper, shard.targets, shard.anchors
+    )
     elapsed = time.perf_counter() - start
-    # The driver resets its consolidation accounting per certify_regions
+    # The driver resets its consolidation accounting per certify_boxes
     # call, so this snapshot is exactly this shard's share; it crosses the
     # pool pipe as a plain dict (cheap, pickle-stable).
     consolidation = craft.consolidation_stats.as_dict()
     if state.cache is not None:
-        for ball, spec, result in zip(shard.balls, shard.specs, results):
-            # Only *final* verdicts may be persisted: a non-final stage's
-            # unresolved result is about to be escalated, and caching it
-            # would replay an interim Unknown as the sweep's answer if a
-            # later run hits the entry before the ladder finishes.
-            if shard.final or not should_escalate(result):
-                state.cache.admit(RegionQuery.from_ball(ball, spec), result)
+        with state.cache_lock:
+            for query, result in zip(shard.queries, results):
+                # Only *final* verdicts may be persisted: a non-final
+                # stage's unresolved result is about to be escalated, and
+                # caching it would replay an interim Unknown as the sweep's
+                # answer if a later run hits the entry before the ladder
+                # finishes.
+                if shard.final or not should_escalate(result):
+                    state.cache.admit(query, result)
     if not state.keep_abstractions:
         # Strip on the worker side, *before* the results cross the pool
         # pipe — avoiding the serialisation of the generator stacks is the
         # whole point of the flag.
         results = [_strip_abstractions(result) for result in results]
-    return shard.indices, results, shard.domain, elapsed, consolidation
+    return shard.indices, results, elapsed, consolidation
 
 
 def _strip_abstractions(result: VerificationResult) -> VerificationResult:
@@ -199,7 +229,14 @@ def _strip_abstractions(result: VerificationResult) -> VerificationResult:
 
 
 class ShardedScheduler:
-    """Fan certification queries out to a pool of read-only-weight workers.
+    """The batched waterfall: certification queries run stage by stage, in
+    shards, on an inline, pool or cluster transport (see the module
+    docstring).
+
+    ``certify`` and ``certify_regions`` may be called from several threads
+    at once: each call keeps its own accounting, and returns its per-stage
+    rows in its own :class:`~repro.engine.results.EngineReport`.
+    :attr:`stage_stats` holds the rows of the most recent dispatch.
 
     Parameters
     ----------
@@ -210,8 +247,8 @@ class ShardedScheduler:
         Worker processes; defaults to the CPUs available to this process.
         ``1`` runs inline (no subprocesses).
     batch_size:
-        Regions per shard.  ``None`` (default) means
-        :data:`~repro.engine.escalation.DEFAULT_BATCH_SIZE`.  When a sweep
+        Most regions per shard, on every stage.  ``None`` (default) means
+        :data:`~repro.engine.escalation.DEFAULT_BATCH_SIZE`.  When a stage
         would produce fewer shards than workers, shards are split further
         so every worker is busy.
     cache_dir:
@@ -272,11 +309,12 @@ class ShardedScheduler:
         self._inline_state: Optional[_WorkerState] = None
         # Concurrent-caller safety: certify()/certify_regions() may be
         # invoked from several threads at once (the service frontend's
-        # max_concurrent_batches does exactly that).  The transport hooks
-        # below are sweep-scoped, so dispatch state never aliases; the
-        # remaining shared mutable state is the cache view (not
-        # thread-safe), the inline worker state and the pool lifecycle —
-        # each serialised by its own lock.
+        # max_concurrent_batches does exactly that).  The waterfall's
+        # accounting and the transport hooks below are sweep-scoped, so
+        # dispatch state never aliases (stage_stats is only the last
+        # dispatch's view); the remaining shared mutable state is the cache
+        # view (not thread-safe), the inline worker state and the pool
+        # lifecycle — each serialised by its own lock.
         self._cache_lock = threading.Lock()
         self._inline_lock = threading.Lock()
         self._lifecycle_lock = threading.Lock()
@@ -354,60 +392,60 @@ class ShardedScheduler:
         clip_min: Optional[float] = 0.0,
         clip_max: Optional[float] = 1.0,
     ) -> EngineReport:
-        """Certify every (row of ``xs``, label) query across the worker pool.
+        """Certify every (row of ``xs``, label) query, using cache and shards.
 
-        Semantically identical to
-        :meth:`repro.engine.scheduler.BatchCertificationScheduler.certify`
-        (same verdicts, same cache behaviour); only the execution strategy
-        differs.
+        Cache hits are answered first; one prediction pass over the misses
+        short-circuits the misclassified rows (the single copy of those
+        semantics, :func:`~repro.engine.craft.prediction_pass`); the
+        correctly classified rows enter :meth:`_dispatch` as arrays, with
+        no per-row ball or spec.  The ball is checked once, and, as in a
+        sequential sweep, only if some row is analysed.
         """
-        from repro.engine.craft import prediction_pass
-
         start = time.perf_counter()
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         check_input_dim(xs.shape[1], self.model.input_dim)
         labels = np.asarray(labels, dtype=int).reshape(-1)
         if xs.shape[0] != labels.shape[0]:
             raise VerificationError("xs and labels must have matching lengths")
-        balls = [
-            LinfBall(center=x, epsilon=epsilon, clip_min=clip_min, clip_max=clip_max)
-            for x in xs
-        ]
-        specs = [
-            ClassificationSpec(target=int(label), num_classes=self.model.output_dim)
-            for label in labels
-        ]
-        results, queries, misses = self._cache_lookup(balls, specs)
-        cache_hits = sum(result is not None for result in results)
+        queries = None
+        if self.cache is not None:
+            queries = [
+                RegionQuery(
+                    center=x, epsilon=epsilon, target=label,
+                    clip_min=clip_min, clip_max=clip_max,
+                )
+                for x, label in zip(xs, labels.tolist())
+            ]
+        results, misses = self._cache_lookup(queries, len(labels))
         dominance_hits = sum(
             result is not None and result.cache_tier == "dominance"
             for result in results
         )
 
-        # Same prediction pass as BatchedCraft.certify (one shared copy of
-        # the short-circuit semantics), run over the cache misses only.
-        queued: List[int] = []
-        anchors = None
-        if misses:
+        queued, anchors = misses, None
+        if misses.size:
             miss_results, miss_queued, anchors = prediction_pass(
                 self.model, self.config, xs[misses], labels[misses]
             )
-            for row, index in enumerate(misses):
+            for row, index in enumerate(misses.tolist()):
                 if miss_results[row] is not None:
                     results[index] = miss_results[row]
-                    if self.cache is not None:
+                    if queries is not None:
                         with self._cache_lock:
                             self.cache.admit(queries[index], miss_results[row])
-            queued = [misses[row] for row in miss_queued]
-
-        num_shards, stage_rows = self._dispatch(queued, balls, specs, anchors, results)
+            queued = misses[miss_queued]
+        if queued.size:
+            check_ball(epsilon, clip_min, clip_max)
+        centers = xs[queued]
+        lower, upper = ball_bounds(centers, epsilon, clip_min, clip_max)
+        num_shards, stage_rows = self._dispatch(
+            queued, centers, lower, upper, labels[queued], anchors, queries, results
+        )
         if dominance_hits:
-            from repro.engine.escalation import fold_dominance_hits
-
             stage_rows = fold_dominance_hits(stage_rows, results)
         return EngineReport(
             results=results,
-            cache_hits=cache_hits,
+            cache_hits=len(labels) - misses.size,
             cache_dominance_hits=dominance_hits,
             num_batches=num_shards,
             elapsed_seconds=time.perf_counter() - start,
@@ -421,192 +459,151 @@ class ShardedScheduler:
         specs: Sequence[ClassificationSpec],
         anchor_fixpoints: Optional[np.ndarray] = None,
     ) -> List[VerificationResult]:
-        """Sharded counterpart of :meth:`BatchedCraft.certify_regions`.
+        """Run the waterfall for every (precondition, postcondition) pair.
 
-        Used by the domain-splitting certifier: one BFS frontier level is
-        one sharded pass.  ``anchor_fixpoints`` rows are sliced per shard.
+        The pairs are checked and converted to arrays in the parent
+        (:func:`~repro.engine.craft.region_arrays`); an empty input returns
+        ``[]``.  Used by the domain-splitting certifier: one BFS frontier
+        level is one call.  ``anchor_fixpoints`` rows are sliced per shard.
         """
-        balls = list(balls)
-        specs = list(specs)
-        if len(balls) != len(specs):
-            raise VerificationError("balls and specs must have matching lengths")
-        results, _, misses = self._cache_lookup(balls, specs)
-        anchors = (
-            np.asarray(anchor_fixpoints)[misses]
-            if anchor_fixpoints is not None and misses
-            else None
+        balls, specs = list(balls), list(specs)
+        centers, lower, upper, targets = region_arrays(self.model, balls, specs)
+        queries = None
+        if self.cache is not None:
+            queries = [RegionQuery.from_ball(ball, spec) for ball, spec in zip(balls, specs)]
+        results, misses = self._cache_lookup(queries, len(targets))
+        anchors = None
+        if anchor_fixpoints is not None:
+            anchors = np.asarray(anchor_fixpoints)[misses]
+        self._dispatch(
+            misses, centers[misses], lower[misses], upper[misses], targets[misses],
+            anchors, queries, results,
         )
-        self._dispatch(misses, balls, specs, anchors, results)
         return results
 
     # ------------------------------------------------------------------
-    # Core sharded execution
+    # The waterfall
     # ------------------------------------------------------------------
 
     def _cache_lookup(
-        self, balls: Sequence[LinfBall], specs: Sequence[ClassificationSpec]
-    ) -> Tuple[
-        List[Optional[VerificationResult]], List[Optional[RegionQuery]], List[int]
-    ]:
-        """Answer what the cache can; return (results, queries, miss indices)."""
-        total = len(balls)
+        self, queries: Optional[List[RegionQuery]], total: int
+    ) -> Tuple[List[Optional[VerificationResult]], np.ndarray]:
+        """Answer what the cache can; returns ``(results, miss rows)``."""
         results: List[Optional[VerificationResult]] = [None] * total
-        queries: List[Optional[RegionQuery]] = [None] * total
+        if queries is None:
+            return results, np.arange(total)
         misses: List[int] = []
         with self._cache_lock:
-            if self.cache is not None:
-                # One incremental scan per sweep picks up entries concurrent
-                # writers (including this scheduler's own workers) published.
-                self.cache.refresh()
-            for index in range(total):
-                if self.cache is not None:
-                    query = RegionQuery.from_ball(balls[index], specs[index])
-                    queries[index] = query
-                    cached = self.cache.lookup(query)
-                    if cached is not None:
-                        results[index] = cached
-                        continue
-                misses.append(index)
-        return results, queries, misses
+            # One incremental scan per sweep picks up entries concurrent
+            # writers (including this scheduler's own workers) published.
+            self.cache.refresh()
+            for index, query in enumerate(queries):
+                cached = self.cache.lookup(query)
+                if cached is None:
+                    misses.append(index)
+                else:
+                    results[index] = cached
+        return results, np.array(misses, dtype=int)
 
-    def _build_shard(
-        self,
-        chunk: List[int],
-        balls: Sequence[LinfBall],
-        specs: Sequence[ClassificationSpec],
-        anchor_rows: Optional[Dict[int, np.ndarray]],
-        domain: str,
-    ) -> _Shard:
-        return _Shard(
-            indices=chunk,
-            balls=[balls[i] for i in chunk],
-            specs=[specs[i] for i in chunk],
-            anchors=(
-                np.stack([anchor_rows[i] for i in chunk])
-                if anchor_rows is not None
-                else None
-            ),
-            domain=domain,
-            final=domain == self.config.domains[-1],
-        )
+    def _split(self, pending: np.ndarray) -> List[np.ndarray]:
+        """One stage's pending rows in balanced shards.
 
-    def _make_stage0_shards(
-        self,
-        order: List[int],
-        balls: Sequence[LinfBall],
-        specs: Sequence[ClassificationSpec],
-        anchor_rows: Optional[Dict[int, np.ndarray]],
-    ) -> List[_Shard]:
-        """Chunk the queries at the global indices ``order`` into the
-        first-stage shards, balanced across the worker pool."""
-        if not order:
-            return []
-        # At most batch_size queries per shard, but never fewer shards than
-        # workers: a 256-region sweep over 4 workers with batch 256 would
-        # otherwise serialise on a single shard.  numpy's array_split
-        # balancing keeps shard sizes within one query of each other.
-        domain = self.config.domains[0]
-        count = len(order)
+        At most ``batch_size`` rows per shard, but never fewer shards than
+        workers: a 256-region sweep over 4 workers with batch 256 would
+        otherwise serialise on a single shard.  The shard count is rounded
+        up to a worker multiple: 6 shards over 4 workers would leave two
+        workers processing two shards while the others idle, a 2x makespan
+        for no batching gain.  numpy's ``array_split`` keeps shard sizes
+        within one row of each other.
+        """
+        count = pending.size
         num_shards = max(math.ceil(count / self.batch_size), min(self.num_workers, count))
-        # Round the shard count up to a worker multiple: 6 shards over 4
-        # workers would leave two workers processing two shards while the
-        # others idle — a 2x makespan for no batching gain.
         num_shards = min(count, math.ceil(num_shards / self.num_workers) * self.num_workers)
-        boundaries = np.array_split(np.arange(count), num_shards)
-        return [
-            self._build_shard(
-                [order[p] for p in positions], balls, specs, anchor_rows, domain
-            )
-            for positions in boundaries
-        ]
+        return np.array_split(pending, num_shards)
 
     def _dispatch(
         self,
-        order: List[int],
-        balls: Sequence[LinfBall],
-        specs: Sequence[ClassificationSpec],
+        order: np.ndarray,
+        centers: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        targets: np.ndarray,
         anchors: Optional[np.ndarray],
+        queries: Optional[List[RegionQuery]],
         results: List[Optional[VerificationResult]],
     ) -> Tuple[int, List[dict]]:
-        """Run the escalation waterfall over the queries at ``order``.
+        """Run the waterfall over the regions at the sweep rows ``order``.
 
-        Shards are per ``(stage, batch)``: every query starts in the
-        cheapest configured domain, and each completed shard's unresolved
-        queries are immediately re-sharded into the next stage and
-        submitted to the pool — escalated stragglers overlap with
-        still-running cheap-stage shards instead of serialising the sweep
-        behind a stage barrier.  ``anchors`` (when given) is aligned with
-        ``order``; the anchor rows stay valid across stages because the
-        solver parameters are ladder-invariant.
+        ``centers``, ``lower``, ``upper``, ``targets`` and ``anchors`` (when
+        given) are aligned with ``order``; ``queries`` (only with a cache)
+        with the sweep.  Each stage splits its pending rows (:meth:`_split`)
+        and submits every shard; the next stage starts once all of them are
+        back, with the unresolved rows in sweep order.  The anchor rows stay
+        valid across stages because the solver parameters are
+        ladder-invariant.
 
         Returns ``(total shard count, per-stage accounting rows)`` and
         scatters verdicts into ``results``.
         """
         stages = self.config.domains
-        stage_index = {name: position for position, name in enumerate(stages)}
-        stats = {name: StageStats(domain=name, batch_size=self.batch_size) for name in stages}
-        self.stage_stats = [stats[name] for name in stages]
-        if not order:
+        stats = [StageStats(domain=name, batch_size=self.batch_size) for name in stages]
+        self.stage_stats = stats
+        if not order.size:
             return 0, []
-        anchor_rows = (
-            {index: anchors[position] for position, index in enumerate(order)}
-            if anchors is not None
-            else None
-        )
-        shards = self._make_stage0_shards(order, balls, specs, anchor_rows)
-        stats[stages[0]].attempted = len(order)
-        total_shards = len(shards)
+        sweep_rows = order.tolist()
+        pending = np.arange(order.size)
+        total_shards = 0
         self._ensure_pool()
         sweep = self._begin_dispatch()
         try:
-            outstanding = 0
-            for shard in shards:
-                self._submit_one(sweep, shard)
-                outstanding += 1
-            while outstanding:
-                indices, shard_results, domain, elapsed, consolidation = (
-                    self._next_completed(sweep)
-                )
-                outstanding -= 1
-                stage_stats = stats[domain]
-                stage_stats.batches += 1
-                stage_stats.elapsed_seconds += elapsed
-                stage_stats.record_consolidation(
-                    ConsolidationStats.from_dict(consolidation)
-                )
-                stage_stats.record_results(shard_results)
-                position = stage_index[domain]
+            for position, (domain, stage) in enumerate(zip(stages, stats)):
+                if not pending.size:
+                    break
                 final = position == len(stages) - 1
+                stage.attempted = pending.size
+                shards = self._split(pending)
+                for rows in shards:
+                    self._submit_one(sweep, _Shard(
+                        indices=rows,
+                        centers=centers[rows],
+                        lower=lower[rows],
+                        upper=upper[rows],
+                        targets=targets[rows],
+                        anchors=None if anchors is None else anchors[rows],
+                        queries=(
+                            None if queries is None
+                            else [queries[sweep_rows[row]] for row in rows.tolist()]
+                        ),
+                        domain=domain,
+                        final=final,
+                    ))
+                total_shards += len(shards)
                 escalated: List[int] = []
-                for index, result in zip(indices, shard_results):
-                    if final or not should_escalate(result):
-                        results[index] = result
-                        stage_stats.resolved += 1
-                        stage_stats.certified += int(result.certified)
-                    else:
-                        escalated.append(index)
-                stage_stats.escalated += len(escalated)
-                if escalated:
-                    next_domain = stages[position + 1]
-                    stats[next_domain].attempted += len(escalated)
-                    for offset in range(0, len(escalated), self.batch_size):
-                        shard = self._build_shard(
-                            escalated[offset : offset + self.batch_size],
-                            balls, specs, anchor_rows, next_domain,
-                        )
-                        total_shards += 1
-                        self._submit_one(sweep, shard)
-                        outstanding += 1
+                for _ in shards:
+                    rows, shard_results, elapsed, consolidation = self._next_completed(sweep)
+                    stage.batches += 1
+                    stage.elapsed_seconds += elapsed
+                    stage.record_consolidation(ConsolidationStats.from_dict(consolidation))
+                    stage.record_results(shard_results)
+                    for row, result in zip(rows.tolist(), shard_results):
+                        if final or not should_escalate(result):
+                            results[sweep_rows[row]] = result
+                            stage.resolved += 1
+                            stage.certified += int(result.certified)
+                        else:
+                            escalated.append(row)
+                stage.escalated = len(escalated)
+                pending = np.sort(np.array(escalated, dtype=int))
         finally:
             self._finish_dispatch(sweep)
-        return total_shards, [stats[name].as_row() for name in stages]
+        return total_shards, [stage.as_row() for stage in stats]
 
     # ------------------------------------------------------------------
-    # Transport hooks.  The waterfall above is execution-strategy
-    # agnostic: it only needs "open a sweep" (:meth:`_begin_dispatch`,
-    # which returns an opaque per-sweep token), "hand this shard to the
-    # workers" (:meth:`_submit_one`), "block until any of *this sweep's*
-    # shards completes" (:meth:`_next_completed`) and "close the sweep"
+    # Transport hooks.  The waterfall above is transport agnostic: it
+    # only needs "open a sweep" (:meth:`_begin_dispatch`, which returns an
+    # opaque per-sweep token), "hand this shard to the workers"
+    # (:meth:`_submit_one`), "block until any of *this sweep's* shards
+    # completes" (:meth:`_next_completed`) and "close the sweep"
     # (:meth:`_finish_dispatch`, always called, success or failure).
     # Because all dispatch state hangs off the token, any number of
     # sweeps may interleave on one scheduler — the pool transport below
@@ -625,11 +622,9 @@ class ShardedScheduler:
         """Hand one of ``sweep``'s shards to the execution backend."""
         sweep.append(self._submit(shard))
 
-    def _next_completed(
-        self, sweep: deque
-    ) -> Tuple[List[int], List[VerificationResult], str, float, Dict]:
+    def _next_completed(self, sweep: deque) -> _ShardOutcome:
         """Block until one of ``sweep``'s shards completes; return its
-        payload."""
+        outcome."""
         return self._collect(sweep.popleft())
 
     def _finish_dispatch(self, sweep: deque) -> None:
@@ -642,9 +637,8 @@ class ShardedScheduler:
             return shard
         return self._pool.apply_async(_run_shard, (shard,))
 
-    def _collect(self, handle):
-        """Wait for one submitted shard's
-        ``(indices, results, domain, elapsed, consolidation stats)``."""
+    def _collect(self, handle) -> _ShardOutcome:
+        """Wait for one submitted shard's outcome."""
         if self._inline:
             # The inline worker state (per-stage crafts + cache) is shared
             # across sweeps; concurrent callers serialise here.

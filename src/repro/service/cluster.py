@@ -103,13 +103,12 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from multiprocessing.managers import BaseManager, Server
 
 from repro.core.config import AutoscaleConfig, CraftConfig, ServiceConfig
-from repro.core.results import VerificationResult
 from repro.engine.sharded import (
     ShardedScheduler,
     _Shard,
+    _ShardOutcome,
     _build_worker_state,
     _execute_shard,
-    default_start_method,
 )
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.mondeq.model import MonDEQ
@@ -583,9 +582,7 @@ class ClusterScheduler(ShardedScheduler):
             self.cluster_stats.tasks += 1
             self._task_queue.put(("task", (sweep.sweep_id, task_id), 1, shard))
 
-    def _next_completed(
-        self, sweep: _SweepDispatch
-    ) -> Tuple[List[int], List[VerificationResult], str, float, Dict]:
+    def _next_completed(self, sweep: _SweepDispatch) -> _ShardOutcome:
         deadline = time.monotonic() + self.timeout_seconds
         while True:
             try:

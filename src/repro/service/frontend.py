@@ -45,17 +45,19 @@ Conservation
 
 The frontend is transport-agnostic about execution: a *backend* is
 anything with the scheduler ``certify(xs, labels, epsilon, clip_min,
-clip_max) -> EngineReport`` contract —
-:class:`~repro.engine.scheduler.BatchCertificationScheduler` (default),
-:class:`~repro.engine.sharded.ShardedScheduler`, or
-:class:`~repro.service.cluster.ClusterScheduler` for multi-machine
-fan-out.  Engine calls run in the event loop's executor, so the loop
-keeps admitting and streaming while engines grind; a per-backend
-semaphore bounds them at ``service.max_concurrent_batches``
-simultaneous passes, so distinct coalescing groups — different models,
-epsilons or clip ranges — certify in parallel when the backend is
-concurrent-caller-safe (every scheduler above is), without ever turning
-the executor into an unbounded free-for-all.
+clip_max) -> EngineReport`` contract.  The library's schedulers are one
+waterfall (:class:`~repro.engine.sharded.ShardedScheduler`) on three
+transports: in process
+(:class:`~repro.engine.scheduler.BatchCertificationScheduler`, the
+default), on a worker pool (``ShardedScheduler``), or across machines
+(:class:`~repro.service.cluster.ClusterScheduler`).  Engine calls run in
+the event loop's executor, so the loop keeps admitting and streaming
+while engines grind; a per-backend semaphore bounds them at
+``service.max_concurrent_batches`` simultaneous passes, so distinct
+coalescing groups — different models, epsilons or clip ranges — certify
+in parallel when the backend is concurrent-caller-safe (every scheduler
+above is: each call keeps its own accounting and report), without ever
+turning the executor into an unbounded free-for-all.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ relevant HCAS input region.
 By default the splitting loop is a breadth-first frontier whose levels are
 certified by the batched engine (:mod:`repro.engine`) — every cell of a
 depth level shares the model weights, so a whole level is one vectorised
-pass.  ``engine="sharded"`` additionally fans each level out over a pool
-of worker processes (:class:`~repro.engine.sharded.ShardedScheduler`);
+waterfall.  ``engine="sharded"`` additionally fans each level out over a
+pool of worker processes (:class:`~repro.engine.sharded.ShardedScheduler`);
 ``engine="sequential"`` restores the depth-first recursion, kept as the
 reference implementation.  All engines produce the same cell
 decomposition (up to ordering of the cell list).
@@ -80,14 +80,16 @@ class DomainSplittingCertifier:
 
     ``engine`` selects how the BFS frontier levels are certified:
 
-    * ``"batched"`` (default) — one vectorised :class:`BatchedCraft` pass
-      per level.
+    * ``"batched"`` (default) — each level is one in-process waterfall
+      through :class:`~repro.engine.scheduler.BatchCertificationScheduler`.
     * ``"sharded"`` — each level is fanned out over ``num_workers``
       processes through :class:`~repro.engine.sharded.ShardedScheduler`;
-      the worker pool persists across levels and an optional ``cache_dir``
-      lets re-runs (e.g. refined HCAS grids) reuse cell verdicts.
-      ``timeout_seconds`` bounds every wait on the pool (default 600 s).
+      the worker pool persists across levels.  ``timeout_seconds`` bounds
+      every wait on the pool (default 600 s).
     * ``"sequential"`` — the reference depth-first recursion.
+
+    On both batched engines an optional ``cache_dir`` lets re-runs (e.g.
+    refined HCAS grids) reuse cell verdicts.
 
     Every ``config.domain`` (``"chzonotope"``, ``"box"``, ``"zonotope"``)
     runs through every engine — the batched stack is resolved by
@@ -121,17 +123,13 @@ class DomainSplittingCertifier:
                 f"unknown engine {engine!r}; choose 'sequential', 'batched' or 'sharded'"
             )
         self.engine = engine
-        self._num_workers = num_workers
-        self._cache_dir = cache_dir
         self._engine = None
         if engine == "batched":
-            from repro.engine.escalation import EscalationLadder
+            from repro.engine.scheduler import BatchCertificationScheduler
 
-            # The ladder degrades to a single BatchedCraft stage for
-            # singleton configs, and runs the per-cell domain waterfall for
-            # escalation configs — either way one vectorised pass per
-            # frontier level.
-            self._engine = EscalationLadder(model, self.config)
+            # A one-stage waterfall for singleton configs, the per-cell
+            # domain waterfall for escalation configs.
+            self._engine = BatchCertificationScheduler(model, self.config, cache_dir=cache_dir)
         elif engine == "sharded":
             from repro.engine.sharded import ShardedScheduler
 
@@ -144,8 +142,8 @@ class DomainSplittingCertifier:
             )
 
     def close(self) -> None:
-        """Release the sharded worker pool (no-op for other engines)."""
-        if self.engine == "sharded" and self._engine is not None:
+        """Release the engine's worker pool, if it has one."""
+        if self._engine is not None:
             self._engine.close()
 
     def __enter__(self) -> "DomainSplittingCertifier":

@@ -18,8 +18,8 @@ cache-on sweep must match the cacheless engine verdict-for-verdict, cold
 and on a permuted warm replay alike (``CacheConfig`` knobs trade lookup
 breadth for memory, never verdicts).  Escalation waterfalls are fuzzed over random ladders
 (ascending domain subsequences): the sequential per-sample climb, the
-batched ``EscalationLadder`` and the sharded per-(stage, batch) waterfall
-must agree on verdicts *and* resolving stages.
+in-process ``BatchCertificationScheduler`` and the sharded waterfall over
+several shards per stage must agree on verdicts *and* resolving stages.
 """
 
 import tempfile
@@ -135,11 +135,12 @@ class TestDifferentialFuzzing:
         self, model, config, ladder, epsilon, data
     ):
         """Escalation waterfalls over random ladders: the sequential
-        per-sample climb, the batched EscalationLadder and the sharded
-        per-(stage, batch) waterfall must return the same verdicts — and,
-        when the ladder ends in the fuzzed config's own domain family, the
-        same no-flip guarantee the dedicated escalation tests pin."""
-        from repro.engine import EscalationLadder
+        per-sample climb, the in-process BatchCertificationScheduler and
+        the sharded waterfall (two shards per stage) must return the same
+        verdicts — and, when the ladder ends in the fuzzed config's own
+        domain family, the same no-flip guarantee the dedicated escalation
+        tests pin."""
+        from repro.engine import BatchCertificationScheduler
 
         config = config.with_updates(domains=ladder)
         xs = data.draw(input_regions(model.input_dim, count=3))
@@ -150,7 +151,7 @@ class TestDifferentialFuzzing:
             certify_sample(model, x, int(label), epsilon, config)
             for x, label in zip(xs, labels)
         ]
-        batched = EscalationLadder(model, config).certify(xs, labels, epsilon)
+        batched = BatchCertificationScheduler(model, config).certify(xs, labels, epsilon).results
         with ShardedScheduler(
             model, config, num_workers=2, batch_size=2, start_method="inline"
         ) as scheduler:

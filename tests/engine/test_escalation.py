@@ -9,8 +9,8 @@
 * **Cache replay** — cached ladder verdicts carry their resolving stage
   and replay without re-climbing; interim (escalating) verdicts are never
   persisted by non-final shards.
-* **Engine agreement** — batched, sharded (inline) and sequential ladders
-  produce the same verdicts.
+* **Engine agreement** — the in-process scheduler, the sharded pool and
+  the sequential climb produce the same verdicts.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.engine import (
     DEFAULT_BATCH_SIZE,
     BatchCertificationScheduler,
     BatchedCraft,
-    EscalationLadder,
     ShardedScheduler,
     should_escalate,
 )
@@ -123,8 +122,9 @@ class TestLadderNoFlip:
 class TestStageAccounting:
     def test_results_record_their_resolving_stage(self, trained_mondeq, toy_data):
         xs, ys = _eval_set(toy_data)
-        ladder = EscalationLadder(trained_mondeq, _config())
-        results = ladder.certify(xs, ys, 0.3)
+        results = BatchCertificationScheduler(trained_mondeq, _config()).certify(
+            xs, ys, 0.3
+        ).results
         for result in results:
             if result.outcome == VerificationOutcome.MISCLASSIFIED:
                 assert result.stage is None
@@ -137,12 +137,14 @@ class TestStageAccounting:
 
     def test_stage_stats_add_up(self, trained_mondeq, toy_data):
         xs, ys = _eval_set(toy_data)
-        ladder = EscalationLadder(trained_mondeq, _config())
-        results = ladder.certify(xs, ys, 0.3)
+        scheduler = BatchCertificationScheduler(trained_mondeq, _config())
+        report = scheduler.certify(xs, ys, 0.3)
+        results = report.results
         queued = sum(
             r.outcome != VerificationOutcome.MISCLASSIFIED for r in results
         )
-        stats = {row.domain: row for row in ladder.stage_stats}
+        stats = {row.domain: row for row in scheduler.stage_stats}
+        assert [row.as_row() for row in scheduler.stage_stats] == report.stages
         assert stats["box"].attempted == queued
         for lower, upper in zip(LADDER, LADDER[1:]):
             assert stats[lower].attempted == stats[lower].resolved + stats[lower].escalated
@@ -160,24 +162,22 @@ class TestStageAccounting:
         xs, ys = _eval_set(toy_data, count=40)
         expected = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
         config = CraftConfig.escalation(slope_optimization="none")
-        ladder = EscalationLadder(trained_mondeq, config, batch_size=batch_size)
-        ladder.certify(xs, ys, 0.3)
         scheduler = BatchCertificationScheduler(trained_mondeq, config, batch_size=batch_size)
         report = scheduler.certify(xs, ys, 0.3)
         with ShardedScheduler(
             trained_mondeq, config, num_workers=2, batch_size=batch_size, start_method="inline"
         ) as sharded:
             sharded_report = sharded.certify(xs, ys, 0.3)
-        assert ladder.batch_size == scheduler.batch_size == sharded.batch_size == expected
-        ladder_rows = [stats.as_row() for stats in ladder.stage_stats]
-        for rows in (ladder_rows, report.stages, sharded_report.stages):
+        assert scheduler.batch_size == sharded.batch_size == expected
+        for rows in (report.stages, sharded_report.stages):
             assert [row["domain"] for row in rows] == list(LADDER)
             assert [row["batch_size"] for row in rows] == [expected] * len(LADDER)
-        # The single-process waterfall cuts each stage's queries into
-        # chunks of exactly that size.
-        assert ladder_rows[0]["attempted"] > 5
-        for row in ladder_rows + report.stages:
+        # The in-process waterfall (one worker) cuts each stage's queries
+        # into as few shards of at most that size as it can.
+        assert report.stages[0]["attempted"] > 5
+        for row in report.stages:
             assert row["batches"] == -(-row["attempted"] // expected)
+        assert report.num_batches == sum(row["batches"] for row in report.stages)
 
     def test_scheduler_reports_stage_rows(self, trained_mondeq, toy_data):
         xs, ys = _eval_set(toy_data, count=8)
@@ -221,11 +221,11 @@ class TestLadderCache:
         """A non-final shard must not cache escalating verdicts — a crash
         mid-ladder would otherwise replay an interim Unknown as final."""
         import os
+        import pickle
 
         from repro.engine.cache import RegionQuery
-        from repro.engine.sharded import _Shard, _build_worker_state
-        from repro.verify.specs import ClassificationSpec, LinfBall
-        import pickle
+        from repro.engine.sharded import _Shard, _build_worker_state, _execute_shard
+        from repro.verify.specs import ball_bounds
 
         xs, ys = _eval_set(toy_data, count=6)
         config = _config(
@@ -236,21 +236,19 @@ class TestLadderCache:
         state = _build_worker_state(
             pickle.dumps((trained_mondeq, config, str(tmp_path), False))
         )
-        balls = [LinfBall(center=x, epsilon=0.3) for x in xs]
-        specs = [
-            ClassificationSpec(target=int(y), num_classes=trained_mondeq.output_dim)
-            for y in ys
+        queries = [
+            RegionQuery(center=x, epsilon=0.3, target=int(y)) for x, y in zip(xs, ys)
         ]
-        from repro.engine.sharded import _execute_shard
-
+        lower, upper = ball_bounds(xs, 0.3, 0.0, 1.0)
         shard = _Shard(
-            indices=list(range(len(xs))), balls=balls, specs=specs,
-            anchors=None, domain="box", final=False,
+            indices=np.arange(len(xs)), centers=xs, lower=lower, upper=upper,
+            targets=ys, anchors=None, queries=queries, domain="box", final=False,
         )
-        _, results, domain, _, _ = _execute_shard(state, shard)
-        assert domain == "box"
-        for ball, spec, result in zip(balls, specs, results):
-            query = RegionQuery.from_ball(ball, spec)
+        indices, results, _, _ = _execute_shard(state, shard)
+        assert indices.tolist() == list(range(len(xs)))
+        assert all(result.stage == "box" for result in results)
+        assert any(should_escalate(result) for result in results)
+        for query, result in zip(queries, results):
             key = state.cache.admission_key(query, result)
             entry_exists = os.path.exists(os.path.join(str(tmp_path), f"{key}.json"))
             assert entry_exists == (not should_escalate(result))
@@ -276,6 +274,8 @@ class TestEngineAgreement:
 
     @pytest.mark.tier1
     def test_sharded_ladder_matches_batched(self, trained_mondeq, toy_data):
+        """The pool transport (the inline one under ``REPRO_SHARD_WORKERS=1``)
+        against the in-process scheduler, over several shards per stage."""
         import os
 
         xs, ys = _eval_set(toy_data)

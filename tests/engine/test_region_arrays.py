@@ -4,15 +4,17 @@
   stack equals the stacked per-ball ``LinfBall.bounds`` and
   ``RegionQuery.bounds``, and the clipping rule written out per ball,
   byte for byte.
-* **Paths.**  ``certify`` on both batched verifiers equals what they did
-  before the array entry existed: a prediction pass, then
-  ``certify_regions`` over one ball and one spec per correctly classified
-  row.  Every result field is compared, elements and width traces by
-  their bytes.  Each result carries its own row: its traces are as long
-  as its iteration counts, and its element's width is in its traces.
+* **Paths.**  ``certify`` on ``BatchedCraft`` and on the in-process
+  scheduler equals what they did before the array entry existed: a
+  prediction pass, then ``certify_regions`` over one ball and one spec per
+  correctly classified row.  Every result field is compared, elements and
+  width traces by their bytes.  Each result carries its own row: its
+  traces are as long as its iteration counts, and its element's width is
+  in its traces.
 * **Traces.**  ``_scatter_traces`` equals the per-entry loop it replaced.
 * **Counts.**  A 512-region sweep builds no ball, reads no ball's bounds
-  and builds specs only for the verifier's postcondition table.
+  and builds specs only for the verifier's postcondition table, in process
+  and through the sharded scheduler alike.
 * **Validation.**  Bad ball parameters, NaN included, fail loudly on every
   engine, under the same conditions as before.
 """
@@ -25,10 +27,9 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.config import ContractionSettings, CraftConfig
 from repro.core.results import VerificationOutcome
-from repro.engine import ShardedScheduler
+from repro.engine import BatchCertificationScheduler, ShardedScheduler
 from repro.engine.cache import RegionQuery
 from repro.engine.craft import BatchedCraft, _scatter_traces, prediction_pass
-from repro.engine.escalation import EscalationLadder
 from repro.exceptions import VerificationError
 from repro.experiments.model_zoo import get_model
 from repro.mondeq.model import MonDEQ
@@ -129,6 +130,12 @@ def _fields(result):
     )
 
 
+def _certify(verifier, xs, labels, epsilon=0.05, **ball):
+    """``certify``'s results, whether the verifier returns them or a report."""
+    results = verifier.certify(xs, labels, epsilon, **ball)
+    return results.results if isinstance(verifier, BatchCertificationScheduler) else results
+
+
 def _through_regions(verifier, model, config, xs, labels, epsilon):
     """``certify`` as both verifiers ran it before the array entry: one ball
     and one spec per correctly classified row onto ``certify_regions``."""
@@ -185,9 +192,11 @@ _CONFIGS = {
 @pytest.mark.parametrize("config", list(_CONFIGS.values()), ids=list(_CONFIGS))
 def test_certify_equals_the_regions_path(problem, config, request):
     model, xs, labels, epsilon = request.getfixturevalue(problem)
-    verifiers = [EscalationLadder] if config.is_ladder else [BatchedCraft, EscalationLadder]
+    verifiers = [BatchCertificationScheduler]
+    if not config.is_ladder:
+        verifiers.insert(0, BatchedCraft)
     for verifier_cls in verifiers:
-        arrays_path = verifier_cls(model, config).certify(xs, labels, epsilon)
+        arrays_path = _certify(verifier_cls(model, config), xs, labels, epsilon)
         regions_path = _through_regions(verifier_cls(model, config), model, config, xs, labels, epsilon)
         assert [_fields(r) for r in arrays_path] == [_fields(r) for r in regions_path]
         outcomes = {result.outcome for result in arrays_path}
@@ -198,7 +207,7 @@ def test_certify_equals_the_regions_path(problem, config, request):
 @pytest.mark.parametrize("config", list(_CONFIGS.values()), ids=list(_CONFIGS))
 def test_results_carry_their_own_rows(problem, config, request):
     model, xs, labels, epsilon = request.getfixturevalue(problem)
-    results = EscalationLadder(model, config).certify(xs, labels, epsilon)
+    results = BatchCertificationScheduler(model, config).certify(xs, labels, epsilon).results
     for result in results:
         abstraction = result.fixpoint_abstraction
         if result.outcome is VerificationOutcome.MISCLASSIFIED:
@@ -302,7 +311,7 @@ def region_objects(monkeypatch):
     return counts
 
 
-def test_a_batched_sweep_builds_no_ball(region_objects):
+def _sweep_builds_no_ball(region_objects, **engine):
     """512 HCAS regions at ε = 0.05 (the seed-1, draw-1 regions of the
     ``hcas-sweep`` benchmark) enter the engine as arrays: specs are built
     only for the verifier's table of postcondition matrices, one per class."""
@@ -312,7 +321,7 @@ def test_a_batched_sweep_builds_no_ball(region_objects):
     jitter = rng.uniform(-0.02, 0.02, size=(512, dataset.x_test.shape[1]))
     xs = np.clip(dataset.x_test[rows] + jitter, 0.0, 1.0)
     results = certify_local_robustness(
-        model, xs, dataset.y_test[rows], 0.05, CraftConfig(), engine="batched"
+        model, xs, dataset.y_test[rows], 0.05, CraftConfig(), **engine
     )
     assert sum(result.outcome is not VerificationOutcome.MISCLASSIFIED for result in results) > 400
     assert sum(result.certified for result in results) > 400
@@ -324,6 +333,15 @@ def test_a_batched_sweep_builds_no_ball(region_objects):
     specs = [ClassificationSpec(0, model.output_dim) for _ in range(3)]
     BatchedCraft(model).certify_regions(balls, specs)
     assert region_objects["LinfBall"] == 3 and region_objects["LinfBall.bounds"] == 3
+
+
+def test_a_batched_sweep_builds_no_ball(region_objects):
+    _sweep_builds_no_ball(region_objects, engine="batched")
+
+
+def test_a_sharded_sweep_builds_no_ball(region_objects):
+    """The same sweep through ``ShardedScheduler`` (one worker: inline)."""
+    _sweep_builds_no_ball(region_objects, engine="sharded", num_workers=1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +357,28 @@ _BAD_BALLS = {
 }
 
 
+# The batched verifiers, one stage and the escalation ladder
+# (Box -> Zonotope -> CH-Zonotope) on the in-process scheduler.
+_VERIFIERS = {
+    "BatchedCraft": (BatchedCraft, CraftConfig()),
+    "BatchCertificationScheduler": (BatchCertificationScheduler, CraftConfig()),
+    "EscalationLadder": (BatchCertificationScheduler, CraftConfig.escalation()),
+}
+
+
 @pytest.mark.parametrize("ball", list(_BAD_BALLS), ids=list(_BAD_BALLS))
-@pytest.mark.parametrize("verifier_cls", [BatchedCraft, EscalationLadder])
-def test_bad_balls_fail_only_when_a_row_is_analysed(hcas, verifier_cls, ball):
+@pytest.mark.parametrize("verifier", list(_VERIFIERS.values()), ids=list(_VERIFIERS))
+def test_bad_balls_fail_only_when_a_row_is_analysed(hcas, verifier, ball):
     model, xs, labels, _ = hcas
-    verifier = verifier_cls(model, CraftConfig())
+    verifier_cls, config = verifier
+    verifier = verifier_cls(model, config)
     with pytest.raises(VerificationError):
-        verifier.certify(xs, labels, **_BAD_BALLS[ball])
+        _certify(verifier, xs, labels, **_BAD_BALLS[ball])
     # Every row misclassified: no region reaches the abstract analysis.
     _, queued, _ = prediction_pass(model, verifier.config, xs, labels)
     wrong = labels.copy()
     wrong[queued] = (wrong[queued] + 1) % model.output_dim
-    results = verifier.certify(xs, wrong, **_BAD_BALLS[ball])
+    results = _certify(verifier, xs, wrong, **_BAD_BALLS[ball])
     assert all(result.outcome is VerificationOutcome.MISCLASSIFIED for result in results)
 
 
@@ -385,10 +413,11 @@ def test_an_infinite_radius_is_the_whole_input_box(hcas, engine):
     assert [result.certified for result in results] == [label in everywhere for label in labels]
 
 
-@pytest.mark.parametrize("verifier_cls", [BatchedCraft, EscalationLadder])
-def test_certify_regions_keeps_its_checks(hcas, verifier_cls):
+@pytest.mark.parametrize("verifier", list(_VERIFIERS.values()), ids=list(_VERIFIERS))
+def test_certify_regions_keeps_its_checks(hcas, verifier):
     model, xs, labels, epsilon = hcas
-    verifier = verifier_cls(model, CraftConfig())
+    verifier_cls, config = verifier
+    verifier = verifier_cls(model, config)
     balls = [LinfBall(center=x, epsilon=epsilon) for x in xs[:3]]
     specs = [ClassificationSpec(int(label), model.output_dim) for label in labels[:3]]
     assert verifier.certify_regions([], []) == []
@@ -414,7 +443,7 @@ def test_a_wrong_input_dimension_raises_one_error_on_every_engine(hcas, engine):
         elif engine == "batched":
             BatchedCraft(model, CraftConfig()).certify(wide, labels, epsilon)
         elif engine == "ladder":
-            EscalationLadder(model, CraftConfig.escalation()).certify(wide, labels, epsilon)
+            BatchCertificationScheduler(model, CraftConfig.escalation()).certify(wide, labels, epsilon)
         else:
             with ShardedScheduler(model, CraftConfig(), num_workers=1, start_method="inline") as scheduler:
                 scheduler.certify(wide, labels, epsilon)

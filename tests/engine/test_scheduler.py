@@ -1,5 +1,8 @@
 """Unit tests for the batch scheduler and the on-disk fixpoint cache."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.engine.results import EngineReport
 from repro.engine.cache import FixpointCache, weights_hash
 from repro.engine.scheduler import BatchCertificationScheduler
 from repro.exceptions import ConfigurationError
+from repro.experiments.model_zoo import get_model
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +120,86 @@ class TestScheduler:
         assert report.num_regions == 0
         assert report.throughput == 0.0
         assert np.isnan(report.mean_margin)
+
+
+def _accounting(report):
+    """A report's batch count and stage rows, without their timings."""
+    rows = [
+        {key: value for key, value in row.items() if key not in ("time", "consolidation_time")}
+        for row in report.stages
+    ]
+    return report.num_batches, rows
+
+
+def _hcas_sweeps(sizes, seed):
+    """Disjoint jittered HCAS smoke sweeps of the given sizes."""
+    model, dataset = get_model("HCAS-FCx100", "smoke")
+    rng = np.random.default_rng(seed)
+    total = sum(sizes)
+    rows = rng.integers(0, dataset.x_test.shape[0], size=total)
+    xs = np.clip(dataset.x_test[rows] + rng.uniform(-0.02, 0.02, (total, 3)), 0.0, 1.0)
+    ys = dataset.y_test[rows].astype(int)
+    bounds = np.cumsum([0, *sizes])
+    return model, [(xs[a:b], ys[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _certify_at_once(scheduler, sweeps, epsilon):
+    """Certify every sweep on its own thread, all released together, with a
+    short switch interval so that the threads interleave finely."""
+    reports = [None] * len(sweeps)
+    barrier = threading.Barrier(len(sweeps))
+
+    def run(position):
+        barrier.wait()
+        reports[position] = scheduler.certify(*sweeps[position], epsilon)
+
+    threads = [threading.Thread(target=run, args=(position,)) for position in range(len(sweeps))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return reports
+
+
+class TestConcurrentCallers:
+    def test_two_threads_keep_their_own_accounting(self):
+        """A 200-row and a 7-row HCAS sweep certified at once on one
+        in-process scheduler each report their own stage rows and batch
+        count, as the service frontend's ``max_concurrent_batches`` needs."""
+        model, sweeps = _hcas_sweeps([200, 7], seed=8)
+        scheduler = BatchCertificationScheduler(model, CraftConfig.escalation())
+        alone = [scheduler.certify(x, y, 0.05) for x, y in sweeps]
+        assert _accounting(alone[0]) != _accounting(alone[1])
+        for _ in range(3):
+            reports = _certify_at_once(scheduler, sweeps, 0.05)
+            for report, reference in zip(reports, alone):
+                assert _accounting(report) == _accounting(reference)
+                assert [r.certified for r in report.results] == [
+                    r.certified for r in reference.results
+                ]
+
+    def test_threads_share_one_cache_view(self, tmp_path):
+        """Three threads on one cached scheduler: its shards admit into the
+        scheduler's own cache view while the other threads look up, and no
+        admission is lost."""
+        model, sweeps = _hcas_sweeps([40, 40, 40], seed=9)
+        config = CraftConfig.escalation()
+        reference = [BatchCertificationScheduler(model, config).certify(x, y, 0.05) for x, y in sweeps]
+        scheduler = BatchCertificationScheduler(model, config, cache_dir=str(tmp_path))
+        reports = _certify_at_once(scheduler, sweeps, 0.05)
+        for report, expected in zip(reports, reference):
+            assert [r.outcome for r in report.results] == [r.outcome for r in expected.results]
+            assert [r.stage for r in report.results] == [r.stage for r in expected.results]
+        # Every row is answered by the cache (a dominating entry another
+        # thread admitted first) or admitted exactly once.
+        hits = sum(report.cache_hits for report in reports)
+        assert len(list(tmp_path.glob("*.json"))) + hits == 120
+        xs = np.concatenate([x for x, _ in sweeps])
+        ys = np.concatenate([y for _, y in sweeps])
+        assert scheduler.certify(xs, ys, 0.05).cache_hits == 120

@@ -51,3 +51,42 @@ class TestDomainSplitting:
         assert result.coverage == 0.0
         assert result.certified_cells() == []
         assert result.uncertified_cells() == []
+
+
+def _decomposition(result):
+    return sorted(
+        (
+            tuple(cell.region.lower.tolist()),
+            tuple(cell.region.upper.tolist()),
+            cell.predicted_class,
+            cell.certified,
+            cell.depth,
+        )
+        for cell in result.cells
+    )
+
+
+@pytest.mark.parametrize("engine", ["batched", "sharded"])
+def test_every_engine_honours_the_cache_dir(engine, tmp_path):
+    """A seeded 3-input random monDEQ on a thin slice (16 cells, 4 of them
+    certified): the frontier's verdicts land in ``cache_dir``, and a second
+    certifier over the same directory returns the same decomposition."""
+    from repro.mondeq.model import MonDEQ
+
+    model = MonDEQ.random(input_dim=3, latent_dim=12, output_dim=5, monotonicity=5.0, seed=1)
+    region = Interval(np.array([0.0, 0.0, 0.49]), np.array([1.0, 1.0, 0.51]))
+
+    def run():
+        with DomainSplittingCertifier(
+            model, CraftConfig(), max_depth=4, engine=engine, num_workers=1,
+            cache_dir=str(tmp_path),
+        ) as certifier:
+            return certifier.certify_region(region)
+
+    first = run()
+    assert any(cell.certified for cell in first.cells)
+    entries = sorted(tmp_path.glob("*.json"))
+    assert entries
+    second = run()
+    assert _decomposition(second) == _decomposition(first)
+    assert sorted(tmp_path.glob("*.json")) == entries
