@@ -31,9 +31,9 @@ substrates they need:
     advanced by shared BLAS calls, a batched Craft driver with per-sample
     early exit dispatching on ``CraftConfig.domain``, the per-query
     escalation waterfall over ``CraftConfig.domains``
-    (``repro.engine.escalation``), schedulers (single-process batched and
-    multi-process sharded, both ladder-aware) with a shared on-disk
-    fixpoint cache, and stage-aware cache-fitting batch sizing.
+    (``repro.engine.escalation``), and one scheduler for it on an
+    in-process, worker-pool or cluster transport, with a shared on-disk
+    verdict cache keyed by the exact query.
 
 ``repro.service``
     The long-lived certification service over the engines: an asyncio

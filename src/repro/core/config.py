@@ -23,7 +23,6 @@ _VALID_DOMAINS = DOMAIN_LADDER
 _VALID_SOLVERS = ("pr", "fb")
 _VALID_EXPANSIONS = ("const", "exp", "none")
 _VALID_SLOPE_MODES = ("none", "reduced", "reference")
-_VALID_CACHE_KEY_MODES = ("exact", "quantized")
 
 #: Steps each candidate of the phase-two alpha race runs before the
 #: samples it did not certify move on to the next candidate
@@ -33,90 +32,6 @@ _VALID_CACHE_KEY_MODES = ("exact", "quantized")
 #: at epsilon 2.0, where a 3-step probe picks a larger alpha that
 #: certifies 46 of the 96 cells the 30-step leader certifies.
 PROBE_STEPS = 4
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Layout of the tiered fixpoint-verdict cache (:mod:`repro.engine.cache`).
-
-    None of these fields influence verdicts — they trade lookup breadth
-    and memory against recomputation — so they are deliberately excluded
-    from the cache's config signature: switching key mode or LRU bounds
-    must never invalidate entries already on disk.
-
-    Attributes
-    ----------
-    key_mode:
-        ``"exact"`` (default) keys entries on exact centre bytes — a
-        cache hit requires the literal query to have been asked before.
-        ``"quantized"`` snaps centre and epsilon to a
-        ``10^-quantize_decimals`` grid so nearby queries share bucket
-        entries; epsilon rounds *down* for lookup and *up* for admission
-        of certified verdicts (down otherwise), and every non-verbatim
-        serve is decided by the exact region recorded in the payload,
-        never by key equality alone.
-    quantize_decimals:
-        Decimal digits of the quantisation grid (``"quantized"`` mode
-        only).  Coarser grids coalesce more traffic per bucket at the
-        price of more bucket overwrites.
-    dominance:
-        Enable the directory-wide dominance index: lookups may answer
-        ``VERIFIED`` from any cached certified superset region and
-        ``MISCLASSIFIED`` from any cached falsifying point inside the
-        query region (:mod:`repro.engine.cache_dominance`).
-    lru_entries:
-        Capacity (entries) of the in-memory LRU payload tier layered
-        over the on-disk store (:mod:`repro.engine.cache_lru`).  ``0``
-        disables the tier.
-    lru_bytes:
-        Byte budget of the LRU tier (approximate, measured on the JSON
-        payload size).
-    refresh_seconds:
-        Staleness bound of the cache's directory snapshot.  ``None``
-        (default) preserves the sweep-runner contract: the snapshot only
-        moves when a scheduler calls
-        :meth:`~repro.engine.cache.TieredVerdictCache.refresh` (once per
-        sweep).  A float arms the **long-lived-process** mode the
-        certification service needs: any lookup older than this bound
-        stats the cache directory and, when its mtime moved (another
-        process published entries), rescans — so concurrent workers serve
-        each other's fresh verdicts without an explicit per-sweep refresh.
-        ``0.0`` checks on every lookup; the check is one ``stat`` call,
-        the rescan only runs when the directory actually changed.
-    """
-
-    key_mode: str = "exact"
-    quantize_decimals: int = 3
-    dominance: bool = True
-    lru_entries: int = 4096
-    lru_bytes: int = 16 * 1024 * 1024
-    refresh_seconds: Optional[float] = None
-
-    def __post_init__(self):
-        if self.key_mode not in _VALID_CACHE_KEY_MODES:
-            raise ConfigurationError(
-                f"key_mode must be one of {_VALID_CACHE_KEY_MODES}, "
-                f"got {self.key_mode!r}"
-            )
-        if not isinstance(self.quantize_decimals, int) or not (
-            0 <= self.quantize_decimals <= 12
-        ):
-            raise ConfigurationError(
-                f"quantize_decimals must be an integer in [0, 12], "
-                f"got {self.quantize_decimals!r}"
-            )
-        if not isinstance(self.lru_entries, int) or self.lru_entries < 0:
-            raise ConfigurationError(
-                "lru_entries must be a non-negative integer (0 disables the LRU tier)"
-            )
-        if not isinstance(self.lru_bytes, int) or self.lru_bytes < 1:
-            raise ConfigurationError("lru_bytes must be a positive integer")
-        if self.refresh_seconds is not None and not (
-            isinstance(self.refresh_seconds, (int, float)) and self.refresh_seconds >= 0
-        ):
-            raise ConfigurationError(
-                "refresh_seconds must be None or a non-negative number"
-            )
 
 
 @dataclass(frozen=True)
@@ -180,9 +95,8 @@ class ServiceConfig:
 
     None of these fields influence verdicts — they trade latency,
     coalescing breadth and fault-recovery aggressiveness against
-    throughput — so, like :class:`CacheConfig`, they are excluded from
-    the cache's config signature by construction (they are not part of
-    :class:`CraftConfig` at all).
+    throughput — so they are excluded from the cache's config signature
+    by construction (they are not part of :class:`CraftConfig` at all).
 
     Attributes
     ----------
@@ -420,11 +334,6 @@ class CraftConfig:
     tighten_max_iterations, tighten_patience:
         Phase-two budget and the no-improvement abort heuristic (3 r' steps
         in Appendix C; here expressed directly as a step count).
-    cache:
-        Layout of the fixpoint-verdict cache (:class:`CacheConfig`): key
-        mode (exact vs quantised-grid), the dominance index, and the
-        in-memory LRU tier.  These fields never influence verdicts and
-        are excluded from the cache's config signature.
     """
 
     domain: Optional[str] = None
@@ -449,7 +358,6 @@ class CraftConfig:
     use_box_component: bool = True
     tighten_max_iterations: int = 150
     tighten_patience: int = 30
-    cache: CacheConfig = field(default_factory=CacheConfig)
     concrete_tol: float = 1e-9
     concrete_max_iterations: int = 2000
     verbose: bool = False
@@ -480,10 +388,6 @@ class CraftConfig:
             raise ConfigurationError("tighten_max_iterations must be positive")
         if self.tighten_patience < 1:
             raise ConfigurationError("tighten_patience must be positive")
-        if not isinstance(self.cache, CacheConfig):
-            raise ConfigurationError(
-                f"cache must be a CacheConfig, got {type(self.cache).__name__}"
-            )
         if not self.alpha2_grid:
             raise ConfigurationError("alpha2_grid must not be empty")
 

@@ -180,14 +180,12 @@ class VerificationResult:
     #: sweeps this is the *resolving* stage (the domain the query exited
     #: the waterfall in); for single-domain sweeps it is that domain.
     stage: Optional[str] = None
-    #: Set by :meth:`repro.engine.cache.FixpointCache.load` on replayed
-    #: verdicts (the ``[cached]`` notes suffix is the human-readable echo).
+    #: Set by :meth:`repro.engine.cache.TieredVerdictCache.lookup` on
+    #: replayed verdicts (the ``[cached]`` notes suffix is the
+    #: human-readable echo).
     cached: bool = False
-    #: Which cache tier answered the query: ``"lru"`` (in-memory payload
-    #: tier), ``"disk"`` (on-disk store), ``"dominance"`` (served from a
-    #: dominating entry — a certified superset region or a falsifying
-    #: point — so this exact query was never computed), or ``None`` for
-    #: live verdicts.
+    #: ``"disk"`` for a verdict replayed from the on-disk verdict cache,
+    #: ``None`` for live verdicts.
     cache_tier: Optional[str] = None
     #: Peak error-term (generator-column) count observed across both Craft
     #: phases.  ``None`` for verdicts that never ran the abstract analysis

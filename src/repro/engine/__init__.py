@@ -72,34 +72,24 @@ trace) is frozen, and the remaining rows continue as a smaller stack —
 so a finished region never pays for a slow batch mate, and each sample's
 trajectory is independent of which other samples share its batch.
 
-Cache tiers & keys
-------------------
-The schedulers optionally persist verdicts through the tiered cache of
-:mod:`repro.engine.cache` (:class:`~repro.engine.cache.TieredVerdictCache`):
-an in-memory LRU tier (:class:`~repro.engine.cache_lru.LRUTier`) in front
-of the on-disk :class:`~repro.engine.cache.FixpointCache`, plus a
-**dominance index** (:class:`~repro.engine.cache_dominance.DominanceIndex`)
-that answers queries never literally asked — a cached *certified* superset
-region dominates any contained query, and a cached *falsifying point*
-refutes any region containing it.  An exact query key is::
+Verdict cache
+-------------
+The schedulers optionally persist verdicts through
+:class:`~repro.engine.cache.TieredVerdictCache` (:mod:`repro.engine.cache`):
+one JSON file per exact query key::
 
     sha256( weights_hash(model)       # sha256 over sorted parameter bytes + m
           | center.tobytes()          # float64 anchor input
           | repr((epsilon, clip_min, clip_max, target))
           | config signature )        # verdict-relevant CraftConfig fields
 
-``CacheConfig.key_mode="quantized"`` instead snaps the centre to a grid
-and buckets epsilon (down for lookup, up when admitting certified
-verdicts), so near-identical queries share keys; the entry always records
-the *exact* region it was proved for, and every non-verbatim serve is
-re-checked against that recorded region, so quantisation can change hit
-rates but never verdicts.  Entries are ``<key>.json`` holding the scalar
-verdict (outcome, margin, iteration counts, selected tightening
-parameters, resolving stage) plus the exact region and the writing
-configuration's fingerprint as a version stamp.  Any weight update,
-region change or verdict-relevant configuration change therefore misses
-the cache by construction, and entries stamped by a mismatched
-configuration are rejected on load.
+Entries are ``<key>.json`` holding the scalar verdict (outcome, margin,
+iteration counts, selected tightening parameters, resolving stage) and
+the writing configuration's fingerprint as a version stamp.  Any weight
+update, region change or verdict-relevant configuration change therefore
+misses the cache by construction, and entries stamped by a mismatched
+configuration are rejected on load.  A hit requires the literal query to
+have been asked before.
 
 Multi-process sharding
 ----------------------
@@ -116,16 +106,12 @@ a batch stays small.
 
 from repro.engine.batched_chzonotope import BatchedCHZonotope
 from repro.engine.cache import (
-    CacheStats,
-    FixpointCache,
     RegionQuery,
     TieredVerdictCache,
     build_verdict_cache,
     config_fingerprint,
     weights_hash,
 )
-from repro.engine.cache_dominance import DominanceIndex
-from repro.engine.cache_lru import LRUTier
 from repro.engine.batched_domains import (
     BatchedBox,
     BatchedDomain,
@@ -147,13 +133,9 @@ __all__ = [
     "BatchedDomain",
     "BatchedParallelotope",
     "BatchedZonotope",
-    "CacheStats",
     "ConsolidationStats",
     "DEFAULT_BATCH_SIZE",
-    "DominanceIndex",
     "EngineReport",
-    "FixpointCache",
-    "LRUTier",
     "RegionQuery",
     "ShardedScheduler",
     "StageStats",

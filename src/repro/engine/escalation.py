@@ -36,7 +36,7 @@ share: the escalation rule, the batch size and the per-stage accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.results import VerificationOutcome, VerificationResult
 from repro.exceptions import ConfigurationError
@@ -115,12 +115,6 @@ class StageStats:
     consolidations: int = 0
     consolidation_seconds: float = 0.0
     peak_error_terms: int = 0
-    #: Queries this stage never ran because a *dominating* cache entry —
-    #: a certified superset region, or a falsifying point inside the
-    #: query — resolved in this stage's domain answered them
-    #: (:mod:`repro.engine.cache_dominance`).  Attributed by the serving
-    #: entry's resolving stage via :func:`fold_dominance_hits`.
-    cache_dominance_hits: int = 0
     #: Total phase-one iterations the stage's queries ran.
     phase1_iterations: int = 0
 
@@ -153,44 +147,6 @@ class StageStats:
             "consolidations": self.consolidations,
             "consolidation_time": round(self.consolidation_seconds, 3),
             "peak_error_terms": self.peak_error_terms,
-            "cache_dominance_hits": self.cache_dominance_hits,
             "phase1_iterations": self.phase1_iterations,
         }
 
-
-def fold_dominance_hits(stage_rows: List[Dict], results) -> List[Dict]:
-    """Attribute dominance-served verdicts to per-stage accounting rows.
-
-    A dominance hit replays the serving entry's resolving stage, so it is
-    counted against that stage's row (the stage whose work the cache
-    saved).  Rows are copied, never mutated in place; stages that only
-    appear through dominance hits (e.g. a sweep answered entirely from
-    the cache, where no ladder ran) get a synthesised row, appended in
-    ladder order.  Misclassified-point serves carry no stage (they never
-    entered a waterfall) and are not attributed.
-    """
-    from repro.core.config import DOMAIN_LADDER
-
-    hits: Dict[str, int] = {}
-    for result in results:
-        if (
-            result is not None
-            and result.cache_tier == "dominance"
-            and result.stage is not None
-        ):
-            hits[result.stage] = hits.get(result.stage, 0) + 1
-    if not hits:
-        return stage_rows
-    rows = [dict(row) for row in stage_rows]
-    by_domain = {row["domain"]: row for row in rows}
-    for name in DOMAIN_LADDER:
-        if name in hits and name not in by_domain:
-            row = StageStats(domain=name).as_row()
-            rows.append(row)
-            by_domain[name] = row
-    for name, count in hits.items():
-        if name in by_domain:
-            by_domain[name]["cache_dominance_hits"] = (
-                by_domain[name].get("cache_dominance_hits", 0) + count
-            )
-    return rows

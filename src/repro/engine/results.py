@@ -22,9 +22,6 @@ class EngineReport:
 
     results: List[VerificationResult] = field(default_factory=list)
     cache_hits: int = 0
-    #: Hits answered by *dominance* — a cached certified superset region
-    #: or falsifying point, not a literal replay (subset of ``cache_hits``).
-    cache_dominance_hits: int = 0
     num_batches: int = 0
     elapsed_seconds: float = 0.0
     num_workers: int = 1
@@ -71,7 +68,6 @@ class EngineReport:
             "contained": self.num_contained,
             "certified": self.num_certified,
             "cache_hits": self.cache_hits,
-            "cache_dominance_hits": self.cache_dominance_hits,
             "batches": self.num_batches,
             "workers": self.num_workers,
             "time": round(self.elapsed_seconds, 3),

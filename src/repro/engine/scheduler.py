@@ -11,13 +11,9 @@ verdict cache, and runs the rest stage by stage through
 transport, so both share one waterfall, one cache protocol and one
 accounting.
 
-The cache machinery lives in :mod:`repro.engine.cache` (on-disk store,
-exact/quantised keys, the dominance index and the in-memory LRU tier —
-configured through :class:`~repro.core.config.CacheConfig`).  Re-running
-a sweep with unchanged weights (the Table 2 / Fig. 11 setting) answers
-repeated queries from the cache — and, with the dominance index, also
-answers *contained* repeat queries (cell splits, jittered centres) that
-were never literally asked.
+The verdict cache lives in :mod:`repro.engine.cache`: one file per exact
+query key.  Re-running a sweep with unchanged weights (the Table 2 /
+Fig. 11 setting) answers repeated queries from it.
 """
 
 from __future__ import annotations
@@ -41,12 +37,11 @@ class BatchCertificationScheduler(ShardedScheduler):
     ``None`` (the default) means
     :data:`~repro.engine.escalation.DEFAULT_BATCH_SIZE`.
 
-    ``cache_dir`` enables the tiered verdict cache
+    ``cache_dir`` enables the verdict cache
     (:class:`~repro.engine.cache.TieredVerdictCache`): entries are keyed
     by the *ladder* configuration and record the resolving stage, so a
     cached verdict replays at its final stage without re-climbing the
-    ladder; dominance hits replay the serving entry's stage and are
-    counted per stage row (``cache_dominance_hits``).
+    ladder.
     """
 
     def __init__(

@@ -36,19 +36,16 @@ and friends), so a shard runs on one of three transports:
 
 Cache sharing
 -------------
-All workers share one on-disk :class:`~repro.engine.cache.FixpointCache`
-directory (each wrapped in its own
-:class:`~repro.engine.cache.TieredVerdictCache` — the LRU tier and
-dominance index are per-process views over the shared directory).  No
-file locking is needed: every entry is its own file, written under a
-writer-unique temporary name and published with the atomic
-``os.replace``, so concurrent workers certifying overlapping regions never
-corrupt an entry — the regression tests in
-``tests/engine/test_cache_concurrency.py`` pin this.  The parent answers
-cache hits (including dominance hits) before sharding and ships the
-:class:`~repro.engine.cache.RegionQuery` keys of the misses with their
-shards; workers persist their *final* verdicts (resolved, or produced by
-the last stage) themselves, stamped with the configuration fingerprint
+All workers share one verdict-cache directory, each through its own
+:class:`~repro.engine.cache.TieredVerdictCache` view.  No file locking is
+needed: every entry is its own file, written under a writer-unique
+temporary name and published with the atomic ``os.replace``, so
+concurrent workers certifying overlapping regions never corrupt an entry
+— the regression tests in ``tests/engine/test_cache_concurrency.py`` pin
+this.  The parent answers cache hits before sharding and ships the
+:class:`~repro.engine.cache.RegionQuery` of each miss with its shard;
+workers persist their *final* verdicts (resolved, or produced by the last
+stage) themselves, stamped with the configuration fingerprint
 (:func:`~repro.engine.cache.config_fingerprint`).
 
 A per-shard ``timeout_seconds`` bounds every wait on the pool, so a hung
@@ -73,12 +70,7 @@ import numpy as np
 from repro.core.config import CraftConfig
 from repro.core.results import VerificationResult
 from repro.engine.craft import BatchedCraft, ConsolidationStats, prediction_pass, region_arrays
-from repro.engine.escalation import (
-    StageStats,
-    fold_dominance_hits,
-    resolve_batch_size,
-    should_escalate,
-)
+from repro.engine.escalation import StageStats, resolve_batch_size, should_escalate
 from repro.engine.results import EngineReport
 from repro.engine.cache import RegionQuery, TieredVerdictCache, build_verdict_cache
 from repro.exceptions import ConfigurationError, VerificationError
@@ -417,10 +409,6 @@ class ShardedScheduler:
                 for x, label in zip(xs, labels.tolist())
             ]
         results, misses = self._cache_lookup(queries, len(labels))
-        dominance_hits = sum(
-            result is not None and result.cache_tier == "dominance"
-            for result in results
-        )
 
         queued, anchors = misses, None
         if misses.size:
@@ -441,12 +429,9 @@ class ShardedScheduler:
         num_shards, stage_rows = self._dispatch(
             queued, centers, lower, upper, labels[queued], anchors, queries, results
         )
-        if dominance_hits:
-            stage_rows = fold_dominance_hits(stage_rows, results)
         return EngineReport(
             results=results,
             cache_hits=len(labels) - misses.size,
-            cache_dominance_hits=dominance_hits,
             num_batches=num_shards,
             elapsed_seconds=time.perf_counter() - start,
             num_workers=1 if self._inline else self.num_workers,

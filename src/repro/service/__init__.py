@@ -105,9 +105,6 @@ def serve_sweep(
             # Frontend-view hits and backend hits both surface as cached
             # results, so counting cached results counts each hit once.
             cache_hits=sum(1 for r in results if r.cached),
-            cache_dominance_hits=sum(
-                1 for r in results if r.cache_tier == "dominance"
-            ),
             num_batches=frontend.stats.engine_batches,
             elapsed_seconds=time.perf_counter() - start,
             num_workers=1,

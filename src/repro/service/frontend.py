@@ -6,12 +6,17 @@ budget)`` — from any number of concurrent clients, and stands between
 them and the engines:
 
 Admission
-    Every cell is first looked up in this process's
-    :class:`~repro.engine.cache.TieredVerdictCache` view (LRU →
-    disk → dominance; the view auto-refreshes on the mtime staleness
-    bound, so entries published by cluster workers or *other* service
-    processes are served without an engine touch).  Hits stream back
-    immediately; misses are queued for dispatch.
+    A request whose centres do not fit the model's input dimension, or
+    whose ball is invalid (a NaN or negative epsilon, NaN or crossed clip
+    bounds), raises :class:`~repro.exceptions.VerificationError` before
+    any of its cells is looked up or queued.  Every cell is then looked
+    up by its exact key in this process's
+    :class:`~repro.engine.cache.TieredVerdictCache` view, which re-checks
+    the cache directory on a lookup once its last check is
+    :data:`VIEW_REFRESH_SECONDS` old, so entries published by cluster
+    workers or *other* service processes are served without an engine
+    touch.  Hits stream back immediately; misses
+    are queued for dispatch.
 Coalescing
     Queued cells are grouped by **batch signature** — ``(model
     fingerprint, config signature, epsilon, clip bounds)`` — and held
@@ -66,7 +71,7 @@ import asyncio
 import time
 import uuid
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,15 +86,14 @@ from repro.engine.cache import (
 )
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.mondeq.model import MonDEQ
+from repro.verify.specs import check_ball, check_input_dim
 
 #: Terminal cell states, in event ``status`` form.
 TERMINAL_STATUSES = ("served", "cancelled", "expired", "failed")
 
-#: Default staleness bound of the frontend's cache view when the model's
-#: own :class:`~repro.core.config.CacheConfig` leaves ``refresh_seconds``
-#: unset — a long-lived frontend must not serve a snapshot frozen at
-#: registration time.
-DEFAULT_VIEW_REFRESH_SECONDS = 0.25
+#: Staleness bound of the frontend's cache view, in seconds: a long-lived
+#: frontend must not serve a snapshot frozen at registration time.
+VIEW_REFRESH_SECONDS = 0.25
 
 
 @dataclass(frozen=True)
@@ -105,9 +109,8 @@ class VerdictEvent:
     #: or cancelled cell has *no* verdict, certified or not.
     result: Optional[VerificationResult]
     reason: str = ""
-    #: Which tier answered a served cell without an engine pass
-    #: (``"lru"``/``"disk"``/``"dominance"``), or ``None`` for engine
-    #: verdicts.
+    #: ``"disk"`` for a served cell the verdict cache answered, ``None``
+    #: for engine verdicts.
     cache_tier: Optional[str] = None
     latency_seconds: float = 0.0
 
@@ -308,13 +311,9 @@ class CertificationFrontend:
             # executor threads, and TieredVerdictCache is not
             # thread-safe — so the event loop consults a separate view
             # over the same directory, armed with the staleness bound.
-            cache_config = config.cache
-            if cache_config.refresh_seconds is None:
-                cache_config = replace(
-                    cache_config, refresh_seconds=DEFAULT_VIEW_REFRESH_SECONDS
-                )
             cache = TieredVerdictCache(
-                cache_dir, config, weights_hash(model), cache_config=cache_config
+                cache_dir, config, weights_hash(model),
+                refresh_seconds=VIEW_REFRESH_SECONDS,
             )
         self._entries[fingerprint] = _ModelEntry(
             fingerprint=fingerprint, model=model, config=config,
@@ -340,7 +339,10 @@ class CertificationFrontend:
         """Admit one request; returns its streaming handle immediately.
 
         Cache hits resolve before this returns; everything else resolves
-        through the handle's event stream.
+        through the handle's event stream.  Raises
+        :class:`~repro.exceptions.VerificationError`, admitting nothing,
+        when the centres do not fit the model or the ball is invalid,
+        even if every row would be misclassified.
         """
         if self._closed:
             raise VerificationError("frontend is closed")
@@ -357,6 +359,11 @@ class CertificationFrontend:
         targets = np.asarray(targets, dtype=int).reshape(-1)
         if centers.shape[0] != targets.shape[0]:
             raise VerificationError("centers and targets must have matching lengths")
+        # Checked at admission rather than left to the engine: a failing
+        # engine pass would only mark this request's cells failed, and
+        # with them those of every request coalesced into its batch.
+        check_input_dim(centers.shape[1], entry.model.input_dim)
+        check_ball(epsilon, clip_min, clip_max)
 
         request_id = uuid.uuid4().hex[:12]
         handle = RequestHandle(request_id, total=centers.shape[0])

@@ -356,10 +356,6 @@ class SampleRecord:
     stage: Optional[str] = None
     #: Whether the verdict was replayed from the fixpoint cache.
     cached: bool = False
-    #: Which cache tier answered (``"lru"``/``"disk"``/``"dominance"``,
-    #: ``None`` for live verdicts); ``"dominance"`` marks verdicts served
-    #: from a dominating entry — this exact query was never computed.
-    cache_tier: Optional[str] = None
     #: Measured peak error-term count of the query (``None`` when the
     #: abstract analysis never ran — misclassification short-circuits).
     peak_error_terms: Optional[int] = None
@@ -411,12 +407,6 @@ class RobustnessReport:
         return self.num_samples - self.cache_hits
 
     @property
-    def cache_dominance_hits(self) -> int:
-        """Verdicts answered by dominance (certified superset region or
-        falsifying point) — queries never literally computed."""
-        return sum(record.cache_tier == "dominance" for record in self.records)
-
-    @property
     def phase1_iterations(self) -> int:
         """Total phase-one iterations across the evaluation set."""
         return sum(record.iterations_phase1 for record in self.records)
@@ -458,7 +448,6 @@ class RobustnessReport:
             "samples": self.num_samples,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "cache_dominance_hits": self.cache_dominance_hits,
             "stages": self.stage_counts,
             "error_terms": self.measured_error_terms,
             "phase1_iterations": self.phase1_iterations,
@@ -574,7 +563,6 @@ class RobustnessVerifier:
                     outcome=result.outcome.value,
                     stage=result.stage,
                     cached=result.from_cache,
-                    cache_tier=result.cache_tier,
                     peak_error_terms=result.peak_error_terms,
                     iterations_phase1=result.iterations_phase1,
                 )

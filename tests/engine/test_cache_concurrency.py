@@ -1,16 +1,12 @@
-"""Regression tests for fixpoint-cache concurrency and version stamping.
+"""Regression tests for verdict-cache concurrency and version stamping.
 
 Two shard workers certifying *overlapping* region sets write the same
-cache keys concurrently.  The cache design relies on atomic per-entry
+cache keys concurrently.  The cache relies on atomic per-entry
 publication (writer-unique temporary file + ``os.replace``) instead of
-file locking; these tests pin that no interleaving corrupts an entry, and
-that the version stamp inside each entry rejects reads by a mismatched
-configuration — the invariant that carries the entire burden of proof now
-that quantised keying and dominance lookups mean a key no longer pins the
-exact query (see :mod:`repro.engine.cache`).  The dominance test below
-additionally pins that concurrent admissions leave a *readable* dominance
-index: a fresh reader over the racing workers' directory must ingest
-every entry and serve contained child queries from it.
+file locking; these tests pin that no interleaving corrupts an entry,
+that views in different processes serve each other's fresh entries, that
+orphaned scratch files are swept, and that the version stamp inside each
+entry rejects reads by a mismatched configuration.
 
 All multiprocessing here is deterministically seeded through
 ``repro.utils.rng`` and guarded by join timeouts so a hung worker fails
@@ -20,14 +16,20 @@ the test fast instead of stalling CI.
 import json
 import multiprocessing
 import os
+import shutil
 import time
 
 import numpy as np
 import pytest
 
-from repro.core.config import CacheConfig, CraftConfig
-from repro.engine import BatchCertificationScheduler, FixpointCache, config_fingerprint
-from repro.engine.cache import weights_hash
+from repro.core.config import CraftConfig
+from repro.engine import BatchCertificationScheduler, config_fingerprint
+from repro.engine.cache import (
+    RegionQuery,
+    TieredVerdictCache,
+    build_verdict_cache,
+    weights_hash,
+)
 from repro.utils.rng import as_generator
 
 JOIN_TIMEOUT_SECONDS = 300.0
@@ -102,87 +104,9 @@ class TestConcurrentCacheWrites:
                 assert cached.margin == pytest.approx(fresh.margin, abs=1e-12)
 
 
-class TestConcurrentDominanceAdmissions:
-    def test_racing_admissions_leave_a_readable_dominance_index(
-        self, trained_mondeq, toy_data, config, tmp_path
-    ):
-        """Two workers admitting overlapping region sets concurrently must
-        produce a directory a fresh DominanceIndex can ingest whole — and
-        a fresh tiered cache must answer strictly-contained child queries
-        of the certified parents by dominance, with zero recomputation."""
-        from repro.engine.cache import (
-            RegionQuery,
-            build_verdict_cache,
-            payload_supports_dominance,
-        )
-        from repro.engine.cache_dominance import DominanceIndex
-
-        xs, ys = toy_data
-        rng = as_generator(99)
-        pool = rng.permutation(np.arange(120, 140))
-        first = np.sort(pool[:12])
-        second = np.sort(pool[4:16])
-        cache_dir = str(tmp_path / "dominance-cache")
-
-        context = multiprocessing.get_context("fork")
-        barrier = context.Barrier(2)
-        workers = [
-            context.Process(
-                target=_certify_overlapping,
-                args=(trained_mondeq, config, xs[sel], ys[sel].astype(int), cache_dir, barrier),
-            )
-            for sel in (first, second)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=JOIN_TIMEOUT_SECONDS)
-            assert worker.exitcode == 0, "dominance-concurrency worker failed or hung"
-
-        # Every published entry carries the post-1.5.0 dominance shape and
-        # is ingested by a cold index — no torn or half-shaped entries.
-        payloads = []
-        for name in os.listdir(cache_dir):
-            with open(os.path.join(cache_dir, name), "r", encoding="utf-8") as handle:
-                payloads.append(json.load(handle))
-        assert all(payload_supports_dominance(p) for p in payloads)
-        index = DominanceIndex(
-            cache_dir,
-            signature=config_fingerprint(config),
-            model_digest=weights_hash(trained_mondeq),
-        )
-        indexable = sum(
-            p["outcome"] == "misclassified" or p["certified"] for p in payloads
-        )
-        assert len(index) == indexable
-        assert index.skipped == 0
-
-        # Child queries strictly inside the certified parents answer by
-        # dominance from a fresh reader, without touching the engine.
-        union = np.union1d(first, second)
-        cache = build_verdict_cache(cache_dir, config, trained_mondeq)
-        served_dominance = 0
-        for row in union:
-            parent = RegionQuery(
-                center=xs[row], epsilon=0.05, target=int(ys[row])
-            )
-            verbatim = cache.lookup(parent)
-            assert verbatim is not None  # literal replay of the parents
-            child = RegionQuery(
-                center=xs[row], epsilon=0.02, target=int(ys[row])
-            )
-            child_served = cache.lookup(child)
-            if child_served is not None and child_served.cache_tier == "dominance":
-                served_dominance += 1
-        assert served_dominance > 0
-        assert cache.stats.dominance_hits == served_dominance
-
-
 def _serve_peer_then_admit(model, config, xs, ys, cache_dir, peer_row, own_row, out):
     """Second-process body: a fresh cache view must serve the first
     process's already-published entry, then publish its own."""
-    from repro.engine.cache import RegionQuery, build_verdict_cache
-
     cache = build_verdict_cache(cache_dir, config, model)
     peer = RegionQuery(center=xs[peer_row], epsilon=0.05, target=int(ys[peer_row]))
     served_peer = cache.lookup(peer) is not None
@@ -196,21 +120,13 @@ class TestCrossProcessStaleness:
     """Regression for the long-lived-view staleness bug: a
     ``TieredVerdictCache`` snapshotted its directory once and never saw
     entries published afterwards by other processes.  With
-    ``CacheConfig.refresh_seconds`` armed, lookups re-check the directory
-    mtime and rescan when it moved — so two service processes admitting
+    ``refresh_seconds`` armed, lookups re-check the directory mtime and
+    rescan when it moved — so two service processes admitting
     interleaved entries serve *each other's* fresh verdicts."""
 
     def test_interleaved_admits_serve_each_others_entries(
         self, trained_mondeq, toy_data, config, tmp_path
     ):
-        from dataclasses import replace
-
-        from repro.engine.cache import (
-            RegionQuery,
-            TieredVerdictCache,
-            build_verdict_cache,
-        )
-
         xs, ys = toy_data
         cache_dir = str(tmp_path / "shared")
         first_row, second_row = 100, 101
@@ -218,10 +134,7 @@ class TestCrossProcessStaleness:
         # Both parent views snapshot the directory while it is EMPTY —
         # everything below arrives after their snapshots.
         auto = TieredVerdictCache(
-            cache_dir,
-            config,
-            weights_hash(trained_mondeq),
-            cache_config=replace(config.cache, refresh_seconds=0.0),
+            cache_dir, config, weights_hash(trained_mondeq), refresh_seconds=0.0
         )
         frozen = build_verdict_cache(cache_dir, config, trained_mondeq)
 
@@ -271,10 +184,10 @@ class TestScratchFileHygiene:
         fresh = tmp_path / "cafef00d.json.456.1.tmp"
         stale.write_text("{}")
         fresh.write_text("{}")
-        old = time.time() - 2 * FixpointCache.STALE_TMP_SECONDS
+        old = time.time() - 2 * TieredVerdictCache.STALE_TMP_SECONDS
         os.utime(stale, (old, old))
 
-        FixpointCache(str(tmp_path))
+        TieredVerdictCache(str(tmp_path), CraftConfig(), "model-digest")
         assert not stale.exists()  # orphan from a killed worker: swept
         assert fresh.exists()  # possibly a live writer's scratch: kept
 
@@ -284,30 +197,35 @@ class TestVersionStamp:
         self, trained_mondeq, toy_data, config, tmp_path
     ):
         """Entries written under config A must not be served to config B,
-        even when addressed by the *same* key (the quantised-keying
-        scenario: keys may stop pinning the exact config)."""
+        even when a file sits under the key config B computes (a copied or
+        renamed entry): the stamp inside the payload decides."""
         xs, ys = toy_data
         writer = BatchCertificationScheduler(
             trained_mondeq, config, batch_size=4, cache_dir=str(tmp_path)
         )
         writer.certify(xs[120:124], ys[120:124].astype(int), 0.05)
-        keys = [name[: -len(".json")] for name in os.listdir(tmp_path)]
-        assert keys
+        queries = [
+            RegionQuery(center=x, epsilon=0.05, target=int(y))
+            for x, y in zip(xs[120:124], ys[120:124])
+        ]
 
-        matching = FixpointCache(str(tmp_path), signature=config_fingerprint(config))
+        matching = build_verdict_cache(str(tmp_path), config, trained_mondeq)
         other = config.with_updates(tighten_patience=7)
-        mismatched = FixpointCache(str(tmp_path), signature=config_fingerprint(other))
-        for key in keys:
-            assert matching.load(key) is not None
-            assert mismatched.load(key) is None
+        mismatched = build_verdict_cache(str(tmp_path), other, trained_mondeq)
+        for query in queries:
+            assert matching.lookup(query) is not None
+            assert mismatched.lookup(query) is None  # a different key
+            shutil.copy(
+                os.path.join(str(tmp_path), f"{matching.key(query)}.json"),
+                os.path.join(str(tmp_path), f"{mismatched.key(query)}.json"),
+            )
+        assert mismatched.refresh(force=True)
+        for query in queries:
+            assert mismatched.lookup(query) is None  # the stamp does not match
 
     def test_fingerprint_tracks_verdict_relevant_fields(self, config):
         assert config_fingerprint(config) == config_fingerprint(
             config.with_updates(verbose=True)
-        )
-        assert config_fingerprint(config) == config_fingerprint(
-            # The cache layout must never invalidate cached verdicts.
-            config.with_updates(cache=CacheConfig(lru_entries=8))
         )
         for overrides in (
             {"alpha1": 0.2},
@@ -317,14 +235,3 @@ class TestVersionStamp:
             assert config_fingerprint(config) != config_fingerprint(
                 config.with_updates(**overrides)
             )
-
-    def test_unstamped_cache_still_reads_entries(self, trained_mondeq, toy_data, config, tmp_path):
-        """A signature-less FixpointCache (legacy construction) keeps
-        working — the stamp check only arms when a signature is given."""
-        xs, ys = toy_data
-        BatchCertificationScheduler(
-            trained_mondeq, config, batch_size=4, cache_dir=str(tmp_path)
-        ).certify(xs[120:122], ys[120:122].astype(int), 0.05)
-        legacy = FixpointCache(str(tmp_path))
-        keys = [name[: -len(".json")] for name in os.listdir(tmp_path)]
-        assert all(legacy.load(key) is not None for key in keys)

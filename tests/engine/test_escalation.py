@@ -249,7 +249,7 @@ class TestLadderCache:
         assert all(result.stage == "box" for result in results)
         assert any(should_escalate(result) for result in results)
         for query, result in zip(queries, results):
-            key = state.cache.admission_key(query, result)
+            key = state.cache.key(query)
             entry_exists = os.path.exists(os.path.join(str(tmp_path), f"{key}.json"))
             assert entry_exists == (not should_escalate(result))
 

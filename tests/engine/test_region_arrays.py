@@ -1,9 +1,8 @@
 """A batched sweep's regions stay arrays from ``certify`` to the results.
 
 * **Bounds.**  :func:`~repro.verify.specs.ball_bounds` on a ``(B, d)``
-  stack equals the stacked per-ball ``LinfBall.bounds`` and
-  ``RegionQuery.bounds``, and the clipping rule written out per ball,
-  byte for byte.
+  stack equals the stacked per-ball ``LinfBall.bounds`` and the clipping
+  rule written out per ball, byte for byte.
 * **Paths.**  ``certify`` on ``BatchedCraft`` and on the in-process
   scheduler equals what they did before the array entry existed: a
   prediction pass, then ``certify_regions`` over one ball and one spec per
@@ -16,7 +15,8 @@
   and builds specs only for the verifier's postcondition table, in process
   and through the sharded scheduler alike.
 * **Validation.**  Bad ball parameters, NaN included, fail loudly on every
-  engine, under the same conditions as before.
+  engine, under the same conditions as before, and a warm verdict cache
+  answers none of them.
 """
 
 import numpy as np
@@ -28,7 +28,6 @@ from hypothesis.extra.numpy import arrays
 from repro.core.config import ContractionSettings, CraftConfig
 from repro.core.results import VerificationOutcome
 from repro.engine import BatchCertificationScheduler, ShardedScheduler
-from repro.engine.cache import RegionQuery
 from repro.engine.craft import BatchedCraft, _scatter_traces, prediction_pass
 from repro.exceptions import VerificationError
 from repro.experiments.model_zoo import get_model
@@ -76,7 +75,6 @@ def test_stacked_bounds_equal_the_per_ball_bounds(case):
     lower, upper = ball_bounds(centers, epsilon, clip_min, clip_max)
     for per_ball in (
         lambda center: LinfBall(center, epsilon, clip_min, clip_max).bounds(),
-        lambda center: RegionQuery(center, epsilon, 0, clip_min, clip_max).bounds(),
         lambda center: _clipped(center, epsilon, clip_min, clip_max),
     ):
         bounds = [per_ball(center) for center in centers]
@@ -367,11 +365,17 @@ _VERIFIERS = {
 
 
 @pytest.mark.parametrize("ball", list(_BAD_BALLS), ids=list(_BAD_BALLS))
-@pytest.mark.parametrize("verifier", list(_VERIFIERS.values()), ids=list(_VERIFIERS))
-def test_bad_balls_fail_only_when_a_row_is_analysed(hcas, verifier, ball):
-    model, xs, labels, _ = hcas
-    verifier_cls, config = verifier
-    verifier = verifier_cls(model, config)
+@pytest.mark.parametrize("verifier", list(_VERIFIERS) + ["WarmCache"])
+def test_bad_balls_fail_only_when_a_row_is_analysed(hcas, verifier, ball, tmp_path):
+    model, xs, labels, epsilon = hcas
+    if verifier == "WarmCache":
+        # The in-process scheduler over a cache that holds every row's
+        # verdict at the fixture's good ε.
+        verifier = BatchCertificationScheduler(model, CraftConfig(), cache_dir=str(tmp_path))
+        verifier.certify(xs, labels, epsilon)
+    else:
+        verifier_cls, config = _VERIFIERS[verifier]
+        verifier = verifier_cls(model, config)
     with pytest.raises(VerificationError):
         _certify(verifier, xs, labels, **_BAD_BALLS[ball])
     # Every row misclassified: no region reaches the abstract analysis.
@@ -383,7 +387,7 @@ def test_bad_balls_fail_only_when_a_row_is_analysed(hcas, verifier, ball):
 
 
 @pytest.mark.parametrize("ball", [name for name in _BAD_BALLS if "nan" in name])
-@pytest.mark.parametrize("engine", ["batched", "sequential", "sharded"])
+@pytest.mark.parametrize("engine", ["batched", "sequential", "sharded", "service"])
 def test_a_nan_ball_fails_loudly_on_every_engine(hcas, engine, ball):
     model, xs, labels, _ = hcas
     with pytest.raises(VerificationError):
@@ -394,6 +398,18 @@ def test_a_nan_ball_fails_loudly_on_every_engine(hcas, engine, ball):
             certify_local_robustness(model, xs, labels, config=CraftConfig(), engine=engine, **_BAD_BALLS[ball])
     with pytest.raises(VerificationError):
         LinfBall(center=xs[0], **_BAD_BALLS[ball])
+
+
+@pytest.mark.parametrize("engine", ["batched", "sharded", "service"])
+def test_a_warm_cache_answers_no_bad_ball(hcas, engine, tmp_path):
+    """A cache holding every row's verdict at ε = 0.05 does not answer
+    ε = -0.1 over the same rows: the ball still fails."""
+    model, xs, labels, epsilon = hcas
+    certify_local_robustness(model, xs, labels, epsilon, engine=engine, cache_dir=str(tmp_path))
+    with pytest.raises(VerificationError):
+        certify_local_robustness(
+            model, xs, labels, engine=engine, cache_dir=str(tmp_path), **_BAD_BALLS["negative-epsilon"]
+        )
 
 
 @pytest.mark.parametrize("engine", ["batched", "sequential", "sharded"])

@@ -1,5 +1,7 @@
 """Unit tests for the batch scheduler and the on-disk fixpoint cache."""
 
+import hashlib
+import json
 import sys
 import threading
 
@@ -8,7 +10,13 @@ import pytest
 
 from repro.core.config import CraftConfig
 from repro.engine.results import EngineReport
-from repro.engine.cache import FixpointCache, weights_hash
+from repro.engine.cache import (
+    RegionQuery,
+    TieredVerdictCache,
+    _config_signature,
+    config_fingerprint,
+    weights_hash,
+)
 from repro.engine.scheduler import BatchCertificationScheduler
 from repro.exceptions import ConfigurationError
 from repro.experiments.model_zoo import get_model
@@ -36,20 +44,68 @@ class TestWeightsHash:
 
 
 class TestFixpointCache:
-    def test_key_depends_on_query_and_config(self, trained_mondeq, config):
+    def test_key_depends_on_query_and_config(self, trained_mondeq, config, tmp_path):
         digest = weights_hash(trained_mondeq)
+        cache = TieredVerdictCache(str(tmp_path), config, digest)
         center = np.zeros(trained_mondeq.input_dim)
-        base = FixpointCache.query_key(digest, center, 0.05, 1, config, 0.0, 1.0)
-        assert base == FixpointCache.query_key(digest, center, 0.05, 1, config, 0.0, 1.0)
-        assert base != FixpointCache.query_key(digest, center, 0.06, 1, config, 0.0, 1.0)
-        assert base != FixpointCache.query_key(digest, center + 1e-12, 0.05, 1, config, 0.0, 1.0)
-        assert base != FixpointCache.query_key(digest, center, 0.05, 2, config, 0.0, 1.0)
-        other_config = config.with_updates(alpha1=0.2)
-        assert base != FixpointCache.query_key(digest, center, 0.05, 1, other_config, 0.0, 1.0)
 
-    def test_missing_key_loads_none(self, tmp_path):
-        cache = FixpointCache(str(tmp_path))
-        assert cache.load("0" * 64) is None
+        def key(center=center, epsilon=0.05, target=1, clip_max=1.0, cache=cache):
+            return cache.key(RegionQuery(center, epsilon, target, 0.0, clip_max))
+
+        # The documented formula, so entries written by earlier versions
+        # of the library keep their keys.
+        expected = hashlib.sha256()
+        expected.update(digest.encode())
+        expected.update(center.tobytes())
+        expected.update(repr((0.05, 0.0, 1.0, 1)).encode())
+        expected.update(_config_signature(config).encode())
+        assert key() == expected.hexdigest()
+        assert key() == key()
+        assert key() != key(epsilon=0.06)
+        assert key() != key(center=center + 1e-12)
+        assert key() != key(target=2)
+        assert key() != key(clip_max=None)
+        other_config = config.with_updates(alpha1=0.2)
+        assert key() != key(cache=TieredVerdictCache(str(tmp_path), other_config, digest))
+        assert key() != key(cache=TieredVerdictCache(str(tmp_path), config, "other-model"))
+
+    def test_missing_key_loads_none(self, config, tmp_path):
+        cache = TieredVerdictCache(str(tmp_path), config, "model-digest")
+        assert cache.lookup(RegionQuery(np.zeros(3), 0.05, 1)) is None
+
+    def test_a_payload_of_any_earlier_shape_replays_verbatim(self, config, tmp_path):
+        """Entries keep their keys and stamps across payload shapes: the
+        oldest shape (no resolving stage, no error-term count) and the
+        shape that also recorded the query region both replay by exact
+        key, field for field."""
+        cache = TieredVerdictCache(str(tmp_path), config, "model-digest")
+        oldest = {
+            "outcome": "verified", "contained": True, "certified": True,
+            "margin": 0.5, "iterations_phase1": 3, "iterations_phase2": 2,
+            "time_seconds": 0.01, "selected_alpha2": 0.05,
+            "selected_solver2": "fb", "slope_optimized": False,
+            "notes": "", "signature": config_fingerprint(config),
+        }
+        with_region = dict(
+            oldest, outcome="unknown", certified=False, margin=float("-inf"),
+            stage="chzonotope", peak_error_terms=12,
+            model_digest="model-digest", center=[0.5, 0.5, 0.5], epsilon=0.3,
+            target=2, clip_min=0.0, clip_max=1.0,
+        )
+        for target, payload in enumerate((oldest, with_region)):
+            query = RegionQuery(np.full(3, 0.5), 0.3, target)
+            with open(tmp_path / f"{cache.key(query)}.json", "w", encoding="utf-8") as handle:
+                json.dump(payload, handle)
+            cache.refresh(force=True)
+            served = cache.lookup(query)
+            assert served.outcome.value == payload["outcome"]
+            assert served.certified == payload["certified"]
+            assert served.margin == payload["margin"]
+            assert served.iterations_phase1 == 3 and served.iterations_phase2 == 2
+            assert served.selected_alpha2 == 0.05 and served.selected_solver2 == "fb"
+            assert served.stage == payload.get("stage")
+            assert served.peak_error_terms == payload.get("peak_error_terms")
+            assert served.cached and served.cache_tier == "disk"
 
 
 class TestScheduler:
@@ -196,10 +252,10 @@ class TestConcurrentCallers:
         for report, expected in zip(reports, reference):
             assert [r.outcome for r in report.results] == [r.outcome for r in expected.results]
             assert [r.stage for r in report.results] == [r.stage for r in expected.results]
-        # Every row is answered by the cache (a dominating entry another
-        # thread admitted first) or admitted exactly once.
-        hits = sum(report.cache_hits for report in reports)
-        assert len(list(tmp_path.glob("*.json"))) + hits == 120
+        # The sweeps are disjoint, so no row hits, and every row's
+        # admission lands.
+        assert sum(report.cache_hits for report in reports) == 0
+        assert len(list(tmp_path.glob("*.json"))) == 120
         xs = np.concatenate([x for x, _ in sweeps])
         ys = np.concatenate([y for _, y in sweeps])
         assert scheduler.certify(xs, ys, 0.05).cache_hits == 120

@@ -24,13 +24,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dataclasses import replace
-
 from repro.core.config import CraftConfig, ServiceConfig
 from repro.core.results import VerificationOutcome, VerificationResult
 from repro.engine.results import EngineReport
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, VerificationError
 from repro.mondeq.model import MonDEQ
+from repro.service import frontend as frontend_module
 from repro.service.frontend import CertificationFrontend
 
 MODEL = MonDEQ.random(input_dim=4, latent_dim=5, output_dim=3, monotonicity=8.0, seed=21)
@@ -274,24 +273,74 @@ class TestDeadlineAndBudget:
         asyncio.run(run())
 
 
+class TestAdmissionChecks:
+    def test_a_malformed_request_is_rejected_before_it_joins_a_batch(self):
+        """A request whose centres do not fit the model, or whose ball is
+        invalid, raises at submit and admits nothing; the request it would
+        have been coalesced with is still served."""
+
+        async def run():
+            frontend = CertificationFrontend(
+                service=ServiceConfig(coalesce_window_seconds=0.05, max_batch_cells=8)
+            )
+            fingerprint = frontend.register_model(MODEL, CONFIG_A, backend=InstantBackend())
+            xs = np.full((2, MODEL.input_dim), 0.5)
+            good = await frontend.submit(fingerprint, xs, [0, 1], 0.05)
+            with pytest.raises(VerificationError, match="dimension"):
+                await frontend.submit(fingerprint, np.full((2, MODEL.input_dim + 1), 0.5), [0, 1], 0.05)
+            for epsilon, clips in (
+                (np.nan, {}), (-0.01, {}), (0.05, {"clip_min": 1.0, "clip_max": 0.0}),
+            ):
+                with pytest.raises(VerificationError):
+                    await frontend.submit(fingerprint, xs, [0, 1], epsilon, **clips)
+            events = await asyncio.wait_for(good.collect(), timeout=10.0)
+            await frontend.close()
+            return frontend.stats, events
+
+        stats, events = asyncio.run(run())
+        assert [event.status for event in events] == ["served", "served"]
+        assert stats.submitted == 2
+
+    def test_a_bad_ball_is_rejected_even_when_every_row_is_misclassified(self):
+        """The engines never check the ball of a row the prediction pass
+        short-circuits; the frontend checks it at submit regardless."""
+        xs = np.random.default_rng(5).uniform(0.3, 0.7, size=(3, MODEL.input_dim))
+        wrong = (MODEL.predict_batch(xs).astype(int) + 1) % MODEL.output_dim
+
+        async def run():
+            frontend = _frontend()
+            fingerprint = frontend.register_model(MODEL, CONFIG_A)
+            for epsilon, clips in ((-0.01, {}), (0.05, {"clip_min": 1.0, "clip_max": 0.0})):
+                with pytest.raises(VerificationError):
+                    await frontend.submit(fingerprint, xs, wrong, epsilon, **clips)
+            # The same rows at a valid radius are served as misclassified.
+            events = await asyncio.wait_for(
+                (await frontend.submit(fingerprint, xs, wrong, 0.05)).collect(), timeout=30.0
+            )
+            await frontend.close()
+            return frontend.stats, events
+
+        stats, events = asyncio.run(run())
+        assert [event.result.outcome for event in events] == [VerificationOutcome.MISCLASSIFIED] * 3
+        assert stats.submitted == 3
+
+
 class TestCacheFirstAdmission:
-    def test_repeat_traffic_served_from_cache_without_engine(self, tmp_path):
+    def test_repeat_traffic_served_from_cache_without_engine(self, tmp_path, monkeypatch):
         """Second submission of the same cells: zero engine batches, all
         served with a cache tier, counted in the hit rate."""
         model = MODEL
         xs = np.random.default_rng(3).uniform(0.3, 0.7, size=(4, model.input_dim))
         labels = np.array([int(p) for p in model.predict_batch(xs)])
-        # refresh_seconds=0 makes the frontend's cache view re-check the
-        # directory on every lookup — the warm sweep must see the cold
-        # sweep's entries without waiting out the default staleness bound.
-        config = replace(
-            CONFIG_A, cache=replace(CONFIG_A.cache, refresh_seconds=0.0)
-        )
+        # A zero staleness bound makes the frontend's cache view re-check
+        # the directory on every lookup — the warm sweep must see the cold
+        # sweep's entries without waiting out the bound.
+        monkeypatch.setattr(frontend_module, "VIEW_REFRESH_SECONDS", 0.0)
 
         async def run():
             frontend = _frontend()
             fingerprint = frontend.register_model(
-                model, config, cache_dir=str(tmp_path / "cache")
+                model, CONFIG_A, cache_dir=str(tmp_path / "cache")
             )
             cold = await (
                 await frontend.submit(fingerprint, xs, labels, 0.03)
