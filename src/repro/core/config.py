@@ -24,12 +24,12 @@ _VALID_SOLVERS = ("pr", "fb")
 _VALID_EXPANSIONS = ("const", "exp", "none")
 _VALID_SLOPE_MODES = ("none", "reduced", "reference")
 
-#: Steps each candidate of the phase-two alpha race runs before the
-#: samples it did not certify move on to the next candidate
-#: (:meth:`CraftConfig.race_candidates`).  From 4 steps on, the candidate
-#: that leads is the one that leads after 30 on every sample measured: the
-#: FCx40 and HCAS smoke models, and the hard cells of the small HCAS model
-#: at epsilon 2.0, where a 3-step probe picks a larger alpha that
+#: Steps each phase-two alpha race candidate runs before the samples it did
+#: not certify move on (:meth:`CraftConfig.race_candidates`), and the stop
+#: rule's window (:meth:`CraftConfig.stop_tightening`).  From 4 steps on, the
+#: candidate that leads is the one that leads after 30 on every sample
+#: measured: the FCx40 and HCAS smoke models, and the hard cells of the small
+#: HCAS model at epsilon 2.0, where a 3-step probe picks a larger alpha that
 #: certifies 46 of the 96 cells the 30-step leader certifies.
 PROBE_STEPS = 4
 
@@ -331,9 +331,8 @@ class CraftConfig:
     use_box_component:
         When ``False`` the ReLU transformer writes fresh error terms into
         generator columns instead of the Box component.
-    tighten_max_iterations, tighten_patience:
-        Phase-two budget and the no-improvement abort heuristic (3 r' steps
-        in Appendix C; here expressed directly as a step count).
+    tighten_max_iterations:
+        Phase-two budget in steps; see also :meth:`stop_tightening`.
     """
 
     domain: Optional[str] = None
@@ -357,7 +356,6 @@ class CraftConfig:
     same_iteration_containment: bool = False
     use_box_component: bool = True
     tighten_max_iterations: int = 150
-    tighten_patience: int = 30
     concrete_tol: float = 1e-9
     concrete_max_iterations: int = 2000
     verbose: bool = False
@@ -386,8 +384,6 @@ class CraftConfig:
             raise ConfigurationError("expansion parameters must be non-negative")
         if self.tighten_max_iterations < 1:
             raise ConfigurationError("tighten_max_iterations must be positive")
-        if self.tighten_patience < 1:
-            raise ConfigurationError("tighten_patience must be positive")
         if not self.alpha2_grid:
             raise ConfigurationError("alpha2_grid must not be empty")
 
@@ -509,6 +505,14 @@ class CraftConfig:
     def probe_steps(self) -> int:
         """Steps of one race probe: ``PROBE_STEPS``, capped at the phase-two budget."""
         return min(PROBE_STEPS, self.tighten_max_iterations)
+
+    def stop_tightening(self, step: int, margin, earlier_margin):
+        """Whether phase two stops a sample (scalars, or arrays of samples) that
+        has not certified at usable step ``step``: its best ``margin`` plus the
+        gain since ``earlier_margin`` (``PROBE_STEPS`` usable steps ago, ``-inf``
+        before) extended over the rest of the budget is at most 0 (docs/engines.md)."""
+        remaining = self.tighten_max_iterations - step
+        return margin + remaining * (margin - earlier_margin) / PROBE_STEPS <= 0.0
 
     def slope_deltas(self) -> Tuple[float, ...]:
         """ReLU-slope shifts tried by the slope-optimisation pass."""

@@ -27,12 +27,13 @@ The verifier is domain- and model-agnostic: the model-specific pieces
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, List, Optional
 
 import numpy as np
 
-from repro.core.config import CraftConfig
+from repro.core.config import PROBE_STEPS, CraftConfig
 from repro.core.contraction import ContractionEngine, DomainOps, domain_ops_for
 from repro.core.expansion import ExpansionSchedule
 from repro.core.results import (
@@ -139,14 +140,14 @@ class _TighteningRun:
     :meth:`CraftVerifier._advance` can stop a run after a race probe and
     resume it later; the record then equals that of one uninterrupted run.
     ``outcome`` is the record so far; ``finished`` marks a run that
-    certified, aborted or ran out of patience.
+    certified, aborted or stopped (``window``: the stop rule's margins).
     """
 
     step: StepFunction
     state: AbstractElement
     previous: AbstractElement
     outcome: _PhaseTwoOutcome
-    since_improvement: int = 0
+    window: Deque[float] = field(default_factory=lambda: deque([-np.inf] * PROBE_STEPS))
     finished: bool = False
 
 
@@ -286,13 +287,6 @@ class CraftVerifier:
             return self._config.alpha2
         return self._config.alpha2_grid[len(self._config.alpha2_grid) // 2]
 
-    def _candidate_parameters(self) -> List[Tuple[str, float]]:
-        """Candidate (solver, alpha) pairs — see CraftConfig.candidate_parameters."""
-        return list(self._config.candidate_parameters())
-
-    def _slope_deltas(self) -> Sequence[float]:
-        return self._config.slope_deltas()
-
     def _tighten_and_certify(
         self, problem: FixpointProblem, contraction: ContractionResult
     ) -> _PhaseTwoOutcome:
@@ -316,8 +310,8 @@ class CraftVerifier:
 
         # Slope optimisation: only for samples already close to certification
         # (Section 6.3) — i.e. whose margin is within the configured threshold.
-        if self._slope_deltas() and full.margin > -config.slope_margin_threshold:
-            for delta in self._slope_deltas():
+        if config.slope_deltas() and full.margin > -config.slope_margin_threshold:
+            for delta in config.slope_deltas():
                 attempt = self._start_tightening(
                     problem, contraction, full.solver, full.alpha, float(delta)
                 )
@@ -383,19 +377,15 @@ class CraftVerifier:
                     outcome.margin = float(check.margin)
                     outcome.state = new_state
                     outcome.output = output
-                    run.since_improvement = 0
-                else:
-                    run.since_improvement += 1
                 if check.holds:
                     outcome.certified = True
                     run.finished = True
                     break
-            else:
-                run.since_improvement += 1
+                earlier = run.window.popleft()
+                run.window.append(outcome.margin)
+                run.finished = config.stop_tightening(outcome.iterations, outcome.margin, earlier)
 
             if not np.all(np.isfinite(new_state.width)) or new_state.max_width > config.contraction.abort_width:
-                run.finished = True
-            if run.since_improvement >= config.tighten_patience:
                 run.finished = True
             run.previous = state
             run.state = new_state

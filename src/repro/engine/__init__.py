@@ -65,8 +65,8 @@ Both Craft phases run with per-sample early exit.  The driver
 into the original batch; each iteration advances only the active stack.  A
 sample exits phase one when it proves containment against its consolidated
 history or diverges past the abort width, and exits phase two when its
-postcondition certifies, its width diverges, or its patience budget is
-exhausted.  On exit the sample's row is gathered out of the batched state,
+postcondition certifies, its width diverges, or its margin can no longer
+reach 0.  On exit the sample's row is gathered out of the batched state,
 its per-sample record (final element, reference, iteration counts, width
 trace) is frozen, and the remaining rows continue as a smaller stack —
 so a finished region never pays for a slow batch mate, and each sample's

@@ -63,7 +63,7 @@ def _config_signature(config: CraftConfig) -> str:
         config.slope_optimization, tuple(config.slope_candidates_reduced),
         tuple(config.slope_candidates_reference), config.slope_margin_threshold,
         config.same_iteration_containment, config.use_box_component,
-        config.tighten_max_iterations, config.tighten_patience,
+        config.tighten_max_iterations,
         config.concrete_tol, config.concrete_max_iterations,
         config.contraction.max_iterations, config.contraction.consolidate_every,
         config.contraction.basis_recompute_every, config.contraction.history_size,

@@ -4,8 +4,8 @@
 (:mod:`repro.core.craft`) for ``B`` certification queries against the same
 monDEQ weights simultaneously.  The per-sample semantics — consolidation
 cadence, expansion schedule, containment history, the phase-two alpha race
-(:meth:`~repro.core.config.CraftConfig.race_candidates`), patience and
-abort heuristics — replicate the sequential
+(:meth:`~repro.core.config.CraftConfig.race_candidates`) and stop rule
+(:meth:`~repro.core.config.CraftConfig.stop_tightening`) — replicate the sequential
 :class:`~repro.core.craft.CraftVerifier` exactly; what changes is that
 every abstract-transformer application advances the whole batch through
 shared BLAS calls on a batched domain stack
@@ -15,7 +15,7 @@ Box domains all run through this one driver, dispatched on
 
 Per-sample **early exit** works by shrinking the active stack: a sample
 that proves containment (phase one), certifies its postcondition, diverges
-or exhausts its patience (phase two) is gathered out of the batch, and the
+or can no longer certify (phase two) is gathered out of the batch, and the
 remaining rows keep iterating.  A sample's trajectory is therefore
 independent of its batch mates, which is what the batched-vs-sequential
 parity tests assert.
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import CraftConfig
+from repro.core.config import PROBE_STEPS, CraftConfig
 from repro.core.craft import open_input_block
 from repro.core.expansion import ExpansionSchedule
 from repro.core.results import (
@@ -292,6 +292,7 @@ class _TighteningRun:
     A sample's best state and output are row ``best_row`` of the stacks of
     step ``best_step`` (-1: none yet).  ``kept`` holds those stacks only
     for the steps some sample still points into, so the others are freed.
+    ``window`` holds each sample's best margins after its last ``PROBE_STEPS`` usable steps.
     """
 
     stacks: _TighteningStacks
@@ -306,7 +307,7 @@ class _TighteningRun:
     best_step: np.ndarray
     best_row: np.ndarray
     certified: np.ndarray
-    since_improvement: np.ndarray
+    window: np.ndarray
     iterations: np.ndarray
     peak_error_terms: np.ndarray
     kept: Dict[int, Tuple["BatchedDomain", "BatchedDomain"]] = field(default_factory=dict)
@@ -747,7 +748,7 @@ class BatchedCraft:
             best_step=np.full(count, -1),
             best_row=np.zeros(count, dtype=int),
             certified=np.zeros(count, dtype=bool),
-            since_improvement=np.zeros(count, dtype=int),
+            window=np.full((count, PROBE_STEPS), -np.inf),
             iterations=np.zeros(count, dtype=int),
             peak_error_terms=peak_error_terms,
         )
@@ -789,22 +790,26 @@ class BatchedCraft:
                 run.best_margin[better] = margins[improved]
                 run.best_step[better] = iteration
                 run.best_row[better] = np.nonzero(improved)[0]
-                run.since_improvement[better] = 0
                 run.kept[iteration] = (new_state, outputs)
                 for step in [step for step in run.kept if not np.any(run.best_step == step)]:
                     del run.kept[step]
-            run.since_improvement[active[~improved]] += 1
 
             certified_now = usable & holds
             run.certified[active[certified_now]] = True
 
+            # An earlier margin of -inf keeps a row going (NaN at the budget's end).
+            with np.errstate(invalid="ignore"):
+                stopped = usable & config.stop_tightening(
+                    iteration, run.best_margin[active], run.window[active, 0]
+                )
+            advanced = active[usable]
+            run.window[advanced] = np.column_stack((run.window[advanced, 1:], run.best_margin[advanced]))
             widths = new_state.width
             aborted = ~np.isfinite(widths).all(axis=1) | (
                 widths.max(axis=1) > config.contraction.abort_width
             )
-            exhausted = run.since_improvement[active] >= config.tighten_patience
 
-            exit_mask = certified_now | aborted | exhausted
+            exit_mask = certified_now | aborted | stopped
             if exit_mask.any():
                 keep = np.nonzero(~exit_mask)[0]
                 run.active = active[keep]

@@ -13,12 +13,13 @@ probe for the rest.  Three properties pin that:
   single candidate is one run.
 * **No flips against the exhaustive search.**  The probe-every-alpha-then-
   restart search the race replaced is rebuilt here from single-alpha
-  ``CraftVerifier.solve`` calls; no engine (sequential, batched, sharded
-  with ``REPRO_SHARD_WORKERS`` pool workers) may lose a certificate it
-  gives.
+  ``CraftVerifier.solve`` calls with the phase-two stop rule off; no
+  engine (sequential, batched, sharded with ``REPRO_SHARD_WORKERS`` pool
+  workers) may lose a certificate it gives.
 """
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -209,15 +210,20 @@ def _single_alpha(config, alpha, budget):
 
 def _exhaustive_search(problem, config):
     """Every grid alpha for 30 steps, then the best-margin alpha (the first
-    on ties) restarted at the full budget, keeping the better record."""
-    probes = [
-        _single_alpha(config, alpha, EXHAUSTIVE_PROBE_STEPS).solve(problem)
-        for alpha in config.alpha2_grid
-    ]
-    best = max(probes, key=lambda result: result.margin)
-    if best.certified or not best.contained:
-        return best
-    full = _single_alpha(config, best.selected_alpha2, config.tighten_max_iterations).solve(problem)
+    on ties) restarted at the full budget, keeping the better record.  The
+    stop rule is off, so every run that does not certify takes its whole
+    budget and the engines' rule is checked against a reference free of it."""
+    never_stop = lambda self, step, margin, earlier_margin: False  # noqa: E731
+    with mock.patch.object(CraftConfig, "stop_tightening", never_stop):
+        probes = [
+            _single_alpha(config, alpha, EXHAUSTIVE_PROBE_STEPS).solve(problem)
+            for alpha in config.alpha2_grid
+        ]
+        best = max(probes, key=lambda result: result.margin)
+        if best.certified or not best.contained:
+            return best
+        budget = config.tighten_max_iterations
+        full = _single_alpha(config, best.selected_alpha2, budget).solve(problem)
     return best if full.margin < best.margin else full
 
 

@@ -55,7 +55,6 @@ class TestCraftConfig:
             {"alpha2": 1.5},
             {"w_mul": -1.0},
             {"tighten_max_iterations": 0},
-            {"tighten_patience": 0},
             {"alpha2_grid": ()},
         ],
     )

@@ -104,13 +104,13 @@ class TestCraftVerifier:
 
     def test_candidate_parameters_respect_solver_choice(self):
         pr_config = _config(solver2="pr", alpha1=0.07)
-        assert CraftVerifier(pr_config)._candidate_parameters() == [("pr", 0.07)]
+        assert pr_config.candidate_parameters() == (("pr", 0.07),)
         fixed_fb = _config(solver2="fb", alpha2=0.3)
-        assert CraftVerifier(fixed_fb)._candidate_parameters() == [("fb", 0.3)]
+        assert fixed_fb.candidate_parameters() == (("fb", 0.3),)
         searched = _config(solver2="fb", alpha2=None)
-        assert len(CraftVerifier(searched)._candidate_parameters()) == len(searched.alpha2_grid)
+        assert len(searched.candidate_parameters()) == len(searched.alpha2_grid)
 
     def test_slope_deltas_by_mode(self):
-        assert CraftVerifier(_config())._slope_deltas() == ()
-        assert len(CraftVerifier(_config(slope_optimization="reduced"))._slope_deltas()) == 4
-        assert len(CraftVerifier(_config(slope_optimization="reference"))._slope_deltas()) == 8
+        assert _config().slope_deltas() == ()
+        assert len(_config(slope_optimization="reduced").slope_deltas()) == 4
+        assert len(_config(slope_optimization="reference").slope_deltas()) == 8

@@ -210,7 +210,7 @@ class TestVersionStamp:
         ]
 
         matching = build_verdict_cache(str(tmp_path), config, trained_mondeq)
-        other = config.with_updates(tighten_patience=7)
+        other = config.with_updates(tighten_max_iterations=7)
         mismatched = build_verdict_cache(str(tmp_path), other, trained_mondeq)
         for query in queries:
             assert matching.lookup(query) is not None
@@ -229,7 +229,7 @@ class TestVersionStamp:
         )
         for overrides in (
             {"alpha1": 0.2},
-            {"tighten_patience": 3},
+            {"tighten_max_iterations": 3},
             {"use_box_component": False},
         ):
             assert config_fingerprint(config) != config_fingerprint(

@@ -246,7 +246,6 @@ class TestStaggeredEarlyExit:
             slope_optimization="none",
             contraction=ContractionSettings(max_iterations=120, history_size=6),
             tighten_max_iterations=20,
-            tighten_patience=8,
         )
         rng = np.random.default_rng(3)
         centers = rng.uniform(0.0, 1.0, size=(6, model.input_dim))

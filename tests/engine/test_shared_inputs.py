@@ -160,10 +160,11 @@ def test_drivers_reopen_the_block_after_consolidation(shape):
     regions = _contained_regions(model, epsilon=0.02, count=3, seed=5)
     nus = _input_symbols(model.input_dim, seed=6)
     steps = 8
-    config = CraftConfig(alpha2=0.1, tighten_max_iterations=steps, tighten_patience=steps)
+    config = CraftConfig(alpha2=0.1, tighten_max_iterations=steps)
     balls = [ball for ball, _, _ in regions]
     # A target the model does not predict never certifies, so both drivers
-    # run the whole budget and return their best-margin state.
+    # return their best-margin state once the stop rule ends the run (after
+    # 5 of the 8 steps); compute_fixpoint_set below takes all 8.
     specs = [
         ClassificationSpec(
             target=(int(model.predict(ball.center)) + 1) % model.output_dim,

@@ -167,7 +167,6 @@ def craft_configs():
             same_iteration_containment=same_iteration,
             use_box_component=use_box,
             tighten_max_iterations=12,
-            tighten_patience=5,
         )
 
     return st.builds(
