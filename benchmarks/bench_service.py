@@ -18,13 +18,13 @@ records
 
 A second scenario measures the concurrent-sweep pipeline itself:
 mixed-model traffic (two registered models, two epsilons each, jittered
-repeat queries burst-submitted together) runs once with today's
-serialised settings (``max_concurrent_batches=1``, autoscaling off) and
-once concurrent (``max_concurrent_batches=4``, queue-depth autoscaling
-on), on identical traffic.  It records ``aggregate_qps``,
-``concurrent_batches_peak`` and ``autoscale_events``; certified counts
-must be equal across the arms with zero flips in both — concurrency may
-buy throughput, never verdicts.
+repeat queries burst-submitted together) runs once serialised
+(``max_concurrent_batches=1``) and once concurrent
+(``max_concurrent_batches=4``), on identical traffic and a fixed
+2-worker cluster per model.  It records ``aggregate_qps`` and
+``concurrent_batches_peak``; certified counts must be equal across the
+arms with zero flips in both — concurrency may buy throughput, never
+verdicts.
 
 Rows append to ``BENCH_service.json``.  Hard gates are counter- and
 verdict-based only; wall-clock/qps columns are policed across runs by
@@ -41,7 +41,7 @@ import numpy as np
 
 from _harness import append_trajectory, run_once
 
-from repro.core.config import AutoscaleConfig, CraftConfig, ServiceConfig
+from repro.core.config import CraftConfig, ServiceConfig
 from repro.engine.sharded import ShardedScheduler
 from repro.service import CertificationFrontend, ClusterScheduler, FaultSpec
 
@@ -102,7 +102,6 @@ def _service_soak_row(tmp_dir):
         shard_timeout_seconds=1.5,
         retry_backoff_seconds=0.05,
         retry_backoff_factor=1.5,
-        heartbeat_seconds=0.1,
     )
     faults = FaultSpec(
         seed=7,
@@ -243,32 +242,15 @@ def _mixed_arm(specs, references, concurrent):
         shard_timeout_seconds=8.0,
         retry_backoff_seconds=0.05,
         retry_backoff_factor=1.5,
-        heartbeat_seconds=0.1,
         max_concurrent_batches=4 if concurrent else 1,
-        autoscale=AutoscaleConfig(
-            enabled=True, min_workers=1, max_workers=2,
-            high_watermark=1, low_watermark=0, dwell_seconds=0.1,
-        )
-        if concurrent
-        else AutoscaleConfig(),
     )
     schedulers = []
     try:
-        for index, (model, config, _xs, _labels) in enumerate(specs):
-            # In the concurrent arm, a scripted delay pins model 0's sole
-            # initial worker mid-task: the queue stays deep past the
-            # dwell, so at least one autoscale grow is deterministic (and
-            # it handicaps the arm we claim is faster — the speedup below
-            # is measured against it).
-            faults = (
-                FaultSpec(seed=5, scripted=((0, 0, "delay"),), delay_seconds=0.5)
-                if concurrent and index == 0
-                else None
-            )
+        for model, config, _xs, _labels in specs:
             schedulers.append(
                 ClusterScheduler(
-                    model, config, num_workers=1, batch_size=1,
-                    service=service, faults=faults, timeout_seconds=300.0,
+                    model, config, num_workers=2, batch_size=1,
+                    service=service, timeout_seconds=300.0,
                 )
             )
         frontend = CertificationFrontend(service=service)
@@ -279,10 +261,6 @@ def _mixed_arm(specs, references, concurrent):
         start = time.perf_counter()
         events, stats = asyncio.run(_drive_mixed(frontend, fingerprints, specs))
         elapsed = time.perf_counter() - start
-        autoscale_events = sum(
-            s.cluster_stats.scale_up_events + s.cluster_stats.scale_down_events
-            for s in schedulers
-        )
     finally:
         for scheduler in schedulers:
             scheduler.close()
@@ -301,7 +279,6 @@ def _mixed_arm(specs, references, concurrent):
         "certified": certified,
         "flips": flips,
         "batches_peak": stats.concurrent_batches_peak,
-        "autoscale_events": autoscale_events,
     }
 
 
@@ -314,7 +291,7 @@ def _mixed_row():
         "workload": (
             f"2 models x {len(MIXED_EPSILONS)} epsilons, "
             f"{MIXED_REQUESTS_PER_MODEL} burst requests each, "
-            "per-model 1-worker clusters"
+            "per-model 2-worker clusters"
         ),
         "mixed_submitted": concurrent["submitted"],
         "mixed_served": concurrent["served"],
@@ -325,7 +302,6 @@ def _mixed_row():
         "concurrent_drain_time": round(concurrent["elapsed"], 3),
         "serialized_drain_time": round(serialized["elapsed"], 3),
         "concurrent_batches_peak": concurrent["batches_peak"],
-        "autoscale_events": concurrent["autoscale_events"],
         "mixed_verdict_flips": serialized["flips"] + concurrent["flips"],
         "_serialized": serialized,
         "_concurrent": concurrent,
@@ -350,8 +326,6 @@ def test_service_mixed_model_concurrency(benchmark, record_rows):
     # was serialised (one pass per backend at a time, two backends).
     assert concurrent["batches_peak"] >= 2
     assert serialized["batches_peak"] <= 2
-    assert concurrent["autoscale_events"] >= 1
-    assert serialized["autoscale_events"] == 0
     # The throughput claim is physical only with cores to run on; the
     # qps columns ride the trajectory gate on every runner regardless.
     if (os.cpu_count() or 1) >= 4:

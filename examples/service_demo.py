@@ -69,7 +69,7 @@ def main() -> None:
     service = ServiceConfig(
         coalesce_window_seconds=0.02, max_batch_cells=16,
         shard_timeout_seconds=1.5, retry_backoff_seconds=0.05,
-        retry_backoff_factor=1.5, heartbeat_seconds=0.1,
+        retry_backoff_factor=1.5,
         # The cluster scheduler is concurrent-caller-safe: let the
         # frontend run two engine passes against it at once.
         max_concurrent_batches=2,

@@ -68,7 +68,6 @@ from repro.engine import (
 )
 from repro.mondeq.model import MonDEQ
 from repro.service import (
-    AutoscaleConfig,
     CertificationFrontend,
     ClusterScheduler,
     FaultSpec,
@@ -77,10 +76,9 @@ from repro.service import (
 )
 from repro.verify.specs import ClassificationSpec, LinfBall
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
-    "AutoscaleConfig",
     "BatchCertificationScheduler",
     "BatchedBox",
     "BatchedCHZonotope",

@@ -22,7 +22,6 @@ DOMAIN_LADDER = ("box", "zonotope", "parallelotope", "chzonotope")
 _VALID_DOMAINS = DOMAIN_LADDER
 _VALID_SOLVERS = ("pr", "fb")
 _VALID_EXPANSIONS = ("const", "exp", "none")
-_VALID_SLOPE_MODES = ("none", "reduced", "reference")
 
 #: Steps each phase-two alpha race candidate runs before the samples it did
 #: not certify move on (:meth:`CraftConfig.race_candidates`), and the stop
@@ -33,60 +32,17 @@ _VALID_SLOPE_MODES = ("none", "reduced", "reference")
 #: certifies 46 of the 96 cells the 30-step leader certifies.
 PROBE_STEPS = 4
 
+#: ReLU-slope shifts of each ``slope_optimization`` mode (Section 6.3's
+#: reduced and reference grids), read through :meth:`CraftConfig.slope_deltas`.
+_SLOPE_DELTAS = {
+    "none": (),
+    "reduced": (-0.2, -0.1, 0.1, 0.2),
+    "reference": (-0.3, -0.2, -0.1, -0.05, 0.05, 0.1, 0.2, 0.3),
+}
 
-@dataclass(frozen=True)
-class AutoscaleConfig:
-    """Queue-depth worker autoscaling of the cluster scheduler.
-
-    The policy is deliberately simple and fully deterministic given the
-    observed queue depths: the shared task queue staying at or above
-    ``high_watermark`` for ``dwell_seconds`` grows the local pool by one
-    worker (up to ``max_workers``); staying at or below
-    ``low_watermark`` for the same dwell retires one idle worker (down
-    to ``min_workers``).  The dwell requirement filters transient
-    spikes — a single deep poll never scales anything.  Scaling never
-    touches verdicts: a retired worker finishes nothing mid-shard (it
-    only consumes the retire pill when idle), and a grown worker joins
-    at the next generation exactly like a fault respawn.
-
-    Attributes
-    ----------
-    enabled:
-        Master switch.  ``False`` (the default) keeps the pool at its
-        constructed size — today's behaviour, bit for bit.
-    min_workers / max_workers:
-        Inclusive bounds of the local worker pool under scaling.
-    high_watermark:
-        Queue depth (pending, unclaimed tasks) at or above which the
-        pool is considered under-provisioned.
-    low_watermark:
-        Queue depth at or below which the pool is considered
-        over-provisioned.
-    dwell_seconds:
-        How long a watermark breach must persist before acting; also
-        the re-arm delay between consecutive scale events.
-    """
-
-    enabled: bool = False
-    min_workers: int = 1
-    max_workers: int = 4
-    high_watermark: int = 4
-    low_watermark: int = 0
-    dwell_seconds: float = 1.0
-
-    def __post_init__(self):
-        if not isinstance(self.min_workers, int) or self.min_workers < 1:
-            raise ConfigurationError("min_workers must be a positive integer")
-        if not isinstance(self.max_workers, int) or self.max_workers < self.min_workers:
-            raise ConfigurationError("max_workers must be an integer >= min_workers")
-        if not isinstance(self.high_watermark, int) or self.high_watermark < 1:
-            raise ConfigurationError("high_watermark must be a positive integer")
-        if not isinstance(self.low_watermark, int) or self.low_watermark < 0:
-            raise ConfigurationError("low_watermark must be a non-negative integer")
-        if self.low_watermark >= self.high_watermark:
-            raise ConfigurationError("low_watermark must be below high_watermark")
-        if self.dwell_seconds <= 0:
-            raise ConfigurationError("dwell_seconds must be positive")
+#: Slope optimisation tries only samples already close to certification:
+#: those whose phase-two margin exceeds ``-SLOPE_MARGIN_THRESHOLD``.
+SLOPE_MARGIN_THRESHOLD = 1.0
 
 
 @dataclass(frozen=True)
@@ -107,84 +63,45 @@ class ServiceConfig:
         immediately (the property-test setting).
     max_batch_cells:
         Upper bound on the cells of one coalesced engine dispatch.
-    default_deadline_seconds / default_budget_cells:
-        Applied to requests that name no deadline / no budget.  ``None``
-        means unbounded.
-    heartbeat_seconds:
-        Cadence of idle-worker heartbeats on the cluster result channel.
     shard_timeout_seconds:
         Lease bound of one claimed shard: a worker that claimed a shard
         and produced no result within this bound is marked dead and the
         shard is reassigned (the per-shard timeout machinery of
         :class:`~repro.engine.sharded.ShardedScheduler`, reused as the
         cluster health-check).
-    retry_backoff_seconds / retry_backoff_factor / retry_max_attempts:
+    retry_backoff_seconds / retry_backoff_factor:
         The deterministic reassignment schedule
         (:func:`repro.service.faults.retry_backoff`): attempt ``k``
         of a shard waits ``backoff * factor**(k-1)`` (seeded jitter)
-        before requeueing; more than ``retry_max_attempts`` attempts
-        fails the sweep instead of looping forever.
-    restart_workers:
-        Whether the cluster scheduler respawns a dead *local* worker
-        process (remote workers are never respawned — they belong to
-        their own machine's supervisor).
+        before requeueing; more than
+        :data:`repro.service.cluster.RETRY_MAX_ATTEMPTS` attempts fails
+        the sweep instead of looping forever.
     max_concurrent_batches:
         How many coalesced engine passes may run simultaneously *per
         backend*.  ``1`` (the default) serialises batches behind one
-        engine pass — today's behaviour — while larger values let
-        distinct coalescing groups (different models, epsilons or clip
-        ranges) certify in parallel.  Purely a scheduling knob: verdicts
-        are identical at any setting.
-    dispatch_log_limit:
-        Upper bound on retained ``dispatch_log`` rows (the frontend's
-        per-batch audit trail).  Older rows are evicted FIFO so a
-        long-lived frontend stays bounded; ``None`` keeps every row.
-    autoscale:
-        Queue-depth worker autoscaling of the cluster scheduler
-        (:class:`AutoscaleConfig`); disabled by default.
+        engine pass, while larger values let distinct coalescing groups
+        (different models, epsilons or clip ranges) certify in parallel.
+        Purely a scheduling knob: verdicts are identical at any setting.
     """
 
     coalesce_window_seconds: float = 0.01
     max_batch_cells: int = 256
-    default_deadline_seconds: Optional[float] = None
-    default_budget_cells: Optional[int] = None
-    heartbeat_seconds: float = 0.25
     shard_timeout_seconds: float = 60.0
     retry_backoff_seconds: float = 0.25
     retry_backoff_factor: float = 2.0
-    retry_max_attempts: int = 5
-    restart_workers: bool = True
     max_concurrent_batches: int = 1
-    dispatch_log_limit: Optional[int] = 1024
-    autoscale: AutoscaleConfig = field(default_factory=AutoscaleConfig)
 
     def __post_init__(self):
         if self.coalesce_window_seconds < 0:
             raise ConfigurationError("coalesce_window_seconds must be non-negative")
         if not isinstance(self.max_batch_cells, int) or self.max_batch_cells < 1:
             raise ConfigurationError("max_batch_cells must be a positive integer")
-        if (
-            self.default_deadline_seconds is not None
-            and self.default_deadline_seconds < 0
-        ):
-            raise ConfigurationError("default_deadline_seconds must be non-negative")
-        if self.default_budget_cells is not None and (
-            not isinstance(self.default_budget_cells, int)
-            or self.default_budget_cells < 0
-        ):
-            raise ConfigurationError(
-                "default_budget_cells must be None or a non-negative integer"
-            )
-        if self.heartbeat_seconds <= 0:
-            raise ConfigurationError("heartbeat_seconds must be positive")
         if self.shard_timeout_seconds <= 0:
             raise ConfigurationError("shard_timeout_seconds must be positive")
         if self.retry_backoff_seconds <= 0:
             raise ConfigurationError("retry_backoff_seconds must be positive")
         if self.retry_backoff_factor < 1.0:
             raise ConfigurationError("retry_backoff_factor must be >= 1")
-        if not isinstance(self.retry_max_attempts, int) or self.retry_max_attempts < 1:
-            raise ConfigurationError("retry_max_attempts must be a positive integer")
         if (
             not isinstance(self.max_concurrent_batches, int)
             or self.max_concurrent_batches < 1
@@ -192,14 +109,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 "max_concurrent_batches must be a positive integer"
             )
-        if self.dispatch_log_limit is not None and (
-            not isinstance(self.dispatch_log_limit, int) or self.dispatch_log_limit < 1
-        ):
-            raise ConfigurationError(
-                "dispatch_log_limit must be None or a positive integer"
-            )
-        if not isinstance(self.autoscale, AutoscaleConfig):
-            raise ConfigurationError("autoscale must be an AutoscaleConfig")
 
 
 @dataclass(frozen=True)
@@ -229,9 +138,6 @@ class ContractionSettings:
     abort_width:
         A state wider than this in any coordinate, or non-finite, ends the
         query as diverged.
-    track_trace:
-        Record the per-iteration mean width (``width_trace``); tracing
-        never changes a verdict.
     """
 
     max_iterations: int = 500
@@ -239,7 +145,6 @@ class ContractionSettings:
     basis_recompute_every: int = 30
     history_size: int = 10
     abort_width: float = 1e9
-    track_trace: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -263,7 +168,6 @@ class KleeneSettings:
     widen_after: int = 50
     widening_threshold: float = 1e6
     abort_width: float = 1e9
-    track_trace: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -320,10 +224,12 @@ class CraftConfig:
     expansion, w_mul, w_add:
         Expansion schedule of Eq. (10): ``"const"`` keeps the parameters
         fixed, ``"exp"`` grows them geometrically every second consolidation
-        (Appendix D.2), ``"none"`` disables expansion (Table 4 ablation).
+        (Appendix D.2, :mod:`repro.core.expansion`), ``"none"`` disables
+        expansion (Table 4 ablation).
     slope_optimization:
         ReLU-slope optimisation mode: ``"none"``, ``"reduced"`` or
-        ``"reference"`` (coarser / finer candidate grids, Section 6.3).
+        ``"reference"`` (coarser / finer candidate grids, Section 6.3;
+        see :meth:`slope_deltas`).
     same_iteration_containment:
         Ablation switch: when ``True`` the state used for certification must
         itself be contained in its predecessor (Table 4 "Same iter.
@@ -346,19 +252,10 @@ class CraftConfig:
     expansion: str = "const"
     w_mul: float = 1e-3
     w_add: float = 1e-2
-    expansion_mul_growth: float = 1.1
-    expansion_add_growth: float = 1.2
-    expansion_growth_every: int = 2
     slope_optimization: str = "none"
-    slope_candidates_reduced: Tuple[float, ...] = (-0.2, -0.1, 0.1, 0.2)
-    slope_candidates_reference: Tuple[float, ...] = (-0.3, -0.2, -0.1, -0.05, 0.05, 0.1, 0.2, 0.3)
-    slope_margin_threshold: float = 1.0
     same_iteration_containment: bool = False
     use_box_component: bool = True
     tighten_max_iterations: int = 150
-    concrete_tol: float = 1e-9
-    concrete_max_iterations: int = 2000
-    verbose: bool = False
 
     def __post_init__(self):
         self._normalise_domains()
@@ -371,9 +268,9 @@ class CraftConfig:
             raise ConfigurationError(
                 f"expansion must be one of {_VALID_EXPANSIONS}, got {self.expansion!r}"
             )
-        if self.slope_optimization not in _VALID_SLOPE_MODES:
+        if self.slope_optimization not in _SLOPE_DELTAS:
             raise ConfigurationError(
-                f"slope_optimization must be one of {_VALID_SLOPE_MODES}, "
+                f"slope_optimization must be one of {tuple(_SLOPE_DELTAS)}, "
                 f"got {self.slope_optimization!r}"
             )
         if not 0.0 < self.alpha1:
@@ -515,12 +412,9 @@ class CraftConfig:
         return margin + remaining * (margin - earlier_margin) / PROBE_STEPS <= 0.0
 
     def slope_deltas(self) -> Tuple[float, ...]:
-        """ReLU-slope shifts tried by the slope-optimisation pass."""
-        if self.slope_optimization == "none":
-            return ()
-        if self.slope_optimization == "reduced":
-            return tuple(self.slope_candidates_reduced)
-        return tuple(self.slope_candidates_reference)
+        """ReLU-slope shifts tried by the slope-optimisation pass, which runs
+        only on samples whose margin exceeds ``-SLOPE_MARGIN_THRESHOLD``."""
+        return _SLOPE_DELTAS[self.slope_optimization]
 
     # Convenience constructors for the ablation study (Table 4). ----------
 

@@ -222,8 +222,7 @@ class ContractionEngine:
             peak_error_terms = max(
                 peak_error_terms, getattr(next_state, "num_generators", 0)
             )
-            if settings.track_trace:
-                width_trace.append(next_state.mean_width)
+            width_trace.append(next_state.mean_width)
 
             if next_state.max_width > settings.abort_width or not np.all(
                 np.isfinite(next_state.width)

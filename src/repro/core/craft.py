@@ -33,7 +33,7 @@ from typing import Callable, Deque, List, Optional
 
 import numpy as np
 
-from repro.core.config import PROBE_STEPS, CraftConfig
+from repro.core.config import PROBE_STEPS, SLOPE_MARGIN_THRESHOLD, CraftConfig
 from repro.core.contraction import ContractionEngine, DomainOps, domain_ops_for
 from repro.core.expansion import ExpansionSchedule
 from repro.core.results import (
@@ -309,8 +309,8 @@ class CraftVerifier:
             return full
 
         # Slope optimisation: only for samples already close to certification
-        # (Section 6.3) — i.e. whose margin is within the configured threshold.
-        if config.slope_deltas() and full.margin > -config.slope_margin_threshold:
+        # (Section 6.3) — i.e. whose margin is within SLOPE_MARGIN_THRESHOLD.
+        if config.slope_deltas() and full.margin > -SLOPE_MARGIN_THRESHOLD:
             for delta in config.slope_deltas():
                 attempt = self._start_tightening(
                     problem, contraction, full.solver, full.alpha, float(delta)

@@ -18,44 +18,30 @@ from typing import Tuple
 from repro.core.config import CraftConfig
 from repro.exceptions import ConfigurationError
 
+#: The ``exp`` schedule multiplies ``w_mul`` by ``MUL_GROWTH`` and ``w_add``
+#: by ``ADD_GROWTH`` after every ``GROWTH_EVERY``-th consolidation.
+MUL_GROWTH = 1.1
+ADD_GROWTH = 1.2
+GROWTH_EVERY = 2
+
 
 class ExpansionSchedule:
     """Stateful iterator over the expansion parameters ``(w_mul, w_add)``."""
 
-    def __init__(
-        self,
-        mode: str = "const",
-        w_mul: float = 1e-3,
-        w_add: float = 1e-2,
-        mul_growth: float = 1.1,
-        add_growth: float = 1.2,
-        growth_every: int = 2,
-    ):
+    def __init__(self, mode: str = "const", w_mul: float = 1e-3, w_add: float = 1e-2):
         if mode not in ("const", "exp", "none"):
             raise ConfigurationError(f"unknown expansion mode {mode!r}")
         if w_mul < 0 or w_add < 0:
             raise ConfigurationError("expansion parameters must be non-negative")
-        if growth_every < 1:
-            raise ConfigurationError("growth_every must be positive")
         self.mode = mode
         self._initial = (w_mul, w_add)
         self._current = (0.0, 0.0) if mode == "none" else (w_mul, w_add)
-        self._mul_growth = mul_growth
-        self._add_growth = add_growth
-        self._growth_every = growth_every
         self._consolidations = 0
 
     @classmethod
     def from_config(cls, config: CraftConfig) -> "ExpansionSchedule":
         """Build the schedule described by a :class:`CraftConfig`."""
-        return cls(
-            mode=config.expansion,
-            w_mul=config.w_mul,
-            w_add=config.w_add,
-            mul_growth=config.expansion_mul_growth,
-            add_growth=config.expansion_add_growth,
-            growth_every=config.expansion_growth_every,
-        )
+        return cls(mode=config.expansion, w_mul=config.w_mul, w_add=config.w_add)
 
     @property
     def current(self) -> Tuple[float, float]:
@@ -71,9 +57,9 @@ class ExpansionSchedule:
         """Return the parameters for this consolidation and advance the schedule."""
         params = self._current
         self._consolidations += 1
-        if self.mode == "exp" and self._consolidations % self._growth_every == 0:
+        if self.mode == "exp" and self._consolidations % GROWTH_EVERY == 0:
             w_mul, w_add = self._current
-            self._current = (w_mul * self._mul_growth, w_add * self._add_growth)
+            self._current = (w_mul * MUL_GROWTH, w_add * ADD_GROWTH)
         return params
 
     def reset(self) -> None:

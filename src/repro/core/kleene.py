@@ -79,8 +79,7 @@ class KleeneEngine:
                         new_state = widened.join(new_state)
                         widenings += 1
 
-            if settings.track_trace:
-                width_trace.append(new_state.mean_width)
+            width_trace.append(new_state.mean_width)
 
             # The convergence check runs before the divergence abort so that a
             # state pushed to (+/-) infinity by widening is recognised as a

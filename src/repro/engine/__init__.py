@@ -119,7 +119,7 @@ from repro.engine.batched_domains import (
     BatchedZonotope,
     batched_domain_for,
 )
-from repro.engine.craft import BatchedCraft, ConsolidationStats
+from repro.engine.craft import BatchedCraft
 from repro.engine.escalation import DEFAULT_BATCH_SIZE, StageStats, should_escalate
 from repro.engine.results import EngineReport
 from repro.engine.scheduler import BatchCertificationScheduler
@@ -133,7 +133,6 @@ __all__ = [
     "BatchedDomain",
     "BatchedParallelotope",
     "BatchedZonotope",
-    "ConsolidationStats",
     "DEFAULT_BATCH_SIZE",
     "EngineReport",
     "RegionQuery",

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import PROBE_STEPS, CraftConfig
+from repro.core.config import PROBE_STEPS, SLOPE_MARGIN_THRESHOLD, CraftConfig
 from repro.core.craft import open_input_block
 from repro.core.expansion import ExpansionSchedule
 from repro.core.results import (
@@ -56,34 +56,6 @@ from repro.verify.specs import (
     check_ball,
     check_input_dim,
 )
-
-
-@dataclass
-class ConsolidationStats:
-    """Consolidation accounting of one driver run (both Craft phases).
-
-    ``events`` counts driver-level consolidation calls and ``seconds`` the
-    wall-clock spent inside consolidation (basis computation included).
-    The escalation machinery aggregates these per ladder stage
-    (:class:`repro.engine.escalation.StageStats`).
-    """
-
-    events: int = 0
-    seconds: float = 0.0
-
-    def merge(self, other: "ConsolidationStats") -> None:
-        self.events += other.events
-        self.seconds += other.seconds
-
-    def as_dict(self) -> Dict:
-        return {"events": self.events, "seconds": self.seconds}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ConsolidationStats":
-        return cls(
-            events=int(data.get("events", 0)),
-            seconds=float(data.get("seconds", 0.0)),
-        )
 
 
 class _StackRows:
@@ -243,17 +215,12 @@ def region_arrays(
 
 def anchor_reuse_valid(model: MonDEQ, config: CraftConfig) -> bool:
     """Whether fixpoints from a prediction pass (``solve_fixpoint_batch``
-    with pr/default-alpha/1e-9/2000) can double as the configuration's
-    phase-zero anchors.  Shared by every caller that wants to skip the
-    second concrete solve — the gate must stay in one place, because a
-    mismatch would silently hand ``certify_regions`` initial states solved
-    with the wrong parameters."""
-    return (
-        config.solver1 == "pr"
-        and config.alpha1 == default_alpha(model, "pr")
-        and config.concrete_tol == 1e-9
-        and config.concrete_max_iterations == 2000
-    )
+    with pr/default-alpha and the solver's default tolerance and budget)
+    can double as the configuration's phase-zero anchors.  Shared by every
+    caller that wants to skip the second concrete solve — the gate must
+    stay in one place, because a mismatch would silently hand
+    ``certify_regions`` initial states solved with the wrong parameters."""
+    return config.solver1 == "pr" and config.alpha1 == default_alpha(model, "pr")
 
 
 @dataclass
@@ -346,8 +313,6 @@ class BatchedCraft:
         # repro.domains has a batched stack implementation (an unknown name
         # raises ConfigurationError — never a silent sequential fallback).
         self._domain_cls = batched_domain_for(self._config.domain)
-        #: Consolidation accounting of the most recent certify_boxes run.
-        self.consolidation_stats = ConsolidationStats()
         if self._config.solver1 == "fb" and self._config.solver2 == "pr":
             raise VerificationError(
                 "tightening with PR after an FB containment phase is not supported: "
@@ -400,7 +365,7 @@ class BatchedCraft:
         if xs.shape[0] != labels.shape[0]:
             raise VerificationError("xs and labels must have matching lengths")
         # The prediction pass solves the anchor fixpoints with
-        # pr/default-alpha/1e-9/2000; when the config asks for exactly those
+        # pr/default-alpha; when the config asks for exactly those
         # parameters (the default) they double as the phase-zero anchors
         # instead of re-running up to 2000 full-batch iterations.
         results, queued, anchors = prediction_pass(self._model, self._config, xs, labels)
@@ -443,7 +408,6 @@ class BatchedCraft:
             return []
         start = time.perf_counter()
         config = self._config
-        self.consolidation_stats = ConsolidationStats()
 
         input_elements = self._domain_cls.from_bounds(lower, upper)
         if anchor_fixpoints is None:
@@ -452,8 +416,6 @@ class BatchedCraft:
                 centers,
                 method=config.solver1,
                 alpha=config.alpha1 if config.solver1 == "pr" else None,
-                tol=config.concrete_tol,
-                max_iterations=config.concrete_max_iterations,
             ).z
         blocks = 2 if self._layout.has_aux else 1
         initial = self._domain_cls.from_points(np.tile(anchor_fixpoints, (1, blocks)))
@@ -473,21 +435,6 @@ class BatchedCraft:
 
         per_region_time = (time.perf_counter() - start) / len(targets)
         return self._assemble_results(containment, tightening, per_region_time)
-
-    # ------------------------------------------------------------------
-    # Consolidation
-    # ------------------------------------------------------------------
-
-    def _consolidate(
-        self, state: "BatchedDomain", w_mul: float, w_add: float, basis=None
-    ) -> "BatchedDomain":
-        """One driver-level consolidation onto ``basis`` (``None``: every
-        sample's own PCA basis), counted in :attr:`consolidation_stats`."""
-        start = time.perf_counter()
-        result = state.consolidate(basis, w_mul, w_add)
-        self.consolidation_stats.events += 1
-        self.consolidation_stats.seconds += time.perf_counter() - start
-        return result
 
     # ------------------------------------------------------------------
     # Phase one: batched containment search
@@ -523,17 +470,9 @@ class BatchedCraft:
                 break
             if iteration % settings.consolidate_every == 0:
                 if basis is None or iteration % settings.basis_recompute_every == 0:
-                    # Timed here because the basis is cached across events
-                    # (recomputed every basis_recompute_every iterations)
-                    # and handed to _consolidate pre-built — this is the
-                    # phase-one share of the per-sample SVD cost.
-                    basis_start = time.perf_counter()
                     basis = state.pca_basis()
-                    self.consolidation_stats.seconds += (
-                        time.perf_counter() - basis_start
-                    )
                 w_mul, w_add = expansion.step()
-                state = self._consolidate(state, w_mul, w_add, basis=basis)
+                state = state.consolidate(basis, w_mul, w_add)
                 history.append(state)
                 consolidations += 1
 
@@ -542,8 +481,7 @@ class BatchedCraft:
                 record.peak_error_terms[active], getattr(next_state, "num_generators", 0)
             )
             widths = next_state.width
-            if settings.track_trace:
-                trace_log.append((active, widths.mean(axis=1)))
+            trace_log.append((active, widths.mean(axis=1)))
 
             diverged = (widths.max(axis=1) > settings.abort_width) | ~np.isfinite(
                 widths
@@ -658,7 +596,7 @@ class BatchedCraft:
         certified = np.stack([run.certified for run in runs])[chosen, columns]
         deltas = config.slope_deltas()
         if deltas:
-            eligible = ~certified & (margin > -config.slope_margin_threshold)
+            eligible = ~certified & (margin > -SLOPE_MARGIN_THRESHOLD)
             for delta in deltas:
                 rows = np.nonzero(eligible & ~certified)[0]
                 if rows.size == 0:
@@ -769,7 +707,7 @@ class BatchedCraft:
             run.trace_log.append((active, new_state.mean_width))
 
             if config.same_iteration_containment:
-                proper_previous = self._consolidate(run.previous, 0.0, 0.0)
+                proper_previous = run.previous.consolidate(None, 0.0, 0.0)
                 usable = proper_previous.contains(new_state)
             else:
                 usable = np.ones(active.size, dtype=bool)

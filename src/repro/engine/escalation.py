@@ -96,12 +96,8 @@ class StageStats:
     ``elapsed_seconds`` sums the *worker-side* times of the stage's shards.
     On the inline transport that is the stage's wall-clock; on a pool or a
     cluster the shards run concurrently, so compare the field across
-    transports as work done, not as latency.  The same caveat applies to
-    ``consolidation_seconds``.
-
-    The consolidation counters aggregate the per-driver
-    :class:`~repro.engine.craft.ConsolidationStats`.  ``peak_error_terms``
-    is the largest generator-stack width any query of the stage streamed.
+    transports as work done, not as latency.  ``peak_error_terms`` is the
+    largest generator-stack width any query of the stage streamed.
     """
 
     domain: str
@@ -112,16 +108,9 @@ class StageStats:
     escalated: int = 0
     batches: int = 0
     elapsed_seconds: float = 0.0
-    consolidations: int = 0
-    consolidation_seconds: float = 0.0
     peak_error_terms: int = 0
     #: Total phase-one iterations the stage's queries ran.
     phase1_iterations: int = 0
-
-    def record_consolidation(self, stats) -> None:
-        """Fold one driver run's ``ConsolidationStats`` into this stage."""
-        self.consolidations += stats.events
-        self.consolidation_seconds += stats.seconds
 
     def record_results(self, results) -> None:
         """Fold a batch's phase-one iterations and error-term peaks."""
@@ -144,8 +133,6 @@ class StageStats:
             "escalated": self.escalated,
             "batches": self.batches,
             "time": round(self.elapsed_seconds, 3),
-            "consolidations": self.consolidations,
-            "consolidation_time": round(self.consolidation_seconds, 3),
             "peak_error_terms": self.peak_error_terms,
             "phase1_iterations": self.phase1_iterations,
         }

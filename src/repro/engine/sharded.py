@@ -69,7 +69,7 @@ import numpy as np
 
 from repro.core.config import CraftConfig
 from repro.core.results import VerificationResult
-from repro.engine.craft import BatchedCraft, ConsolidationStats, prediction_pass, region_arrays
+from repro.engine.craft import BatchedCraft, prediction_pass, region_arrays
 from repro.engine.escalation import StageStats, resolve_batch_size, should_escalate
 from repro.engine.results import EngineReport
 from repro.engine.cache import RegionQuery, TieredVerdictCache, build_verdict_cache
@@ -175,9 +175,9 @@ class _Shard:
     final: bool
 
 
-#: What a shard returns: its ``indices``, their results, the seconds the
-#: worker spent on it and its consolidation accounting as a dict.
-_ShardOutcome = Tuple[np.ndarray, List[VerificationResult], float, Dict]
+#: What a shard returns: its ``indices``, their results and the seconds the
+#: worker spent on it.
+_ShardOutcome = Tuple[np.ndarray, List[VerificationResult], float]
 
 
 def _run_shard(shard: _Shard) -> _ShardOutcome:
@@ -191,10 +191,6 @@ def _execute_shard(state: _WorkerState, shard: _Shard) -> _ShardOutcome:
         shard.centers, shard.lower, shard.upper, shard.targets, shard.anchors
     )
     elapsed = time.perf_counter() - start
-    # The driver resets its consolidation accounting per certify_boxes
-    # call, so this snapshot is exactly this shard's share; it crosses the
-    # pool pipe as a plain dict (cheap, pickle-stable).
-    consolidation = craft.consolidation_stats.as_dict()
     if state.cache is not None:
         with state.cache_lock:
             for query, result in zip(shard.queries, results):
@@ -210,7 +206,7 @@ def _execute_shard(state: _WorkerState, shard: _Shard) -> _ShardOutcome:
         # pipe — avoiding the serialisation of the generator stacks is the
         # whole point of the flag.
         results = [_strip_abstractions(result) for result in results]
-    return shard.indices, results, elapsed, consolidation
+    return shard.indices, results, elapsed
 
 
 def _strip_abstractions(result: VerificationResult) -> VerificationResult:
@@ -565,10 +561,9 @@ class ShardedScheduler:
                 total_shards += len(shards)
                 escalated: List[int] = []
                 for _ in shards:
-                    rows, shard_results, elapsed, consolidation = self._next_completed(sweep)
+                    rows, shard_results, elapsed = self._next_completed(sweep)
                     stage.batches += 1
                     stage.elapsed_seconds += elapsed
-                    stage.record_consolidation(ConsolidationStats.from_dict(consolidation))
                     stage.record_results(shard_results)
                     for row, result in zip(rows.tolist(), shard_results):
                         if final or not should_escalate(result):

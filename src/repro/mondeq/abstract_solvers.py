@@ -50,9 +50,7 @@ import numpy as np
 
 from repro.domains.base import AbstractElement
 from repro.domains.chzonotope import CHZonotope
-from repro.domains.interval import Interval
 from repro.domains.relu import default_slopes
-from repro.domains.zonotope import Zonotope
 from repro.exceptions import ConfigurationError, DomainError
 from repro.mondeq.model import MonDEQ
 from repro.mondeq.solvers import pr_matrices
@@ -115,30 +113,6 @@ def layout_for(model: MonDEQ, solver: str) -> StateLayout:
     if solver not in ("pr", "fb"):
         raise ConfigurationError(f"unknown solver {solver!r}")
     return StateLayout(latent_dim=model.latent_dim, has_aux=solver == "pr")
-
-
-def _coerce_input(input_element: AbstractElement, domain: Type[AbstractElement]) -> AbstractElement:
-    """Convert the input abstraction to the requested domain."""
-    if isinstance(input_element, domain):
-        return input_element
-    if domain is CHZonotope:
-        if isinstance(input_element, Interval):
-            return CHZonotope.from_interval(input_element)
-        if isinstance(input_element, Zonotope):
-            return CHZonotope.from_zonotope(input_element)
-    if issubclass(domain, Zonotope):
-        if isinstance(input_element, Interval):
-            return domain.from_interval(input_element)
-        if isinstance(input_element, Zonotope) and not isinstance(input_element, CHZonotope):
-            # Re-typing a plain zonotope into a Zonotope subclass (e.g. the
-            # order-bounded ParallelotopeZonotope) keeps the set unchanged.
-            return domain(input_element.center, input_element.generators)
-    if domain is Interval:
-        lower, upper = input_element.concretize_bounds()
-        return Interval(lower, upper)
-    raise DomainError(
-        f"cannot convert {type(input_element).__name__} to {domain.__name__}"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -421,16 +395,7 @@ def build_initial_state(
     if z0.shape[0] != layout.latent_dim:
         raise DomainError(f"z0 must have dimension {layout.latent_dim}")
     blocks = 2 if layout.has_aux else 1
-    point = np.concatenate([z0] * blocks)
-    if domain is CHZonotope:
-        return CHZonotope.from_point(point)
-    if issubclass(domain, Zonotope):
-        # Covers plain Zonotope and the order-bounded ParallelotopeZonotope
-        # (classmethod constructors are type-stable on the subclass).
-        return domain.from_point(point)
-    if domain is Interval:
-        return Interval.from_point(point)
-    raise DomainError(f"unsupported domain {domain.__name__}")
+    return domain.from_point(np.concatenate([z0] * blocks))
 
 
 def make_output_map(model: MonDEQ, layout: StateLayout) -> Callable[[AbstractElement], AbstractElement]:
@@ -451,20 +416,3 @@ def make_z_extractor(layout: StateLayout) -> Callable[[AbstractElement], Abstrac
         return element.affine(selector)
 
     return extract
-
-
-def coerce_input_element(input_element: AbstractElement, domain: str) -> AbstractElement:
-    """Convert an input abstraction to the domain named in a CraftConfig."""
-    from repro.domains.parallelotope import ParallelotopeZonotope
-
-    domain_classes = {
-        "chzonotope": CHZonotope,
-        "box": Interval,
-        "zonotope": Zonotope,
-        "parallelotope": ParallelotopeZonotope,
-    }
-    try:
-        target = domain_classes[domain]
-    except KeyError:
-        raise ConfigurationError(f"unknown domain {domain!r}") from None
-    return _coerce_input(input_element, target)

@@ -25,13 +25,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import AutoscaleConfig, CraftConfig, ServiceConfig
+from repro.core.config import CraftConfig, ServiceConfig
 from repro.engine.results import EngineReport
-from repro.service.cluster import (
-    ClusterScheduler,
-    QueueDepthAutoscaler,
-    run_cluster_worker,
-)
+from repro.service.cluster import ClusterScheduler, run_cluster_worker
 from repro.service.faults import FaultSpec, retry_backoff
 from repro.service.frontend import (
     CertificationFrontend,
@@ -41,12 +37,10 @@ from repro.service.frontend import (
 )
 
 __all__ = [
-    "AutoscaleConfig",
     "CertificationFrontend",
     "ClusterScheduler",
     "FaultSpec",
     "FrontendStats",
-    "QueueDepthAutoscaler",
     "RequestHandle",
     "ServiceConfig",
     "VerdictEvent",

@@ -19,8 +19,7 @@ server (in a daemon thread — no extra process) exposing three proxies:
     shard comes back for more while a neighbour grinds a chzonotope
     straggler.  Nobody is assigned anything.
 ``result_queue``
-    Upstream channel for ``claim`` / ``result`` / ``heartbeat`` /
-    ``error`` / ``retired`` messages.
+    Upstream channel for ``claim`` / ``result`` / ``error`` messages.
 ``control``
     One-shot distribution of the pickled ``(model, config, cache_dir,
     keep_abstractions)`` payload — each worker fetches the weights once
@@ -58,7 +57,7 @@ Three mechanisms compose, none of which trusts the workers:
   reused as the health-check) and requeues the task.
 * **Retry with deterministic backoff**: each reassignment waits
   :func:`repro.service.faults.retry_backoff` before requeueing; more
-  than ``service.retry_max_attempts`` attempts fails the owning sweep
+  than :data:`RETRY_MAX_ATTEMPTS` attempts fails the owning sweep
   loudly rather than looping.
 * **First-wins dedupe**: results carry their ``(sweep_id, task_id)``
   stamp; the first result for a task resolves it and every later
@@ -71,22 +70,7 @@ Verdict-losing faults are impossible by construction: a task leaves its
 sweep's lease table only when its result is routed to the waterfall (or
 the sweep fails).  Dead *local* workers are detected early via process
 liveness (no need to wait out the lease) and respawned at the next
-generation when ``service.restart_workers``.
-
-Queue-depth autoscaling
------------------------
-With ``service.autoscale.enabled`` the router also runs a
-:class:`QueueDepthAutoscaler` tick: the shared task queue staying at or
-above ``high_watermark`` for ``dwell_seconds`` grows the local pool by
-one worker (bounded by ``max_workers``); staying at or below
-``low_watermark`` for the dwell retires one idle worker down to
-``min_workers``.  Retirement is a **pill**: a ``("retire",)`` message on
-the task queue, consumed by exactly one idle worker, which acknowledges
-(``retired``) and exits cleanly — a busy worker never abandons a shard
-to retire, so scaling cannot lose or flip verdicts.  Grown and
-fault-respawned workers share the per-slot generation counter, so
-worker ids stay unique across scale churn.  Scale events surface in
-:meth:`ClusterStats.as_row`.
+generation.
 """
 
 from __future__ import annotations
@@ -98,11 +82,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from multiprocessing.managers import BaseManager, Server
 
-from repro.core.config import AutoscaleConfig, CraftConfig, ServiceConfig
+from repro.core.config import CraftConfig, ServiceConfig
 from repro.engine.sharded import (
     ShardedScheduler,
     _Shard,
@@ -116,9 +100,13 @@ from repro.service.faults import FaultSpec
 
 DEFAULT_AUTHKEY = b"repro-certification-cluster"
 
-#: Worker-side poll timeout on the task queue; bounds stop latency and
-#: heartbeat cadence jitter.
+#: Poll timeout of the router on the result queue and of a sweep on its
+#: completions; bounds how late they notice a closed scheduler or expiry.
 _POLL_SECONDS = 0.05
+
+#: Attempts of one shard (the first plus its reassignments) before its
+#: sweep fails instead of looping forever.
+RETRY_MAX_ATTEMPTS = 5
 
 
 class _ClusterControl:
@@ -211,20 +199,17 @@ def run_cluster_worker(
     worker_slot: int,
     generation: int = 0,
     faults: Optional[FaultSpec] = None,
-    heartbeat_seconds: float = 0.25,
-    poll_seconds: float = _POLL_SECONDS,
 ) -> int:
     """The cluster worker loop — run on any machine that can reach
     ``address``.
 
     Fetches the weights payload once, then pulls tasks until the stop
-    sentinel (or a retire pill): claim, (maybe) fault, compute via the
-    same :func:`~repro.engine.sharded._execute_shard` the pool workers
-    run (including worker-side cache admission of final verdicts),
-    report.  Task ids are opaque to the worker — it echoes whatever
-    stamp the scheduler attached, which is how one worker serves many
-    interleaved sweeps without knowing it.  Idle periods emit heartbeats
-    so the scheduler can tell "no work" from "dead worker".
+    sentinel: claim, (maybe) fault, compute via the same
+    :func:`~repro.engine.sharded._execute_shard` the pool workers run
+    (including worker-side cache admission of final verdicts), report.
+    Task ids are opaque to the worker — it echoes whatever stamp the
+    scheduler attached, which is how one worker serves many interleaved
+    sweeps without knowing it.
     """
     # BaseManager authenticates with the *process* authkey on the worker
     # side of the handshake as well; align it before connecting.
@@ -236,27 +221,11 @@ def run_cluster_worker(
     state = _build_worker_state(payload)
     plan = faults.plan_for(worker_slot, generation) if faults is not None else None
     worker_id = f"{worker_slot}:{generation}:{os.getpid()}"
-    results.put(("heartbeat", None, worker_id, time.time()))
-    last_beat = time.monotonic()
     while True:
-        try:
-            message = tasks.get(timeout=poll_seconds)
-        except queue.Empty:
-            now = time.monotonic()
-            if now - last_beat >= heartbeat_seconds:
-                results.put(("heartbeat", None, worker_id, time.time()))
-                last_beat = now
-            continue
+        message = tasks.get()
         if message[0] == "stop":
             # Re-publish the sentinel so sibling workers drain too.
             tasks.put(message)
-            return 0
-        if message[0] == "retire":
-            # A scale-down pill: consumed by exactly one idle worker
-            # (never re-published), acknowledged so the scheduler can
-            # tell a retirement from a crash, then a clean exit.  A busy
-            # worker cannot reach this branch mid-shard.
-            results.put(("retired", None, worker_id, time.time()))
             return 0
         _, task_id, attempt, shard = message
         results.put(("claim", task_id, worker_id, time.time()))
@@ -270,7 +239,6 @@ def run_cluster_worker(
             continue
         if plan is None or plan.apply(action, delay):
             results.put(("result", task_id, worker_id, outcome))
-        last_beat = time.monotonic()
 
 
 @dataclass
@@ -297,64 +265,14 @@ class _SweepDispatch:
     failed: bool = False
 
 
-class QueueDepthAutoscaler:
-    """The pure scaling policy: watermarks + dwell over observed depth.
-
-    Stateless apart from the two dwell timers, and fully deterministic
-    given the ``observe`` call sequence — the unit battery drives it
-    with an injected clock and no cluster at all.  ``observe`` returns
-    ``"grow"``, ``"shrink"`` or ``None``; after an action the timers
-    re-arm, so consecutive scale events are at least ``dwell_seconds``
-    apart.
-    """
-
-    def __init__(
-        self,
-        config: AutoscaleConfig,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.config = config
-        self.clock = clock
-        self._high_since: Optional[float] = None
-        self._low_since: Optional[float] = None
-
-    def observe(self, depth: int, workers: int) -> Optional[str]:
-        """Fold in one (queue depth, live workers) sample."""
-        config = self.config
-        if not config.enabled:
-            return None
-        now = self.clock()
-        if depth >= config.high_watermark and workers < config.max_workers:
-            self._low_since = None
-            if self._high_since is None:
-                self._high_since = now
-            elif now - self._high_since >= config.dwell_seconds:
-                self._high_since = None
-                return "grow"
-        elif depth <= config.low_watermark and workers > config.min_workers:
-            self._high_since = None
-            if self._low_since is None:
-                self._low_since = now
-            elif now - self._low_since >= config.dwell_seconds:
-                self._low_since = None
-                return "shrink"
-        else:
-            self._high_since = None
-            self._low_since = None
-        return None
-
-
 @dataclass
 class ClusterStats:
-    """Fault-recovery and scaling accounting of one :class:`ClusterScheduler`."""
+    """Fault-recovery accounting of one :class:`ClusterScheduler`."""
 
     tasks: int = 0
     retries: int = 0
     duplicates_dropped: int = 0
     respawns: int = 0
-    heartbeats: int = 0
-    scale_up_events: int = 0
-    scale_down_events: int = 0
     dead_workers: Set[str] = field(default_factory=set)
 
     def as_row(self) -> Dict:
@@ -364,8 +282,6 @@ class ClusterStats:
             "duplicates_dropped": self.duplicates_dropped,
             "respawns": self.respawns,
             "workers_marked_dead": len(self.dead_workers),
-            "scale_up_events": self.scale_up_events,
-            "scale_down_events": self.scale_down_events,
         }
 
 
@@ -439,7 +355,6 @@ class ClusterScheduler(ShardedScheduler):
         self._router_thread: Optional[threading.Thread] = None
         self._router_error: Optional[BaseException] = None
         self._workers_started = False
-        self._retires_pending = 0
         self._closing = False
         self.cluster_stats = ClusterStats()
         if start_method == "inline":
@@ -447,7 +362,6 @@ class ClusterScheduler(ShardedScheduler):
                 "ClusterScheduler has no inline mode — its subject is the "
                 "transport; use ShardedScheduler for inline runs"
             )
-        self._autoscaler = QueueDepthAutoscaler(self.service.autoscale)
         super().__init__(
             model,
             config=config,
@@ -500,16 +414,9 @@ class ClusterScheduler(ShardedScheduler):
                 self._router_thread.start()
             if self.spawn_local_workers and not self._workers_started:
                 # Spawn the initial pool exactly once; afterwards the
-                # router owns the population (fault respawns and scaling)
-                # — re-filling here would undo a deliberate scale-down.
+                # router owns the population (fault respawns).
                 self._workers_started = True
-                initial = self.num_workers
-                if self.service.autoscale.enabled:
-                    initial = min(
-                        max(initial, self.service.autoscale.min_workers),
-                        self.service.autoscale.max_workers,
-                    )
-                for slot in range(initial):
+                for slot in range(self.num_workers):
                     self._spawn_worker(slot)
         return None
 
@@ -519,10 +426,7 @@ class ClusterScheduler(ShardedScheduler):
         context = multiprocessing.get_context(self.start_method)
         process = context.Process(
             target=run_cluster_worker,
-            args=(
-                self.address, self.authkey, slot, generation, self.faults,
-                self.service.heartbeat_seconds,
-            ),
+            args=(self.address, self.authkey, slot, generation, self.faults),
             name=f"repro-cluster-worker-{slot}",
             daemon=True,
         )
@@ -628,7 +532,7 @@ class ClusterScheduler(ShardedScheduler):
             raise VerificationError("cluster router thread died")
 
     # ------------------------------------------------------------------
-    # The router: one long-lived loop owning leases, health and scaling
+    # The router: one long-lived loop owning leases and health
     # ------------------------------------------------------------------
 
     def _router_loop(self) -> None:
@@ -638,7 +542,6 @@ class ClusterScheduler(ShardedScheduler):
                     self._flush_requeues()
                     self._expire_leases()
                     self._reap_local_workers()
-                    self._autoscale_tick()
                 try:
                     message = self._result_queue.get(timeout=_POLL_SECONDS)
                 except queue.Empty:
@@ -655,12 +558,6 @@ class ClusterScheduler(ShardedScheduler):
 
     def _route_message(self, message: Tuple) -> None:
         kind = message[0]
-        if kind == "heartbeat":
-            self.cluster_stats.heartbeats += 1
-            return
-        if kind == "retired":
-            self._finish_retirement(message[2])
-            return
         if kind == "claim":
             _, key, worker_id, _stamp = message
             sweep, state = self._lease_for(key)
@@ -747,34 +644,28 @@ class ClusterScheduler(ShardedScheduler):
 
     def _reap_local_workers(self) -> None:
         """Fast path for crashed *local* workers: process liveness beats
-        waiting out the lease.  Respawns the slot at the next generation
-        when the service config allows.  A zero exit code is a clean
-        leave — the stop sentinel or a retire pill — never a crash, so
-        it is neither marked dead nor respawned (this is what keeps the
-        reaper from resurrecting a deliberately retired worker when it
-        notices the death before the ``retired`` message drains)."""
+        waiting out the lease.  Respawns the slot at the next generation.
+        Workers leave cleanly only on the stop sentinel, which ``close``
+        sends after the router has stopped reaping."""
         if self._closing:
             return
         for slot, process in list(self._local_workers.items()):
             if process.is_alive():
                 continue
             del self._local_workers[slot]
-            if process.exitcode == 0:
-                continue
             worker_id = self._worker_ids.get(slot)
             if worker_id is not None:
                 self._crashed.add(worker_id)
             self._mark_worker_dead(worker_id)
-            if self.spawn_local_workers and self.service.restart_workers:
-                self._spawn_worker(slot)
-                self.cluster_stats.respawns += 1
+            self._spawn_worker(slot)
+            self.cluster_stats.respawns += 1
 
     def _schedule_retry(
         self, sweep: _SweepDispatch, task_id: int, state: _TaskState
     ) -> None:
         from repro.service.faults import retry_backoff
 
-        if state.attempts >= self.service.retry_max_attempts:
+        if state.attempts >= RETRY_MAX_ATTEMPTS:
             self._fail_sweep(
                 sweep,
                 f"shard {task_id} of sweep {sweep.sweep_id} failed after "
@@ -807,42 +698,3 @@ class ClusterScheduler(ShardedScheduler):
             self._task_queue.put(
                 ("task", (sweep_id, task_id), state.attempts, state.shard)
             )
-
-    # ------------------------------------------------------------------
-    # Autoscaling
-    # ------------------------------------------------------------------
-
-    def _autoscale_tick(self) -> None:
-        config = self.service.autoscale
-        if not config.enabled or not self.spawn_local_workers or self._closing:
-            return
-        # Pills in flight occupy queue slots and still-live-but-leaving
-        # workers occupy the pool; correct both out of the observation so
-        # a pending retirement is never double-counted.
-        depth = max(0, self._task_queue.qsize() - self._retires_pending)
-        workers = len(self._local_workers) - self._retires_pending
-        action = self._autoscaler.observe(depth, workers)
-        if action == "grow":
-            free = [
-                slot
-                for slot in range(max(config.max_workers, self.num_workers))
-                if slot not in self._local_workers
-            ]
-            if not free:  # pragma: no cover - pending retires hold slots
-                return
-            self._spawn_worker(min(free))
-            self.cluster_stats.scale_up_events += 1
-        elif action == "shrink":
-            self._retires_pending += 1
-            self._task_queue.put(("retire",))
-            self.cluster_stats.scale_down_events += 1
-
-    def _finish_retirement(self, worker_id: str) -> None:
-        self._retires_pending = max(0, self._retires_pending - 1)
-        slot = int(worker_id.split(":", 1)[0])
-        if self._worker_ids.get(slot) == worker_id:
-            process = self._local_workers.pop(slot, None)
-            if process is not None:
-                # The worker exits right after acknowledging; reap it so
-                # the slot is immediately reusable by a later grow.
-                process.join(timeout=2.0)

@@ -95,6 +95,10 @@ TERMINAL_STATUSES = ("served", "cancelled", "expired", "failed")
 #: frontend must not serve a snapshot frozen at registration time.
 VIEW_REFRESH_SECONDS = 0.25
 
+#: Rows kept in ``CertificationFrontend.dispatch_log``; older rows are
+#: evicted first, so a long-lived frontend stays bounded.
+DISPATCH_LOG_LIMIT = 1024
+
 
 @dataclass(frozen=True)
 class VerdictEvent:
@@ -255,12 +259,9 @@ class CertificationFrontend:
         self.clock = clock
         self.stats = FrontendStats()
         #: Engine batches assembled, for coalescing-invariant audits:
-        #: ``{"group", "cells", "request_ids"}`` rows.  Bounded by
-        #: ``service.dispatch_log_limit`` (oldest rows evicted) so a
-        #: long-lived frontend does not grow without bound.
-        self.dispatch_log: Deque[Dict] = deque(
-            maxlen=self.service.dispatch_log_limit
-        )
+        #: ``{"group", "cells", "request_ids"}`` rows, the last
+        #: :data:`DISPATCH_LOG_LIMIT` of them.
+        self.dispatch_log: Deque[Dict] = deque(maxlen=DISPATCH_LOG_LIMIT)
         self._entries: Dict[str, _ModelEntry] = {}
         self._groups: Dict[Tuple, List[_Cell]] = {}
         self._group_opened_at: Dict[Tuple, float] = {}
@@ -349,12 +350,8 @@ class CertificationFrontend:
         entry = self._entries.get(fingerprint)
         if entry is None:
             raise ConfigurationError(f"unknown model fingerprint {fingerprint!r}")
-        if deadline_seconds is None:
-            deadline_seconds = self.service.default_deadline_seconds
         if deadline_seconds is not None and deadline_seconds < 0:
             raise ConfigurationError("deadline_seconds must be non-negative")
-        if budget_cells is None:
-            budget_cells = self.service.default_budget_cells
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         targets = np.asarray(targets, dtype=int).reshape(-1)
         if centers.shape[0] != targets.shape[0]:

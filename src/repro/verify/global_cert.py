@@ -26,11 +26,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import CraftConfig
-from repro.core.craft import CraftVerifier
 from repro.domains.interval import Interval
 from repro.exceptions import ConfigurationError
 from repro.mondeq.model import MonDEQ
-from repro.verify.robustness import build_fixpoint_problem
+from repro.verify.robustness import climb_ladder
 from repro.verify.specs import ClassificationSpec, LinfBall
 
 
@@ -114,10 +113,6 @@ class DomainSplittingCertifier:
         self.config = config if config is not None else CraftConfig()
         self.max_depth = max_depth
         self.min_cell_width = min_cell_width
-        self._stage_configs = self.config.stage_configs()
-        # Built on first use: only the sequential recursion needs them (an
-        # engine handles all certification on the other paths).
-        self._stage_verifiers: Optional[List[CraftVerifier]] = None
         if engine not in ("sequential", "batched", "sharded"):
             raise ConfigurationError(
                 f"unknown engine {engine!r}; choose 'sequential', 'batched' or 'sharded'"
@@ -229,21 +224,9 @@ class DomainSplittingCertifier:
             frontier = next_frontier
 
     def _certify_cell(self, region: Interval, predicted: int) -> bool:
-        from repro.engine.escalation import should_escalate
-
-        if self._stage_verifiers is None:
-            self._stage_verifiers = [CraftVerifier(cfg) for cfg in self._stage_configs]
+        # Sequential counterpart of the engine waterfall.
         spec = ClassificationSpec(target=predicted, num_classes=self.model.output_dim)
-        ball = self._cell_ball(region)
-        # Sequential counterpart of the engine waterfall: the cell climbs
-        # the ladder while its verdict stays unresolved (singleton ladders
-        # collapse to a single verifier).
-        for stage_config, verifier in zip(self._stage_configs, self._stage_verifiers):
-            problem = build_fixpoint_problem(self.model, ball, spec, stage_config)
-            outcome = verifier.solve(problem)
-            if not should_escalate(outcome):
-                break
-        return outcome.certified
+        return climb_ladder(self.model, self._cell_ball(region), spec, self.config).certified
 
     def _certify_recursive(
         self, region: Interval, depth: int, result: GlobalCertificationResult

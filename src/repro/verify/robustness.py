@@ -22,7 +22,7 @@ batched element stack is resolved per ``CraftConfig.domain`` by
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -30,10 +30,6 @@ import numpy as np
 from repro.core.config import CraftConfig
 from repro.core.craft import CraftVerifier, FixpointProblem
 from repro.core.results import VerificationOutcome, VerificationResult
-from repro.domains.chzonotope import CHZonotope
-from repro.domains.interval import Interval
-from repro.domains.parallelotope import ParallelotopeZonotope
-from repro.domains.zonotope import Zonotope
 from repro.exceptions import VerificationError
 from repro.mondeq.abstract_solvers import (
     build_initial_state,
@@ -49,13 +45,6 @@ from repro.mondeq.model import MonDEQ
 from repro.mondeq.solvers import solve_fixpoint
 from repro.utils.rng import SeedLike, as_generator
 from repro.verify.specs import ClassificationSpec, LinfBall, check_input_dim
-
-_DOMAIN_CLASSES = {
-    "chzonotope": CHZonotope,
-    "box": Interval,
-    "zonotope": Zonotope,
-    "parallelotope": ParallelotopeZonotope,
-}
 
 _logger = logging.getLogger(__name__)
 
@@ -95,11 +84,8 @@ def build_fixpoint_problem(
         ball.center,
         method=config.solver1,
         alpha=config.alpha1 if config.solver1 == "pr" else None,
-        tol=config.concrete_tol,
-        max_iterations=config.concrete_max_iterations,
     )
-    domain_cls = _DOMAIN_CLASSES[config.domain]
-    initial_state = build_initial_state(model, layout, concrete.z, domain=domain_cls)
+    initial_state = build_initial_state(model, layout, concrete.z, domain=type(input_element))
 
     contraction_step = make_abstract_step(
         model, layout, input_element, config.solver1, config.alpha1,
@@ -143,13 +129,9 @@ def certify_sample(
     If the model misclassifies ``x`` the result is ``MISCLASSIFIED`` without
     running the abstract analysis (the property is trivially false).
 
-    Escalation-ladder configurations run the per-sample waterfall: the
-    sample is certified in the cheapest configured domain first and climbs
-    to the next stage while the verdict stays unresolved (the sequential
-    reference semantics the engine ladders are parity-tested against).
+    Escalation-ladder configurations run the per-sample waterfall
+    (:func:`climb_ladder`).
     """
-    from dataclasses import replace as _replace
-
     config = config if config is not None else CraftConfig()
     x = np.asarray(x, dtype=float).reshape(-1)
     check_input_dim(x.shape[0], model.input_dim)
@@ -165,15 +147,26 @@ def certify_sample(
             time_seconds=0.0,
             notes=f"model predicts class {prediction}, expected {label}",
         )
-    from repro.engine.escalation import should_escalate
-
     ball = LinfBall(center=x, epsilon=epsilon, clip_min=clip_min, clip_max=clip_max)
     spec = ClassificationSpec(target=int(label), num_classes=model.output_dim)
-    result = None
+    return climb_ladder(model, ball, spec, config)
+
+
+def climb_ladder(
+    model: MonDEQ, ball: LinfBall, spec: ClassificationSpec, config: CraftConfig
+) -> VerificationResult:
+    """Certify one (precondition, postcondition) pair sequentially.
+
+    The query runs in the ladder's cheapest domain first and climbs to the
+    next stage while its verdict stays unresolved: the sequential reference
+    semantics the engine waterfall is parity-tested against.  Singleton
+    configurations run one stage.
+    """
+    from repro.engine.escalation import should_escalate
+
     for stage_config in config.stage_configs():
         problem = build_fixpoint_problem(model, ball, spec, stage_config)
-        result = CraftVerifier(stage_config).solve(problem)
-        result = _replace(result, stage=stage_config.domain)
+        result = replace(CraftVerifier(stage_config).solve(problem), stage=stage_config.domain)
         if not should_escalate(result):
             break
     return result

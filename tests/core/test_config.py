@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import ContractionSettings, CraftConfig, KleeneSettings
+from repro.core.config import ContractionSettings, CraftConfig, KleeneSettings, ServiceConfig
 from repro.exceptions import ConfigurationError
 
 
@@ -35,6 +35,26 @@ class TestKleeneSettings:
             KleeneSettings(max_iterations=0)
         with pytest.raises(ConfigurationError):
             KleeneSettings(semantic_unrolling=-1)
+
+
+class TestServiceConfig:
+    def test_service_config_rejects_bad_concurrency(self):
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(max_concurrent_batches=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"coalesce_window_seconds": -0.01},
+            {"max_batch_cells": 0},
+            {"shard_timeout_seconds": 0.0},
+            {"retry_backoff_seconds": 0.0},
+            {"retry_backoff_factor": 0.5},
+        ],
+    )
+    def test_invalid_values_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(**kwargs)
 
 
 class TestCraftConfig:

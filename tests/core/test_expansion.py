@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import CraftConfig
-from repro.core.expansion import ExpansionSchedule
+from repro.core.expansion import ADD_GROWTH, GROWTH_EVERY, MUL_GROWTH, ExpansionSchedule
 from repro.exceptions import ConfigurationError
 
 
@@ -20,13 +20,15 @@ class TestSchedules:
         assert schedule.step() == (0.0, 0.0)
 
     def test_exponential_growth_every_second_consolidation(self):
-        schedule = ExpansionSchedule("exp", w_mul=1e-3, w_add=1e-2, mul_growth=1.1, add_growth=1.2)
+        # Appendix D.2: x1.1 / x1.2 every second consolidation.
+        assert (MUL_GROWTH, ADD_GROWTH, GROWTH_EVERY) == (1.1, 1.2, 2)
+        schedule = ExpansionSchedule("exp", w_mul=1e-3, w_add=1e-2)
         first = schedule.step()
         second = schedule.step()
         third = schedule.step()
         assert first == second == (1e-3, 1e-2)
-        assert third[0] == pytest.approx(1.1e-3)
-        assert third[1] == pytest.approx(1.2e-2)
+        assert third[0] == pytest.approx(1e-3 * MUL_GROWTH)
+        assert third[1] == pytest.approx(1e-2 * ADD_GROWTH)
 
     def test_reset(self):
         schedule = ExpansionSchedule("exp", w_mul=1e-3, w_add=1e-2)
@@ -47,5 +49,3 @@ class TestSchedules:
             ExpansionSchedule("bogus")
         with pytest.raises(ConfigurationError):
             ExpansionSchedule("const", w_mul=-1.0)
-        with pytest.raises(ConfigurationError):
-            ExpansionSchedule("const", growth_every=0)

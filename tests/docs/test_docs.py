@@ -88,39 +88,28 @@ class TestDocTree:
 
 
 class TestConcurrencySection:
-    """The "Concurrent sweeps & autoscaling" section of docs/service.md
-    is load-bearing: it documents the per-sweep exactly-once contract
-    and every scaling knob, and README + architecture.md point at it."""
+    """The "Concurrent sweeps" section of docs/service.md is load-bearing:
+    it documents the per-sweep exactly-once contract and the concurrency
+    knob, README + architecture.md point at it, and the knob table of the
+    same page lists exactly the ``ServiceConfig`` fields."""
 
-    SECTION_HEADER = "## Concurrent sweeps & autoscaling"
+    SECTION_HEADER = "## Concurrent sweeps"
 
-    def _section(self):
+    def _section(self, header=SECTION_HEADER):
         text = (REPO_ROOT / "docs" / "service.md").read_text(encoding="utf-8")
-        assert self.SECTION_HEADER in text, (
-            f"docs/service.md lost its {self.SECTION_HEADER!r} section"
+        assert f"{header}\n" in text, f"docs/service.md lost its {header!r} section"
+        return text.split(f"{header}\n", 1)[1].split("\n## ", 1)[0]
+
+    def test_section_documents_the_concurrency_knob(self):
+        assert "max_concurrent_batches" in self._section(), (
+            "service.md section does not document max_concurrent_batches"
         )
-        return text.split(self.SECTION_HEADER, 1)[1].split("\n## ", 1)[0]
-
-    def test_section_documents_every_scaling_knob(self):
-        section = self._section()
-        for knob in ("max_concurrent_batches", "dispatch_log_limit",
-                     "autoscale"):
-            assert knob in section, f"service.md section does not document {knob}"
-        from dataclasses import fields
-
-        from repro.core.config import AutoscaleConfig
-
-        for field in fields(AutoscaleConfig):
-            assert field.name in section, (
-                f"service.md section does not document autoscale.{field.name}"
-            )
 
     def test_section_states_the_contracts(self):
-        """The per-sweep exactly-once contract and the scaling semantics
+        """The per-sweep exactly-once contract and the respawn semantics
         must be stated, not just the knob names."""
         section = self._section().lower()
-        for phrase in ("exactly-once", "per sweep", "retire", "generation",
-                       "scale_up_events", "scale_down_events"):
+        for phrase in ("exactly-once", "per sweep", "generation"):
             assert phrase in section, (
                 f"service.md concurrency section no longer states {phrase!r}"
             )
@@ -128,22 +117,13 @@ class TestConcurrencySection:
     def test_documented_knobs_are_real_config_fields(self):
         from dataclasses import fields
 
-        from repro.core.config import AutoscaleConfig, ServiceConfig
+        from repro.core.config import ServiceConfig
 
-        service_fields = {field.name for field in fields(ServiceConfig)}
-        autoscale_fields = {field.name for field in fields(AutoscaleConfig)}
-        section = self._section()
-        table = section.split("| Knob |", 1)[1]
-        for cell in re.findall(r"\| `([\w.]+)`", table):
-            root = cell.split(".", 1)
-            if len(root) == 2:
-                assert root[0] == "autoscale" and root[1] in autoscale_fields, (
-                    f"docs name unknown autoscale knob {cell!r}"
-                )
-            else:
-                assert cell in service_fields, (
-                    f"docs name unknown ServiceConfig knob {cell!r}"
-                )
+        table = self._section("## `ServiceConfig` knobs").split("| Field |", 1)[1]
+        documented = set(re.findall(r"`(\w+)`", "".join(
+            line.split("|")[1] for line in table.splitlines() if line.startswith("| `")
+        )))
+        assert documented == {field.name for field in fields(ServiceConfig)}
 
     def test_readme_and_architecture_cross_link_the_section(self):
         for name in ("README.md", "docs/architecture.md"):

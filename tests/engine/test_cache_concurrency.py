@@ -225,7 +225,7 @@ class TestVersionStamp:
 
     def test_fingerprint_tracks_verdict_relevant_fields(self, config):
         assert config_fingerprint(config) == config_fingerprint(
-            config.with_updates(verbose=True)
+            config.with_updates(tighten_max_iterations=config.tighten_max_iterations)
         )
         for overrides in (
             {"alpha1": 0.2},

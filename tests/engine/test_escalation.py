@@ -244,7 +244,7 @@ class TestLadderCache:
             indices=np.arange(len(xs)), centers=xs, lower=lower, upper=upper,
             targets=ys, anchors=None, queries=queries, domain="box", final=False,
         )
-        indices, results, _, _ = _execute_shard(state, shard)
+        indices, results, _ = _execute_shard(state, shard)
         assert indices.tolist() == list(range(len(xs)))
         assert all(result.stage == "box" for result in results)
         assert any(should_escalate(result) for result in results)

@@ -265,3 +265,50 @@ class TestGlobalCertParity:
             )
 
         assert signature(batched) == signature(sequential)
+
+
+class TestSlopeMarginThreshold:
+    @pytest.mark.parametrize("driver", ["sequential", "batched"])
+    def test_only_samples_within_the_threshold_try_slopes(
+        self, trained_mondeq, toy_data, monkeypatch, driver
+    ):
+        """Slope optimisation starts only on uncertified samples whose margin
+        exceeds ``-SLOPE_MARGIN_THRESHOLD`` (Section 6.3), in both drivers.
+        At ε = 0.4 three of the eight regions end phase two uncertified,
+        with margins of about -0.07, -0.08 and -0.15."""
+        import repro.core.craft as sequential_craft
+        import repro.engine.craft as batched_craft
+
+        xs, ys = _evaluation_set(toy_data, count=8)
+        plain = BatchedCraft(trained_mondeq, CraftConfig(slope_optimization="none")).certify(
+            xs, ys, 0.4
+        )
+        config = CraftConfig(slope_optimization="reduced")
+        first_delta = config.slope_deltas()[0]
+        module, driver_cls = {
+            "sequential": (sequential_craft, sequential_craft.CraftVerifier),
+            "batched": (batched_craft, batched_craft.BatchedCraft),
+        }[driver]
+        started = []
+        start_tightening = driver_cls._start_tightening
+
+        def recording(self, *args):
+            if args[-1] == first_delta:
+                # The batched driver starts one run per group of rows.
+                started.append(len(args[1]) if driver == "batched" else 1)
+            return start_tightening(self, *args)
+
+        monkeypatch.setattr(driver_cls, "_start_tightening", recording)
+        counts = []
+        for threshold in (1.0, 0.1, 0.05):
+            monkeypatch.setattr(module, "SLOPE_MARGIN_THRESHOLD", threshold)
+            started.clear()
+            if driver == "sequential":
+                for x, y in zip(xs, ys):
+                    certify_sample(trained_mondeq, x, int(y), 0.4, config)
+            else:
+                BatchedCraft(trained_mondeq, config).certify(xs, ys, 0.4)
+            expected = sum(not r.certified and r.margin > -threshold for r in plain)
+            assert sum(started) == expected
+            counts.append(expected)
+        assert counts == [3, 2, 0]

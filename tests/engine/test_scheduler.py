@@ -181,7 +181,7 @@ class TestScheduler:
 def _accounting(report):
     """A report's batch count and stage rows, without their timings."""
     rows = [
-        {key: value for key, value in row.items() if key not in ("time", "consolidation_time")}
+        {key: value for key, value in row.items() if key != "time"}
         for row in report.stages
     ]
     return report.num_batches, rows

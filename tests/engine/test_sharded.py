@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import CraftConfig
-from repro.engine import BatchCertificationScheduler, ConsolidationStats, ShardedScheduler
+from repro.engine import BatchCertificationScheduler, ShardedScheduler
 from repro.engine.sharded import default_num_workers, default_start_method
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.utils.rng import as_generator
@@ -132,15 +132,6 @@ class TestShardDecomposition:
         for result in report.results:
             assert result.fixpoint_abstraction is None
             assert result.output_element is None
-
-    def test_consolidation_stats_cross_the_shard_pipe(self):
-        """A shard's consolidation accounting crosses the pool pipe as a
-        dict and merges into its stage's totals."""
-        stats = ConsolidationStats(events=4, seconds=0.5)
-        assert ConsolidationStats.from_dict(stats.as_dict()) == stats
-        merged = ConsolidationStats(events=1, seconds=0.25)
-        merged.merge(stats)
-        assert merged == ConsolidationStats(events=5, seconds=0.75)
 
     def test_spawn_start_method(self, trained_mondeq, config, eval_set):
         """Workers must also come up under spawn (fresh interpreters that

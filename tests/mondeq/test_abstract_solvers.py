@@ -5,11 +5,11 @@ import pytest
 
 from repro.domains.chzonotope import CHZonotope
 from repro.domains.interval import Interval
+from repro.domains.parallelotope import ParallelotopeZonotope
 from repro.domains.zonotope import Zonotope
 from repro.exceptions import ConfigurationError, DomainError
 from repro.mondeq.abstract_solvers import (
     build_initial_state,
-    coerce_input_element,
     fb_state_matrices,
     layout_for,
     make_abstract_step,
@@ -86,7 +86,7 @@ class TestAbstractStepSoundness:
     def test_step_over_approximates_concrete(self, small_mondeq, ball, rng, solver, domain):
         layout = layout_for(small_mondeq, solver)
         alpha = 0.3 * small_mondeq.fb_alpha_bound() if solver == "fb" else 0.12
-        input_element = coerce_input_element(ball.to_interval(), {CHZonotope: "chzonotope", Zonotope: "zonotope", Interval: "box"}[domain])
+        input_element = ball.to_element({CHZonotope: "chzonotope", Zonotope: "zonotope", Interval: "box"}[domain])
         step = make_abstract_step(small_mondeq, layout, input_element, solver, alpha)
 
         state_box = Interval.from_center_radius(np.full(layout.dim, 0.2), 0.1)
@@ -146,6 +146,21 @@ class TestInitialStateAndOutput:
                 expected = np.concatenate([z0] * (2 if solver == "pr" else 1))
                 assert np.allclose(state.center, expected)
 
+    @pytest.mark.parametrize(
+        "domain",
+        [Interval, Zonotope, ParallelotopeZonotope, CHZonotope],
+        ids=lambda domain: domain.__name__,
+    )
+    def test_initial_state_keeps_the_requested_domain(self, small_mondeq, rng, domain):
+        """``build_initial_state`` is ``domain.from_point``: the singleton is
+        built in exactly the requested class, subclasses included."""
+        z0 = rng.uniform(size=small_mondeq.latent_dim)
+        for solver in ("fb", "pr"):
+            layout = layout_for(small_mondeq, solver)
+            state = build_initial_state(small_mondeq, layout, z0, domain=domain)
+            assert type(state) is domain
+            assert state.contains_point(np.concatenate([z0] * (2 if solver == "pr" else 1)))
+
     def test_initial_state_validates_z0(self, small_mondeq):
         layout = layout_for(small_mondeq, "fb")
         with pytest.raises(DomainError):
@@ -166,11 +181,3 @@ class TestInitialStateAndOutput:
         z = rng.normal(size=small_mondeq.latent_dim)
         element = CHZonotope.from_point(np.concatenate([z, np.zeros_like(z)]))
         assert np.allclose(extract(element).center, z)
-
-    def test_coerce_input_element(self, ball):
-        box = ball.to_interval()
-        assert isinstance(coerce_input_element(box, "chzonotope"), CHZonotope)
-        assert isinstance(coerce_input_element(box, "zonotope"), Zonotope)
-        assert isinstance(coerce_input_element(ball.to_chzonotope(), "box"), Interval)
-        with pytest.raises(ConfigurationError):
-            coerce_input_element(box, "polyhedra")

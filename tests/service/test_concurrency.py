@@ -33,6 +33,7 @@ from repro.engine.results import EngineReport
 from repro.engine.sharded import ShardedScheduler
 from repro.mondeq.model import MonDEQ
 from repro.service.cluster import ClusterScheduler
+from repro.service import frontend as frontend_module
 from repro.service.faults import FaultSpec
 from repro.service.frontend import CertificationFrontend
 
@@ -229,12 +230,11 @@ class TestConcurrentBatchBound:
 # ----------------------------------------------------------------------
 
 class TestStateReclamation:
-    def test_request_state_reclaimed_and_dispatch_log_bounded(self):
+    def test_request_state_reclaimed_and_dispatch_log_bounded(self, monkeypatch):
+        monkeypatch.setattr(frontend_module, "DISPATCH_LOG_LIMIT", 5)
+
         async def run():
-            service = ServiceConfig(
-                coalesce_window_seconds=0.0, max_batch_cells=2,
-                dispatch_log_limit=5,
-            )
+            service = ServiceConfig(coalesce_window_seconds=0.0, max_batch_cells=2)
             frontend = CertificationFrontend(service=service)
             backend = OverlapProbe(delay_seconds=0.0)
             fingerprint = frontend.register_model(MODEL, CONFIG_A, backend=backend)
@@ -352,7 +352,7 @@ class TestConcurrentClusterSweeps:
         model, config, workload_a, workload_b = cluster_workloads
         service = ServiceConfig(
             shard_timeout_seconds=8.0, retry_backoff_seconds=0.05,
-            retry_backoff_factor=1.5, heartbeat_seconds=0.1,
+            retry_backoff_factor=1.5,
         )
         with ClusterScheduler(
             model, config, num_workers=2, batch_size=2,
@@ -373,7 +373,7 @@ class TestConcurrentClusterSweeps:
         model, config, workload_a, workload_b = cluster_workloads
         service = ServiceConfig(
             shard_timeout_seconds=8.0, retry_backoff_seconds=0.05,
-            retry_backoff_factor=1.5, heartbeat_seconds=0.1,
+            retry_backoff_factor=1.5,
         )
         # Slot 1 holds its first shard for a second, so slot 0 claims one
         # (and dies) even when it comes up after slot 1 could have

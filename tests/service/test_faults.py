@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.config import CraftConfig, ServiceConfig
 from repro.engine.sharded import ShardedScheduler
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, VerificationError
 from repro.mondeq.model import MonDEQ
 from repro.service.cluster import ClusterScheduler
 from repro.service.faults import ACTIONS, FaultPlan, FaultSpec, retry_backoff
@@ -55,7 +55,6 @@ def _service(**overrides):
         shard_timeout_seconds=8.0,
         retry_backoff_seconds=0.05,
         retry_backoff_factor=1.5,
-        heartbeat_seconds=0.1,
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
@@ -145,6 +144,64 @@ class TestHealthCheck:
         assert scheduler.cluster_stats.retries >= 1
 
 
+class TestRetryLimit:
+    def test_exhausted_retries_fail_only_that_sweep(
+        self, cluster_workload, fault_free_verdicts, monkeypatch
+    ):
+        """With ``RETRY_MAX_ATTEMPTS`` at 1 the killed worker's shard gets
+        no second attempt: its sweep fails with the give-up message, and
+        the respawned worker serves the next sweep at the usual limit."""
+        import repro.service.cluster as cluster
+
+        model, xs, labels, config = cluster_workload
+        monkeypatch.setattr(cluster, "RETRY_MAX_ATTEMPTS", 1)
+        faults = FaultSpec(seed=15, scripted=((0, 0, "kill"),))
+        with ClusterScheduler(
+            model, config, num_workers=1, batch_size=3,
+            service=_service(), faults=faults, timeout_seconds=120.0,
+        ) as scheduler:
+            with pytest.raises(VerificationError, match="giving up"):
+                scheduler.certify(xs, labels, EPSILON)
+            monkeypatch.undo()
+            report = scheduler.certify(xs, labels, EPSILON)
+        assert [r.outcome for r in report.results] == fault_free_verdicts
+        assert scheduler.cluster_stats.respawns == 1
+
+
+class TestFixedPool:
+    def test_pool_keeps_its_constructed_size(self, cluster_workload, fault_free_verdicts):
+        """Twelve one-sample shards queue behind two workers: the pool
+        stays at its two slots, with no respawn and no worker marked dead."""
+        model, xs, labels, config = cluster_workload
+        with ClusterScheduler(
+            model, config, num_workers=2, batch_size=1,
+            service=_service(), timeout_seconds=120.0,
+        ) as scheduler:
+            report = scheduler.certify(xs, labels, EPSILON)
+            assert [r.outcome for r in report.results] == fault_free_verdicts
+            assert sorted(scheduler._local_workers) == [0, 1]
+            assert scheduler.cluster_stats.respawns == 0
+            assert not scheduler.cluster_stats.dead_workers
+
+    def test_close_stops_a_respawned_worker_through_the_sentinel(
+        self, cluster_workload, fault_free_verdicts
+    ):
+        """A worker blocks on the task queue until the stop sentinel:
+        ``close`` ends the sole worker, the respawn of a killed one, with
+        exit code 0 rather than terminating it."""
+        model, xs, labels, config = cluster_workload
+        faults = FaultSpec(seed=16, scripted=((0, 0, "kill"),))
+        with ClusterScheduler(
+            model, config, num_workers=1, batch_size=3,
+            service=_service(), faults=faults, timeout_seconds=120.0,
+        ) as scheduler:
+            report = scheduler.certify(xs, labels, EPSILON)
+            assert [r.outcome for r in report.results] == fault_free_verdicts
+            assert scheduler.cluster_stats.respawns == 1
+            (worker,) = scheduler._local_workers.values()
+        assert worker.exitcode == 0
+
+
 class TestExactlyOnce:
     def test_duplicate_results_are_dropped_first_wins(self, cluster_workload):
         """A straggler result for an already-finished sweep's task (the
@@ -159,15 +216,10 @@ class TestExactlyOnce:
             report = scheduler.certify(xs[:4], labels[:4], EPSILON)
             assert all(r is not None for r in report.results)
             # Forge a duplicate for a task of the (now finished) sweep 0
-            # plus a heartbeat from an unknown worker; the router must
-            # bin the duplicate and count the heartbeat, double-
-            # delivering neither.
+            # from an unknown worker; the router must bin it, never
+            # double-deliver it.
             before = scheduler.cluster_stats.duplicates_dropped
-            beats = scheduler.cluster_stats.heartbeats
-            scheduler._result_queue.put(("heartbeat", None, "9:9:9", time.time()))
-            scheduler._result_queue.put(
-                ("result", (0, 0), "9:9:9", ([0], [], "box", 0.0, {}))
-            )
+            scheduler._result_queue.put(("result", (0, 0), "9:9:9", ([0], [], 0.0)))
             deadline = time.monotonic() + 10.0
             while (
                 scheduler.cluster_stats.duplicates_dropped < before + 1
@@ -175,7 +227,6 @@ class TestExactlyOnce:
             ):
                 time.sleep(0.02)
             assert scheduler.cluster_stats.duplicates_dropped == before + 1
-            assert scheduler.cluster_stats.heartbeats >= beats + 1
             # The forged straggler reached no sweep: a fresh certify
             # still sees exactly its own verdicts.
             again = scheduler.certify(xs[:4], labels[:4], EPSILON)

@@ -49,7 +49,6 @@ def test_soak_sustained_traffic_with_faults(tmp_path):
         shard_timeout_seconds=1.5,
         retry_backoff_seconds=0.05,
         retry_backoff_factor=1.5,
-        heartbeat_seconds=0.1,
         # The scheduler is concurrent-caller-safe since the sweep
         # multiplexing PR: the soak drives it with two engine passes in
         # flight — no serialising wrapper.

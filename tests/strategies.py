@@ -163,7 +163,6 @@ def craft_configs():
                 max_iterations=60, consolidate_every=3, history_size=4
             ),
             slope_optimization=slope_mode,
-            slope_candidates_reduced=(-0.1, 0.1),
             same_iteration_containment=same_iteration,
             use_box_component=use_box,
             tighten_max_iterations=12,

@@ -66,6 +66,25 @@ def _decomposition(result):
     )
 
 
+@pytest.mark.parametrize(
+    "config", [CraftConfig(), CraftConfig.escalation()], ids=["chzonotope", "ladder"]
+)
+def test_sequential_recursion_matches_the_batched_decomposition(config):
+    """The sequential recursion climbs each cell through the ladder one
+    query at a time; the batched frontier sweeps whole levels.  On the
+    16-cell slice below both give the same cells and verdicts."""
+    from repro.mondeq.model import MonDEQ
+
+    model = MonDEQ.random(input_dim=3, latent_dim=12, output_dim=5, monotonicity=5.0, seed=1)
+    region = Interval(np.array([0.0, 0.0, 0.49]), np.array([1.0, 1.0, 0.51]))
+    decompositions = []
+    for engine in ("sequential", "batched"):
+        with DomainSplittingCertifier(model, config, max_depth=4, engine=engine) as certifier:
+            decompositions.append(_decomposition(certifier.certify_region(region)))
+    assert any(cell[3] for cell in decompositions[0])
+    assert decompositions[0] == decompositions[1]
+
+
 @pytest.mark.parametrize("engine", ["batched", "sharded"])
 def test_every_engine_honours_the_cache_dir(engine, tmp_path):
     """A seeded 3-input random monDEQ on a thin slice (16 cells, 4 of them

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.config import ContractionSettings, CraftConfig
+from repro.core.craft import CraftVerifier
 from repro.core.results import VerificationOutcome
+from repro.engine.escalation import should_escalate
 from repro.mondeq.attacks import PGDConfig, pgd_attack
 from repro.mondeq.solvers import solve_fixpoint
 from repro.verify.robustness import (
     RobustnessVerifier,
     build_fixpoint_problem,
     certify_sample,
+    climb_ladder,
     fixpoint_set_abstraction,
 )
 from repro.verify.specs import ClassificationSpec, LinfBall
@@ -125,6 +128,76 @@ class TestProblemConstruction:
         assert stepped.dim == problem.initial_state.dim
         output = problem.extract_output(stepped)
         assert output.dim == trained_mondeq.output_dim
+
+
+    @pytest.mark.parametrize("domain", ["box", "zonotope", "parallelotope", "chzonotope"])
+    def test_problem_lives_in_the_configured_domain(self, trained_mondeq, trained_sample, domain):
+        """The initial state takes the precondition's class, and it is the
+        singleton of the centre's concrete fixpoint at the solver defaults."""
+        x, label = trained_sample
+        config = CraftConfig(domain=domain, slope_optimization="none")
+        ball = LinfBall(center=x, epsilon=0.01)
+        spec = ClassificationSpec(target=label, num_classes=trained_mondeq.output_dim)
+        problem = build_fixpoint_problem(trained_mondeq, ball, spec, config)
+        assert type(problem.input_element) is type(ball.to_element(domain))
+        assert type(problem.initial_state) is type(problem.input_element)
+        anchor = solve_fixpoint(trained_mondeq, x, method="pr", alpha=config.alpha1).z
+        np.testing.assert_array_equal(
+            problem.initial_state.center, np.concatenate([anchor, anchor])
+        )
+
+
+class TestClimbLadder:
+    def test_a_singleton_configuration_runs_one_verifier(
+        self, trained_mondeq, trained_sample, config
+    ):
+        x, label = trained_sample
+        ball = LinfBall(center=x, epsilon=0.3)
+        spec = ClassificationSpec(target=label, num_classes=trained_mondeq.output_dim)
+        climbed = climb_ladder(trained_mondeq, ball, spec, config)
+        direct = CraftVerifier(config).solve(
+            build_fixpoint_problem(trained_mondeq, ball, spec, config)
+        )
+        assert climbed.stage == "chzonotope"
+        assert climbed.outcome == direct.outcome
+        assert climbed.margin == direct.margin
+        assert climbed.iterations_phase1 == direct.iterations_phase1
+        assert climbed.iterations_phase2 == direct.iterations_phase2
+
+    @pytest.mark.parametrize(
+        "epsilon, resolving_stage",
+        [(0.05, "box"), (0.3, "zonotope"), (0.5, "chzonotope")],
+    )
+    def test_the_climb_leaves_at_the_first_resolving_stage(
+        self, trained_mondeq, trained_sample, epsilon, resolving_stage
+    ):
+        """Box certifies the small ball, only the zonotope the middle one,
+        and the large one stays unresolved up to the final stage."""
+        x, label = trained_sample
+        ladder = CraftConfig.escalation(slope_optimization="none")
+        ball = LinfBall(center=x, epsilon=epsilon)
+        spec = ClassificationSpec(target=label, num_classes=trained_mondeq.output_dim)
+        singles = {
+            stage.domain: climb_ladder(trained_mondeq, ball, spec, stage)
+            for stage in ladder.stage_configs()
+        }
+        below = ladder.domains[: ladder.domains.index(resolving_stage)]
+        assert all(should_escalate(singles[domain]) for domain in below)
+        climbed = climb_ladder(trained_mondeq, ball, spec, ladder)
+        assert climbed.stage == resolving_stage
+        assert climbed.outcome == singles[resolving_stage].outcome
+        assert climbed.margin == singles[resolving_stage].margin
+
+    def test_certify_sample_climbs_the_ladder(self, trained_mondeq, trained_sample):
+        x, label = trained_sample
+        ladder = CraftConfig.escalation(slope_optimization="none")
+        sample = certify_sample(trained_mondeq, x, label, 0.3, ladder)
+        ball = LinfBall(center=x, epsilon=0.3, clip_min=0.0, clip_max=1.0)
+        spec = ClassificationSpec(target=label, num_classes=trained_mondeq.output_dim)
+        climbed = climb_ladder(trained_mondeq, ball, spec, ladder)
+        assert (sample.stage, sample.outcome, sample.margin) == (
+            climbed.stage, climbed.outcome, climbed.margin
+        )
 
 
 class TestVerifierHarness:
