@@ -12,11 +12,11 @@ def test_fig12_alpha_stability(benchmark, record_rows):
         scale="smoke",
         alphas=(0.02, 0.06, 0.1, 0.15),
         solvers=("pr",),
-        use_box=(True, False),
+        domains=("chzonotope", "zonotope"),
         max_samples=3,
     )
     record_rows("Fig. 12: containment / certification vs alpha", rows)
-    with_box = [row for row in rows if row["box_component"]]
+    with_box = [row for row in rows if row["domain"] == "chzonotope"]
     # PR with the Box component finds containment across the alpha range
     # (the paper's headline stability claim).
     assert sum(row["contained"] for row in with_box) >= len(with_box)

@@ -49,7 +49,7 @@ def _engine_sweep_row(regions=24, epsilon=0.03):
     batched_total = 0.0
     mismatches = 0
     for domain in DOMAINS:
-        config = CraftConfig(domain=domain, slope_optimization="none")
+        config = CraftConfig(domains=(domain,), slope_optimization="none")
 
         start = time.perf_counter()
         sequential = certify_local_robustness(

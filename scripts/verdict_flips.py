@@ -16,10 +16,15 @@ A change meant to keep results bit for bit adds ``--exact`` to ``compare``.
 ``dump`` certifies draws ``1..N`` of the workload's seeded regions (the
 draws a ``perfbench/run.py`` run times; it reads only
 ``perfbench/inputs.py``) through the batched engine with the workload's
-default ``CraftConfig`` and writes each region's certified flag, margin,
+default ``CraftConfig``, or with ``CraftConfig.ablation(NAME)`` under
+``--ablation NAME``, and writes each region's certified flag, margin,
 selected alpha, phase-one and phase-two iteration counts, peak error
 terms, and two digests: one of its fixpoint abstraction's element (the
-bytes of its centre, generators and Box) and one of both width traces.
+bytes of its centre, generators and Box; an element without a Box is
+digested as if its Box were zero, and a Box-domain element by its
+bounds) and one of both width traces.  Dumping the same ablation name on
+two checkouts compares its two spellings: a row that a change respells
+(for example ``no_box_component``) must still dump the same regions.
 ``--root`` names the checkout whose ``src/`` and ``perfbench/inputs.py``
 run (default: this one), so a checkout without this script can still be
 dumped.  ``compare`` reports certified -> uncertified flips from the
@@ -69,19 +74,27 @@ def _digest(*arrays) -> str:
     return digest.hexdigest()
 
 
+def _element_digest(element) -> str:
+    """Digest of a fixpoint element: Box-domain elements by their bounds, the
+    zonotope family by centre, generators and Box (zero when it has none)."""
+    if not hasattr(element, "generators"):
+        return _digest(*element.concretize_bounds())
+    box = getattr(element, "box", np.zeros(element.dim))
+    return _digest(element.center, element.generators, box)
+
+
 def _digests(result) -> dict:
     """The element and width-trace digests of ``result``'s fixpoint abstraction."""
     abstraction = result.fixpoint_abstraction
     if abstraction is None:
         return dict.fromkeys(DIGESTS)
-    element = abstraction.element
     return {
-        "element_digest": _digest(element.center, element.generators, element.box),
+        "element_digest": _element_digest(abstraction.element),
         "trace_digest": _digest(abstraction.width_trace_phase1, abstraction.width_trace_phase2),
     }
 
 
-def dump(root: Path, workload: str, seed: int, draws: int) -> dict:
+def dump(root: Path, workload: str, seed: int, draws: int, ablation=None) -> dict:
     sys.path[:0] = [str(root / "src"), str(root)]
     from perfbench import inputs
     from repro.core.config import CraftConfig
@@ -91,11 +104,12 @@ def dump(root: Path, workload: str, seed: int, draws: int) -> dict:
     model_name, regions_name = WORKLOADS[workload]
     model, dataset = model_zoo.get_model(model_name, "smoke")
     regions = getattr(inputs, regions_name)
+    config = CraftConfig() if ablation is None else CraftConfig.ablation(ablation)
     rows = []
     for draw in range(1, draws + 1):
         xs, labels = regions(dataset.x_test, dataset.y_test, seed, draw)
         results = certify_local_robustness(
-            model, xs, labels, inputs.EPSILON, CraftConfig(), engine="batched"
+            model, xs, labels, inputs.EPSILON, config, engine="batched"
         )
         for index, result in enumerate(results):
             rows.append({
@@ -107,11 +121,16 @@ def dump(root: Path, workload: str, seed: int, draws: int) -> dict:
                 **{name: getattr(result, name) for name in COUNTS},
                 **_digests(result),
             })
-    return {"workload": workload, "seed": seed, "draws": draws, "regions": rows}
+    return {
+        "workload": workload, "ablation": ablation, "seed": seed, "draws": draws,
+        "regions": rows,
+    }
 
 
 def compare(first: dict, second: dict) -> dict:
     """Differences from ``first`` to ``second`` over the regions both hold."""
+    if first.get("ablation") != second.get("ablation"):
+        raise ValueError("the dumps ran different configurations")
     before = {(row["draw"], row["index"]): row for row in first["regions"]}
     after = {(row["draw"], row["index"]): row for row in second["regions"]}
     if before.keys() != after.keys():
@@ -162,6 +181,10 @@ def main(argv=None) -> int:
     dumping.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     dumping.add_argument("--seed", type=int, required=True)
     dumping.add_argument("--draws", type=int, default=20)
+    dumping.add_argument(
+        "--ablation", metavar="NAME",
+        help="dump under CraftConfig.ablation(NAME) instead of CraftConfig()",
+    )
     dumping.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
     dumping.add_argument("--out", type=Path, required=True)
     comparing = commands.add_parser("compare", help="exit non-zero on a certified -> uncertified flip")
@@ -174,7 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "dump":
-        result = dump(args.root.resolve(), args.workload, args.seed, args.draws)
+        result = dump(args.root.resolve(), args.workload, args.seed, args.draws, args.ablation)
         args.out.write_text(json.dumps(result))
         certified = sum(row["certified"] for row in result["regions"])
         print(f"{len(result['regions'])} regions, {certified} certified -> {args.out}")

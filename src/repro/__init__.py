@@ -5,9 +5,10 @@ The package is organised around the paper's two contributions and the
 substrates they need:
 
 ``repro.domains``
-    Abstract-domain substrate: Box (interval), Zonotope, and the paper's
-    novel CH-Zonotope domain with error consolidation (Theorem 4.1) and the
-    efficient inclusion check (Theorem 4.2).
+    Abstract-domain substrate: Box (interval), Zonotope, the order-bounded
+    parallelotope pipeline, and the paper's novel CH-Zonotope domain with
+    error consolidation (Theorem 4.1) and the efficient inclusion check
+    (Theorem 4.2).
 
 ``repro.core``
     The domain-specific abstract interpretation framework for fixpoint
@@ -29,9 +30,9 @@ substrates they need:
     The batched certification engine: domain-generic element stacks
     (CH-Zonotope, Box, plain Zonotope and the order-bounded Parallelotope)
     advanced by shared BLAS calls, a batched Craft driver with per-sample
-    early exit dispatching on ``CraftConfig.domain``, the per-query
-    escalation waterfall over ``CraftConfig.domains``
-    (``repro.engine.escalation``), and one scheduler for it on an
+    early exit, the per-query escalation waterfall over the stages of
+    ``CraftConfig.domains`` (``repro.engine.escalation``; a one-stage
+    ladder is a plain sweep in that domain), and one scheduler for it on an
     in-process, worker-pool or cluster transport, with a shared on-disk
     verdict cache keyed by the exact query.
 
@@ -76,7 +77,7 @@ from repro.service import (
 )
 from repro.verify.specs import ClassificationSpec, LinfBall
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "BatchCertificationScheduler",

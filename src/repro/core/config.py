@@ -19,9 +19,8 @@ from repro.exceptions import ConfigurationError
 #: sub-sequence of this tuple, cheapest first.
 DOMAIN_LADDER = ("box", "zonotope", "parallelotope", "chzonotope")
 
-_VALID_DOMAINS = DOMAIN_LADDER
 _VALID_SOLVERS = ("pr", "fb")
-_VALID_EXPANSIONS = ("const", "exp", "none")
+_VALID_EXPANSIONS = ("const", "exp")
 
 #: Steps each phase-two alpha race candidate runs before the samples it did
 #: not certify move on (:meth:`CraftConfig.race_candidates`), and the stop
@@ -92,15 +91,16 @@ class ServiceConfig:
     max_concurrent_batches: int = 1
 
     def __post_init__(self):
-        if self.coalesce_window_seconds < 0:
+        # Float checks are written ``not x >= bound`` so that NaN fails them.
+        if not self.coalesce_window_seconds >= 0:
             raise ConfigurationError("coalesce_window_seconds must be non-negative")
         if not isinstance(self.max_batch_cells, int) or self.max_batch_cells < 1:
             raise ConfigurationError("max_batch_cells must be a positive integer")
-        if self.shard_timeout_seconds <= 0:
+        if not self.shard_timeout_seconds > 0:
             raise ConfigurationError("shard_timeout_seconds must be positive")
-        if self.retry_backoff_seconds <= 0:
+        if not self.retry_backoff_seconds > 0:
             raise ConfigurationError("retry_backoff_seconds must be positive")
-        if self.retry_backoff_factor < 1.0:
+        if not self.retry_backoff_factor >= 1.0:
             raise ConfigurationError("retry_backoff_factor must be >= 1")
         if (
             not isinstance(self.max_concurrent_batches, int)
@@ -155,7 +155,7 @@ class ContractionSettings:
             raise ConfigurationError("basis_recompute_every must be positive")
         if self.history_size < 1:
             raise ConfigurationError("history_size must be positive")
-        if self.abort_width <= 0:
+        if not self.abort_width > 0:
             raise ConfigurationError("abort_width must be positive")
 
 
@@ -176,6 +176,10 @@ class KleeneSettings:
             raise ConfigurationError("semantic_unrolling must be non-negative")
         if self.widen_after < 0:
             raise ConfigurationError("widen_after must be non-negative")
+        if not self.widening_threshold > 0:
+            raise ConfigurationError("widening_threshold must be positive")
+        if not self.abort_width > 0:
+            raise ConfigurationError("abort_width must be positive")
 
 
 @dataclass(frozen=True)
@@ -184,48 +188,45 @@ class CraftConfig:
 
     Attributes
     ----------
-    domain:
-        Abstract domain to use: ``"chzonotope"`` (default), ``"box"``
-        (Table 4 "No Zono component"), ``"zonotope"`` (the plain-Zonotope
-        pipeline: fresh ReLU error terms become generator columns instead
-        of Box radii — Table 4 "No Box component") or ``"parallelotope"``
-        (an order-bounded zonotope pipeline: the state is reduced to its
-        enclosing PCA parallelotope after every ReLU, so the error-term
-        count stays constant).  Every domain runs through every engine
-        (``sequential`` / ``batched`` / ``sharded``): the batched stack
-        class is resolved by
+    domains:
+        The **escalation ladder**: a strictly ascending (cheapest-first)
+        sub-sequence of ``("box", "zonotope", "parallelotope",
+        "chzonotope")``.  The default ``("chzonotope",)`` runs one domain
+        per sweep; a one-stage ladder names the sweep's domain:
+        ``"chzonotope"``, ``"box"`` (Table 4 "No Zono component"),
+        ``"zonotope"`` (the plain-Zonotope pipeline: fresh ReLU error terms
+        become generator columns instead of Box radii — Table 4 "No Box
+        component") or ``"parallelotope"`` (an order-bounded zonotope
+        pipeline: the state is reduced to its enclosing PCA parallelotope
+        after every ReLU, so the error-term count stays constant).  Every
+        domain runs through every engine (``sequential`` / ``batched`` /
+        ``sharded``): the batched stack class is resolved by
         :func:`repro.engine.batched_domains.batched_domain_for`, and the
         sequential operations by
         :func:`repro.core.contraction.domain_ops_for`.
 
-        ``domain`` is a validated alias of the *last* (most precise) entry
-        of ``domains``: setting one keeps the other consistent, and setting
-        both to conflicting values raises :class:`ConfigurationError`.
-    domains:
-        The **escalation ladder**: a strictly ascending (cheapest-first)
-        sub-sequence of ``("box", "zonotope", "parallelotope",
-        "chzonotope")``.  The default is the singleton ``(domain,)``, which
-        preserves the one-domain-per-sweep behaviour.  With more than one
-        stage the engines run a *waterfall*: every query starts in the
-        first (cheapest) domain, and queries that come back
-        ``UNKNOWN``/``NO_CONTAINMENT``/``DIVERGED`` are re-enqueued into
-        the next stage, while ``VERIFIED``/``MISCLASSIFIED`` verdicts exit
-        early (see :mod:`repro.engine.escalation`).
+        With more than one stage the engines run a *waterfall*: every
+        query starts in the first (cheapest) domain, and queries that come
+        back ``UNKNOWN``/``NO_CONTAINMENT``/``DIVERGED`` are re-enqueued
+        into the next stage, while ``VERIFIED``/``MISCLASSIFIED`` verdicts
+        exit early (see :mod:`repro.engine.escalation`).  The read-only
+        :attr:`domain` is the last (most precise) stage.
     solver1, alpha1:
         Operator-splitting method and damping parameter used in the
         containment-finding phase (default Peaceman–Rachford, alpha = 0.1).
-    solver2, alpha2, alpha2_grid:
-        Method used in the tightening phase.  ``alpha2 = None`` selects the
-        damping adaptively (Appendix E.1) by racing the ``alpha2_grid``
-        candidates (:meth:`race_candidates`): each runs ``PROBE_STEPS``
-        steps in ascending contraction factor, a sample leaves on its
-        first certificate, and the others resume the candidate with the
-        best probe margin.  The grid is ignored when ``alpha2`` is fixed.
+    solver2, alpha2_grid:
+        Method used in the tightening phase.  FB selects its damping
+        adaptively (Appendix E.1) by racing the ``alpha2_grid`` candidates
+        (:meth:`race_candidates`): each runs ``PROBE_STEPS`` steps in
+        ascending contraction factor, a sample leaves on its first
+        certificate, and the others resume the candidate with the best
+        probe margin.  A one-entry grid fixes alpha.  Every entry must lie
+        in [0, 1] (Theorem 5.1).
     expansion, w_mul, w_add:
         Expansion schedule of Eq. (10): ``"const"`` keeps the parameters
         fixed, ``"exp"`` grows them geometrically every second consolidation
-        (Appendix D.2, :mod:`repro.core.expansion`), ``"none"`` disables
-        expansion (Table 4 ablation).
+        (Appendix D.2, :mod:`repro.core.expansion`).  ``w_mul = w_add = 0``
+        disables expansion (Table 4 "No Expansion").
     slope_optimization:
         ReLU-slope optimisation mode: ``"none"``, ``"reduced"`` or
         ``"reference"`` (coarser / finer candidate grids, Section 6.3;
@@ -234,19 +235,14 @@ class CraftConfig:
         Ablation switch: when ``True`` the state used for certification must
         itself be contained in its predecessor (Table 4 "Same iter.
         containment") instead of relying on fixpoint-set preservation.
-    use_box_component:
-        When ``False`` the ReLU transformer writes fresh error terms into
-        generator columns instead of the Box component.
     tighten_max_iterations:
         Phase-two budget in steps; see also :meth:`stop_tightening`.
     """
 
-    domain: Optional[str] = None
-    domains: Optional[Tuple[str, ...]] = None
+    domains: Tuple[str, ...] = ("chzonotope",)
     solver1: str = "pr"
     alpha1: float = 0.1
     solver2: str = "fb"
-    alpha2: Optional[float] = None
     alpha2_grid: Tuple[float, ...] = (0.02, 0.03, 0.04, 0.05, 0.075, 0.1, 0.15, 0.25, 0.5, 1.0)
     contraction: ContractionSettings = field(default_factory=ContractionSettings)
     expansion: str = "const"
@@ -254,11 +250,26 @@ class CraftConfig:
     w_add: float = 1e-2
     slope_optimization: str = "none"
     same_iteration_containment: bool = False
-    use_box_component: bool = True
     tighten_max_iterations: int = 150
 
     def __post_init__(self):
-        self._normalise_domains()
+        # A frozen dataclass normalises with object.__setattr__; a tuple keeps
+        # the config hashable and its cache signature independent of how the
+        # ladder was spelled.
+        object.__setattr__(self, "domains", tuple(self.domains))
+        if not self.domains:
+            raise ConfigurationError("domains must name at least one stage")
+        for name in self.domains:
+            if name not in DOMAIN_LADDER:
+                raise ConfigurationError(
+                    f"domains entries must be one of {DOMAIN_LADDER}, got {name!r}"
+                )
+        ranks = [DOMAIN_LADDER.index(name) for name in self.domains]
+        if any(b <= a for a, b in zip(ranks, ranks[1:])):
+            raise ConfigurationError(
+                "domains must form a strictly ascending escalation ladder "
+                f"(cheapest first, order {DOMAIN_LADDER}), got {self.domains}"
+            )
         if self.solver1 not in _VALID_SOLVERS or self.solver2 not in _VALID_SOLVERS:
             raise ConfigurationError(
                 f"solvers must be one of {_VALID_SOLVERS}, got "
@@ -273,57 +284,26 @@ class CraftConfig:
                 f"slope_optimization must be one of {tuple(_SLOPE_DELTAS)}, "
                 f"got {self.slope_optimization!r}"
             )
+        # Float checks are written ``not x > bound`` so that NaN fails them.
         if not 0.0 < self.alpha1:
             raise ConfigurationError("alpha1 must be positive")
-        if self.alpha2 is not None and not 0.0 <= self.alpha2 <= 1.0:
-            raise ConfigurationError("alpha2 must lie in [0, 1] for FB fixpoint preservation")
-        if self.w_mul < 0 or self.w_add < 0:
+        if not self.alpha2_grid:
+            raise ConfigurationError("alpha2_grid must not be empty")
+        if not all(0.0 <= alpha <= 1.0 for alpha in self.alpha2_grid):
+            raise ConfigurationError(
+                "alpha2_grid entries must lie in [0, 1] for FB fixpoint preservation"
+            )
+        if not (self.w_mul >= 0 and self.w_add >= 0):
             raise ConfigurationError("expansion parameters must be non-negative")
         if self.tighten_max_iterations < 1:
             raise ConfigurationError("tighten_max_iterations must be positive")
-        if not self.alpha2_grid:
-            raise ConfigurationError("alpha2_grid must not be empty")
-
-    def _normalise_domains(self) -> None:
-        """Reconcile the ``domain`` alias with the ``domains`` ladder.
-
-        The dataclass is frozen, so the derived fields are written with
-        ``object.__setattr__`` — the same idiom frozen dataclasses use for
-        any ``__post_init__`` normalisation.
-        """
-        domains = self.domains
-        if domains is not None:
-            domains = tuple(domains)
-            if not domains:
-                raise ConfigurationError("domains must name at least one stage")
-            for name in domains:
-                if name not in _VALID_DOMAINS:
-                    raise ConfigurationError(
-                        f"domains entries must be one of {_VALID_DOMAINS}, got {name!r}"
-                    )
-            ranks = [DOMAIN_LADDER.index(name) for name in domains]
-            if any(b <= a for a, b in zip(ranks, ranks[1:])):
-                raise ConfigurationError(
-                    "domains must form a strictly ascending escalation ladder "
-                    f"(cheapest first, order {DOMAIN_LADDER}), got {domains}"
-                )
-            if self.domain is not None and self.domain != domains[-1]:
-                raise ConfigurationError(
-                    f"domain {self.domain!r} conflicts with the escalation ladder "
-                    f"{domains} — the alias must equal the final (most precise) stage"
-                )
-            object.__setattr__(self, "domains", domains)
-            object.__setattr__(self, "domain", domains[-1])
-            return
-        domain = self.domain if self.domain is not None else "chzonotope"
-        if domain not in _VALID_DOMAINS:
-            raise ConfigurationError(
-                f"domain must be one of {_VALID_DOMAINS}, got {domain!r}"
-            )
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "domains", (domain,))
 
     # Escalation-ladder views (consumed by the engines and schedulers). ----
+
+    @property
+    def domain(self) -> str:
+        """The sweep's domain: the last (most precise) stage of ``domains``."""
+        return self.domains[-1]
 
     @property
     def is_ladder(self) -> bool:
@@ -341,7 +321,7 @@ class CraftConfig:
             raise ConfigurationError(
                 f"{stage_domain!r} is not a stage of the ladder {self.domains}"
             )
-        return replace(self, domain=stage_domain, domains=(stage_domain,))
+        return replace(self, domains=(stage_domain,))
 
     def stage_configs(self) -> Tuple["CraftConfig", ...]:
         """Per-stage configurations, cheapest first."""
@@ -370,8 +350,6 @@ class CraftConfig:
         """
         if self.solver2 == "pr":
             return (("pr", self.alpha1),)
-        if self.alpha2 is not None:
-            return (("fb", self.alpha2),)
         return tuple(("fb", float(alpha)) for alpha in self.alpha2_grid)
 
     def race_candidates(
@@ -418,21 +396,6 @@ class CraftConfig:
 
     # Convenience constructors for the ablation study (Table 4). ----------
 
-    def with_updates(self, **kwargs) -> "CraftConfig":
-        """Return a copy with the given fields replaced.
-
-        Updating ``domain`` without ``domains`` (or vice versa) realigns
-        the other field instead of carrying the stale alias over — so
-        ``config.with_updates(domain="box")`` means "a Box config", not "a
-        conflict with the previous ladder".
-        """
-        if "domain" in kwargs and "domains" not in kwargs:
-            kwargs["domains"] = (kwargs["domain"],) if kwargs["domain"] is not None else None
-        elif "domains" in kwargs and "domain" not in kwargs:
-            domains = kwargs["domains"]
-            kwargs["domain"] = tuple(domains)[-1] if domains else None
-        return replace(self, **kwargs)
-
     @classmethod
     def reference(cls) -> "CraftConfig":
         """The reference configuration of Table 4 (PR then FB, slope opt on)."""
@@ -444,19 +407,17 @@ class CraftConfig:
         base = cls.reference()
         ablations = {
             "reference": base,
-            "no_zono_component": base.with_updates(domain="box", slope_optimization="none"),
-            "no_box_component": base.with_updates(use_box_component=False),
-            "only_pr": base.with_updates(solver2="pr", alpha2=None),
-            "only_fb": base.with_updates(solver1="fb", alpha1=0.04),
-            "no_lambda_optimization": base.with_updates(slope_optimization="none"),
-            "reduced_lambda_optimization": base.with_updates(slope_optimization="reduced"),
-            "same_iteration_containment": base.with_updates(same_iteration_containment=True),
-            "no_expansion": base.with_updates(expansion="none", w_mul=0.0, w_add=0.0),
+            "no_zono_component": replace(base, domains=("box",), slope_optimization="none"),
+            "no_box_component": replace(base, domains=("zonotope",)),
+            "only_pr": replace(base, solver2="pr"),
+            "only_fb": replace(base, solver1="fb", alpha1=0.04),
+            "no_lambda_optimization": replace(base, slope_optimization="none"),
+            "reduced_lambda_optimization": replace(base, slope_optimization="reduced"),
+            "same_iteration_containment": replace(base, same_iteration_containment=True),
+            "no_expansion": replace(base, w_mul=0.0, w_add=0.0),
             # The per-query domain waterfall (cheapest domain first, hard
             # queries escalate) — same final precision as the reference.
-            "escalation_ladder": base.with_updates(
-                domains=("box", "zonotope", "chzonotope")
-            ),
+            "escalation_ladder": replace(base, domains=("box", "zonotope", "chzonotope")),
         }
         if name not in ablations:
             raise ConfigurationError(

@@ -283,8 +283,6 @@ class CraftVerifier:
     def _default_alpha2(self) -> float:
         if self._config.solver2 == "pr":
             return self._config.alpha1
-        if self._config.alpha2 is not None:
-            return self._config.alpha2
         return self._config.alpha2_grid[len(self._config.alpha2_grid) // 2]
 
     def _tighten_and_certify(

@@ -7,8 +7,10 @@ paper uses two schedules:
 * ``const`` — fixed ``w_mul = 1e-3``, ``w_add = 1e-2``;
 * ``exp``   — starts at the constant values and multiplies ``w_mul`` by 1.1
   and ``w_add`` by 1.2 every second consolidation (used for the CIFAR-like
-  configurations, Table 7);
-* ``none``  — expansion disabled (Table 4 "No Expansion").
+  configurations, Table 7).
+
+Table 4's "No Expansion" row is ``w_mul = w_add = 0``: either schedule then
+stays at zero.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ class ExpansionSchedule:
     """Stateful iterator over the expansion parameters ``(w_mul, w_add)``."""
 
     def __init__(self, mode: str = "const", w_mul: float = 1e-3, w_add: float = 1e-2):
-        if mode not in ("const", "exp", "none"):
+        if mode not in ("const", "exp"):
             raise ConfigurationError(f"unknown expansion mode {mode!r}")
-        if w_mul < 0 or w_add < 0:
+        if not (w_mul >= 0 and w_add >= 0):
             raise ConfigurationError("expansion parameters must be non-negative")
         self.mode = mode
         self._initial = (w_mul, w_add)
-        self._current = (0.0, 0.0) if mode == "none" else (w_mul, w_add)
+        self._current = (w_mul, w_add)
         self._consolidations = 0
 
     @classmethod
@@ -65,4 +67,4 @@ class ExpansionSchedule:
     def reset(self) -> None:
         """Reset the schedule to its initial parameters."""
         self._consolidations = 0
-        self._current = (0.0, 0.0) if self.mode == "none" else self._initial
+        self._current = self._initial

@@ -193,16 +193,6 @@ class VerificationResult:
     #: the padded stack width the sample actually streamed.
     peak_error_terms: Optional[int] = None
 
-    @property
-    def verified(self) -> bool:
-        """Alias used throughout the experiment harness."""
-        return self.outcome is VerificationOutcome.VERIFIED
-
-    @property
-    def from_cache(self) -> bool:
-        """Whether this result was replayed from the on-disk fixpoint cache."""
-        return self.cached
-
     def summary(self) -> str:
         """One-line human-readable summary used by the example scripts."""
         return (

@@ -10,10 +10,9 @@ This subpackage contains every abstract domain the paper discusses
 * :mod:`repro.domains.chzonotope` — the paper's novel CH-Zonotope domain
   with error consolidation (Theorem 4.1), the efficient O(p^3) inclusion
   check (Theorem 4.2) and expansion (Eq. 10).
-* :mod:`repro.domains.parallelotope` — the Parallelotope special case
-  (CH-Zonotope with zero Box component) used in the ablation study.
-* :mod:`repro.domains.order_reduction` — order-reduction strategies
-  (PCA, Box, Girard) following Kopetzki et al. 2017.
+* :mod:`repro.domains.parallelotope` — the order-bounded parallelotope
+  pipeline, which encloses every ReLU image in its PCA parallelotope
+  (Theorem 4.1 consolidation without expansion).
 * :mod:`repro.domains.containment` — the LP-based containment baseline of
   Sadraddini & Tedrake 2019 (Fig. 18) and sampling-based falsifiers.
 * :mod:`repro.domains.volume` — exact zonotope volume in low dimensions
@@ -24,13 +23,11 @@ This subpackage contains every abstract domain the paper discusses
 from repro.domains.base import AbstractElement
 from repro.domains.chzonotope import CHZonotope
 from repro.domains.interval import Interval
-from repro.domains.parallelotope import Parallelotope
 from repro.domains.zonotope import Zonotope
 
 __all__ = [
     "AbstractElement",
     "CHZonotope",
     "Interval",
-    "Parallelotope",
     "Zonotope",
 ]

@@ -43,13 +43,15 @@ class AbstractElement(abc.ABC):
         """Abstract transformer of ``x -> weight @ x + bias``."""
 
     @abc.abstractmethod
-    def relu(self, slopes: Optional[np.ndarray] = None, **kwargs) -> "AbstractElement":
+    def relu(
+        self, slopes: Optional[np.ndarray] = None, pass_through: Optional[np.ndarray] = None
+    ) -> "AbstractElement":
         """Abstract transformer of the element-wise ReLU.
 
         ``slopes`` optionally fixes the relaxation slope ``lambda`` per
         dimension (used by the slope-optimisation phase of Craft); ``None``
-        uses the minimum-area choice ``lambda = u / (u - l)``.  Subclasses
-        accept a ``pass_through`` boolean mask selecting dimensions that are
+        uses the minimum-area choice ``lambda = u / (u - l)``.
+        ``pass_through`` is a boolean mask selecting dimensions that are
         mapped by the identity instead (the input block of joint-space
         solver states).
         """

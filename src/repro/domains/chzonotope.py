@@ -175,34 +175,21 @@ class CHZonotope(AbstractElement):
         return CHZonotope(center, weight @ as_zonotope.generators, np.zeros(weight.shape[0]))
 
     def relu(
-        self,
-        slopes: Optional[np.ndarray] = None,
-        box_new_errors: bool = True,
-        pass_through: Optional[np.ndarray] = None,
+        self, slopes: Optional[np.ndarray] = None, pass_through: Optional[np.ndarray] = None
     ) -> "CHZonotope":
         """ReLU transformer (Section 4, "Abstract Transformers").
 
-        Fresh error terms from crossing neurons go into the Box component by
-        default (``box_new_errors=True``), keeping the Zonotope error count
-        unchanged.  The ablation study ("No Box component", Table 4) sets
-        ``box_new_errors=False`` so fresh errors become new generator
-        columns instead.  ``pass_through`` marks dimensions mapped by the
-        identity (the input block of joint solver states).
+        Fresh error terms from crossing neurons go into the Box component,
+        keeping the Zonotope error count unchanged.  (The plain
+        :meth:`Zonotope.relu` writes them as new generator columns: Table 4
+        "No Box component".)  ``pass_through`` marks dimensions mapped by
+        the identity (the input block of joint solver states).
         """
         lower, upper = self.concretize_bounds()
         relaxation = relu_relaxation(lower, upper, slopes, pass_through=pass_through)
         center = relaxation.slopes * self._center + relaxation.offsets
         generators = relaxation.slopes[:, None] * self._generators
-        box = relaxation.slopes * self._box
-        if box_new_errors:
-            box = box + relaxation.new_errors
-            return CHZonotope(center, generators, box)
-        new_columns = np.nonzero(relaxation.new_errors > 0)[0]
-        if new_columns.size:
-            fresh = np.zeros((self.dim, new_columns.size))
-            for column, axis in enumerate(new_columns):
-                fresh[axis, column] = relaxation.new_errors[axis]
-            generators = np.hstack([generators, fresh])
+        box = relaxation.slopes * self._box + relaxation.new_errors
         return CHZonotope(center, generators, box)
 
     def scale(self, factor: float) -> "CHZonotope":

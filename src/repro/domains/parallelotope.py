@@ -1,12 +1,10 @@
-"""Parallelotopes: proper CH-Zonotopes with a zero Box component.
+"""The parallelotope pipeline: an order-bounded zonotope.
 
-The paper (Section 4, Fig. 7) observes that a CH-Zonotope with ``b = 0`` and
-``p`` linearly independent error terms is exactly a Parallelotope (Amato &
-Scozzari 2012), and that a CH-Zonotope is strictly more expressive because
-it effectively carries twice as many error terms.  This module provides the
-Parallelotope as a convenience wrapper so the Fig. 7 comparison (Box vs
-Parallelotope vs proper CH-Zonotope over-approximations) and the "No Box"
-ablation have a first-class object to talk about.
+A proper CH-Zonotope with a zero Box component is exactly a Parallelotope
+(Amato & Scozzari 2012; Section 4, Fig. 7 of the paper).  Its PCA-aligned
+enclosure of a zonotope is the Theorem 4.1 consolidation without
+expansion, which :meth:`ParallelotopeZonotope.reduce` applies after every
+ReLU to keep the error-term count at the dimension.
 """
 
 from __future__ import annotations
@@ -16,63 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.domains.chzonotope import CHZonotope
-from repro.domains.interval import Interval
 from repro.domains.zonotope import Zonotope
-from repro.exceptions import DomainError
-from repro.utils.linalg import pca_basis, safe_inverse
-from repro.utils.validation import ensure_matrix, ensure_vector
-
-
-class Parallelotope(CHZonotope):
-    """A proper CH-Zonotope whose Box component is identically zero."""
-
-    def __init__(self, center, generators):
-        center = ensure_vector(center, "center")
-        generators = ensure_matrix(
-            generators, "generators", rows=center.shape[0], cols=center.shape[0]
-        )
-        if np.linalg.matrix_rank(generators) < center.shape[0]:
-            raise DomainError("a Parallelotope requires an invertible error matrix")
-        super().__init__(center, generators, np.zeros(center.shape[0]))
-
-    @classmethod
-    def enclosing(cls, element) -> "Parallelotope":
-        """Smallest PCA-aligned parallelotope enclosing ``element``.
-
-        ``element`` may be a :class:`Zonotope`, :class:`CHZonotope`, or
-        :class:`Interval`.  This is the red over-approximation of Fig. 7.
-        """
-        if isinstance(element, Interval):
-            radius = np.maximum(element.radius, 1e-12)
-            return cls(element.center, np.diag(radius))
-        if isinstance(element, CHZonotope):
-            zonotope = element.to_zonotope()
-        elif isinstance(element, Zonotope):
-            zonotope = element
-        else:
-            raise DomainError(
-                f"cannot enclose element of type {type(element).__name__}"
-            )
-        if zonotope.num_generators == 0:
-            return cls(zonotope.center, np.eye(zonotope.dim) * 1e-12)
-        basis = pca_basis(zonotope.generators)
-        inverse = safe_inverse(basis, context="PCA basis")
-        coefficients = np.abs(inverse @ zonotope.generators).sum(axis=1)
-        coefficients = np.maximum(coefficients, 1e-12)
-        return cls(zonotope.center, basis * coefficients[None, :])
-
-    def relu(
-        self,
-        slopes: Optional[np.ndarray] = None,
-        box_new_errors: bool = False,
-        pass_through: Optional[np.ndarray] = None,
-    ) -> CHZonotope:
-        """ReLU transformer; fresh errors become generator columns by default
-        (a Parallelotope has no Box component to put them in), so the result
-        is in general an improper CH-Zonotope."""
-        return super().relu(
-            slopes=slopes, box_new_errors=box_new_errors, pass_through=pass_through
-        )
 
 
 class ParallelotopeZonotope(Zonotope):

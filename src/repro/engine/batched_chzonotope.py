@@ -261,25 +261,16 @@ class BatchedCHZonotope:
         return type(self)(center, generators, None)
 
     def relu(
-        self,
-        slopes: Optional[np.ndarray] = None,
-        box_new_errors: bool = True,
-        pass_through: Optional[np.ndarray] = None,
+        self, slopes: Optional[np.ndarray] = None, pass_through: Optional[np.ndarray] = None
     ) -> "BatchedCHZonotope":
-        """Batched ReLU transformer (per-sample identical to the sequential one)."""
+        """Batched ReLU transformer (per-sample identical to the sequential
+        one): fresh error terms go into the Box component."""
         lower, upper = self.concretize_bounds()
         relaxation = relu_relaxation(lower, upper, slopes, pass_through=pass_through)
         center = relaxation.slopes * self._center + relaxation.offsets
         generators = relaxation.slopes[:, :, None] * self._generators
         box = relaxation.slopes * self._box
-        if box_new_errors:
-            return type(self)(center, generators, box + relaxation.new_errors)
-        new_axes = np.nonzero(np.any(relaxation.new_errors > 0, axis=0))[0]
-        if new_axes.size:
-            fresh = np.zeros((self.batch_size, self.dim, new_axes.size))
-            fresh[:, new_axes, np.arange(new_axes.size)] = relaxation.new_errors[:, new_axes]
-            generators = np.concatenate([generators, fresh], axis=2)
-        return type(self)(center, generators, box)
+        return type(self)(center, generators, box + relaxation.new_errors)
 
     def sum(self, other: "BatchedCHZonotope") -> "BatchedCHZonotope":
         """Minkowski sum: generator columns concatenate, Box radii add."""

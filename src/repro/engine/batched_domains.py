@@ -10,8 +10,8 @@ hard-coding one element type.  Three implementations exist:
   CH-Zonotope stack of PR 1 (centres, generator stacks, Box radii).
 * :class:`BatchedZonotope` — plain zonotopes (Table 4 "No Box component"):
   a :class:`BatchedCHZonotope` whose Box component is identically zero and
-  whose ReLU transformer always writes fresh error terms into generator
-  columns, mirroring :meth:`repro.domains.zonotope.Zonotope.relu`.
+  whose ReLU transformer writes fresh error terms into generator columns,
+  mirroring :meth:`repro.domains.zonotope.Zonotope.relu`.
 * :class:`BatchedBox` — intervals (Table 4 "No Zono component"): two
   ``(B, n)`` bound arrays, exact clipping ReLU, O(B·n) containment.
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.domains.chzonotope import CHZonotope
 from repro.domains.interval import Interval
-from repro.domains.relu import default_slopes
+from repro.domains.relu import default_slopes, relu_relaxation
 from repro.domains.zonotope import Zonotope
 from repro.engine.batched_chzonotope import BatchedCHZonotope, box_center_radius, stack_parts
 from repro.exceptions import ConfigurationError, DimensionMismatchError, DomainError
@@ -59,10 +59,10 @@ class BatchedDomain(Protocol):
       sequential elements.
     * **Stacked transformers** — ``affine(weight, bias)`` with a shared
       ``(m, n)`` or per-sample ``(B, m, n)`` weight, ``relu(slopes,
-      box_new_errors, pass_through)``, ``sum(other)`` (Minkowski sum), and
-      ``relu_slopes(delta)`` for slope optimisation.  Domains without a
-      notion of ``box_new_errors``/``slopes`` accept and ignore them, the
-      same way their sequential transformer does.
+      pass_through)``, ``sum(other)`` (Minkowski sum), and
+      ``relu_slopes(delta)`` for slope optimisation.  Box has no notion of
+      ``slopes`` and ignores them, the same way its sequential transformer
+      does.
     * **Shared input block** (zonotope-family stacks only) —
       ``pad_leading(count)`` prepends zero generator columns and
       ``sum_aligned(other)`` adds ``other``'s columns into the leading
@@ -91,7 +91,7 @@ class BatchedDomain(Protocol):
 
     # Stacked transformers ---------------------------------------------
     def affine(self, weight, bias=None) -> "BatchedDomain": ...
-    def relu(self, slopes=None, box_new_errors=True, pass_through=None) -> "BatchedDomain": ...
+    def relu(self, slopes=None, pass_through=None) -> "BatchedDomain": ...
     def sum(self, other) -> "BatchedDomain": ...
     def relu_slopes(self, slope_delta: float) -> np.ndarray: ...
 
@@ -266,18 +266,15 @@ class BatchedBox:
         return BatchedBox(new_center - new_radius, new_center + new_radius)
 
     def relu(
-        self,
-        slopes: Optional[np.ndarray] = None,
-        box_new_errors: bool = True,
-        pass_through: Optional[np.ndarray] = None,
+        self, slopes: Optional[np.ndarray] = None, pass_through: Optional[np.ndarray] = None
     ) -> "BatchedBox":
         """Exact interval ReLU (clipping), batched.
 
-        ``slopes`` and ``box_new_errors`` are accepted for protocol
-        compatibility and ignored — clipping the bounds is both sound and
-        optimal for a box, exactly as in the sequential transformer.
+        ``slopes`` is accepted for protocol compatibility and ignored —
+        clipping the bounds is both sound and optimal for a box, exactly as
+        in the sequential transformer.
         """
-        del slopes, box_new_errors
+        del slopes
         lower = np.maximum(self._lower, 0.0)
         upper = np.maximum(self._upper, 0.0)
         if pass_through is not None:
@@ -388,8 +385,8 @@ class BatchedZonotope(BatchedCHZonotope):
 
     Implements the Table 4 "No Box component" domain against the batched
     protocol: the representation is a :class:`BatchedCHZonotope` whose Box
-    radii are identically zero, and the ReLU transformer *always* writes
-    fresh error terms into generator columns — per-sample identical to
+    radii are identically zero, and the ReLU transformer writes fresh
+    error terms into generator columns — per-sample identical to
     :meth:`repro.domains.zonotope.Zonotope.relu`.  Consolidation and the
     Theorem 4.2 containment check are inherited unchanged (with zero Box
     radii they reduce to the plain-zonotope forms the sequential
@@ -449,19 +446,21 @@ class BatchedZonotope(BatchedCHZonotope):
         return Zonotope(self._center[index], generators[:, keep])
 
     def relu(
-        self,
-        slopes: Optional[np.ndarray] = None,
-        box_new_errors: bool = True,
-        pass_through: Optional[np.ndarray] = None,
+        self, slopes: Optional[np.ndarray] = None, pass_through: Optional[np.ndarray] = None
     ) -> "BatchedZonotope":
-        """Zonotope ReLU: fresh error terms become generator columns.
-
-        ``box_new_errors`` is accepted for protocol compatibility and
-        ignored — a plain zonotope has no Box component to write into,
-        matching the sequential :meth:`Zonotope.relu`.
-        """
-        del box_new_errors
-        return super().relu(slopes=slopes, box_new_errors=False, pass_through=pass_through)
+        """Zonotope ReLU: fresh error terms become generator columns, one
+        per axis on which some row crosses (zero in the other rows),
+        matching the sequential :meth:`Zonotope.relu`."""
+        lower, upper = self.concretize_bounds()
+        relaxation = relu_relaxation(lower, upper, slopes, pass_through=pass_through)
+        center = relaxation.slopes * self._center + relaxation.offsets
+        generators = relaxation.slopes[:, :, None] * self._generators
+        new_axes = np.nonzero(np.any(relaxation.new_errors > 0, axis=0))[0]
+        if new_axes.size:
+            fresh = np.zeros((self.batch_size, self.dim, new_axes.size))
+            fresh[:, new_axes, np.arange(new_axes.size)] = relaxation.new_errors[:, new_axes]
+            generators = np.concatenate([generators, fresh], axis=2)
+        return type(self)(center, generators, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -491,14 +490,9 @@ class BatchedParallelotope(BatchedZonotope):
     __slots__ = ()
 
     def relu(
-        self,
-        slopes: Optional[np.ndarray] = None,
-        box_new_errors: bool = True,
-        pass_through: Optional[np.ndarray] = None,
+        self, slopes: Optional[np.ndarray] = None, pass_through: Optional[np.ndarray] = None
     ) -> "BatchedParallelotope":
-        return super().relu(
-            slopes=slopes, box_new_errors=box_new_errors, pass_through=pass_through
-        )._reduce_order()
+        return super().relu(slopes=slopes, pass_through=pass_through)._reduce_order()
 
     def _reduce_order(self) -> "BatchedParallelotope":
         """Enclosing PCA parallelotope stack (Theorem 4.1, zero expansion).

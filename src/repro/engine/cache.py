@@ -56,11 +56,10 @@ def _config_signature(config: CraftConfig) -> str:
 
     fields = (
         repro.__version__,
-        config.domain, config.domains, config.solver1, config.alpha1, config.solver2,
-        config.alpha2, tuple(config.alpha2_grid), config.expansion,
+        config.domains, config.solver1, config.alpha1, config.solver2,
+        tuple(config.alpha2_grid), config.expansion,
         config.w_mul, config.w_add, config.slope_optimization,
-        config.same_iteration_containment, config.use_box_component,
-        config.tighten_max_iterations,
+        config.same_iteration_containment, config.tighten_max_iterations,
         config.contraction.max_iterations, config.contraction.consolidate_every,
         config.contraction.basis_recompute_every, config.contraction.history_size,
         config.contraction.abort_width,

@@ -116,7 +116,6 @@ class _ContainmentRecord:
     contained: np.ndarray
     diverged: np.ndarray
     iterations: np.ndarray
-    consolidations: np.ndarray
     peak_error_terms: np.ndarray
     states: _StackRows
     references: _StackRows
@@ -425,7 +424,6 @@ class BatchedCraft:
             input_elements,
             config.solver1,
             config.alpha1,
-            use_box_component=config.use_box_component,
         )
 
         containment = self._containment_phase(contraction_step, initial)
@@ -448,7 +446,6 @@ class BatchedCraft:
             contained=np.zeros(batch, dtype=bool),
             diverged=np.zeros(batch, dtype=bool),
             iterations=np.full(batch, settings.max_iterations),
-            consolidations=np.zeros(batch, dtype=int),
             peak_error_terms=np.zeros(batch, dtype=int),
             states=_StackRows(batch),
             references=_StackRows(batch),
@@ -463,7 +460,6 @@ class BatchedCraft:
         current_step = step
         history: deque = deque(maxlen=settings.history_size)
         basis: Optional[np.ndarray] = None
-        consolidations = 0
 
         for iteration in range(settings.max_iterations):
             if active.size == 0:
@@ -474,7 +470,6 @@ class BatchedCraft:
                 w_mul, w_add = expansion.step()
                 state = state.consolidate(basis, w_mul, w_add)
                 history.append(state)
-                consolidations += 1
 
             next_state = current_step(state)
             record.peak_error_terms[active] = np.maximum(
@@ -508,7 +503,6 @@ class BatchedCraft:
                 record.contained[samples] = contained[exits]
                 record.diverged[samples] = diverged[exits]
                 record.iterations[samples] = iteration + 1
-                record.consolidations[samples] = consolidations
                 record.states.add(samples, _rows_of(next_state, exits))
                 for h_index in np.unique(reference_pick[contained]).tolist():
                     picked = np.nonzero(reference_pick == h_index)[0]
@@ -528,7 +522,6 @@ class BatchedCraft:
                 state = next_state
 
         if active.size:
-            record.consolidations[active] = consolidations
             record.states.add(active, state)
         record.width_traces = _scatter_traces(trace_log, batch)
         return record
@@ -676,7 +669,6 @@ class BatchedCraft:
                 solver,
                 alpha,
                 slope_delta=slope_delta,
-                use_box_component=self._config.use_box_component,
                 input_terms=stacks.input_terms,
             ),
             state=state,

@@ -21,10 +21,6 @@ class ConvergenceError(ReproError):
     """Raised when a concrete fixpoint solver fails to converge."""
 
 
-class AbstractionDivergedError(ReproError):
-    """Raised when an abstract fixpoint iteration diverges beyond the abort width."""
-
-
 class VerificationError(ReproError):
     """Raised when a verification query is malformed."""
 

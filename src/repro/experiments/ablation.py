@@ -4,15 +4,17 @@ Each row disables or modifies one component of the reference configuration
 (CH-Zonotope with PR-then-FB, slope optimisation, expansion) and re-runs the
 local-robustness evaluation on the FCx87-scale model:
 
-* ``no_zono_component``  — Box domain only.
-* ``no_box_component``   — CH-Zonotope without the Box error vector.
+* ``no_zono_component``  — Box domain only (``domains=("box",)``).
+* ``no_box_component``   — CH-Zonotope without the Box error vector, which
+  is the plain Zonotope pipeline (``domains=("zonotope",)``): fresh ReLU
+  error terms become generator columns.
 * ``only_pr`` / ``only_fb`` — a single operator-splitting method for both
   phases.
 * ``no_lambda_optimization`` / ``reduced_lambda_optimization`` — ReLU slope
   optimisation off / coarse.
 * ``same_iteration_containment`` — certification only from states contained
   in their immediate predecessor (no fixpoint-set preservation).
-* ``no_expansion`` — expansion disabled.
+* ``no_expansion`` — expansion disabled (``w_mul = w_add = 0``).
 * ``escalation_ladder`` — the per-query domain waterfall (Box → Zonotope →
   CH-Zonotope): same final precision as the reference, cheap stages absorb
   the easy queries; the row's ``stages`` histogram shows where queries
@@ -20,7 +22,7 @@ local-robustness evaluation on the FCx87-scale model:
 
 Every row's sweep routes through the multi-domain batched certification
 engine by default (``engine="batched"``) — the Box rows batch exactly like
-the CH-Zonotope rows since the engine dispatches on ``CraftConfig.domain``.
+the CH-Zonotope rows since the engine dispatches on ``CraftConfig.domains``.
 ``engine="sharded"`` fans each row out over worker processes and
 ``engine="sequential"`` restores the per-sample reference loop; all engines
 produce identical counts (the parity contract).

@@ -162,14 +162,15 @@ def run_alpha_stability(
     alphas: Sequence[float] = (0.01, 0.02, 0.04, 0.06, 0.08, 0.1, 0.12, 0.15),
     epsilon: float = _EPSILONS_MNIST,
     solvers: Sequence[str] = ("pr", "fb"),
-    use_box: Sequence[bool] = (True, False),
+    domains: Sequence[str] = ("chzonotope", "zonotope"),
     max_samples: Optional[int] = None,
 ) -> List[Dict]:
     """Containment / certification counts as a function of alpha (Fig. 12).
 
-    For each (solver, with/without Box component, alpha) configuration the
-    runner counts for how many samples the containment phase succeeds and
-    how many are certified, reproducing the stability-range comparison.
+    For each (solver, domain, alpha) configuration the runner counts for
+    how many samples the containment phase succeeds and how many are
+    certified, reproducing the stability-range comparison: ``"chzonotope"``
+    is Craft with its Box component, ``"zonotope"`` without it.
     """
     model, dataset = get_model(model_name, scale)
     if max_samples is None:
@@ -178,14 +179,14 @@ def run_alpha_stability(
     ys = dataset.y_test[:max_samples]
     rows = []
     for solver in solvers:
-        for box in use_box:
+        for domain in domains:
             for alpha in alphas:
                 config = CraftConfig(
+                    domains=(domain,),
                     solver1=solver,
                     alpha1=float(alpha),
-                    solver2="fb" if solver == "pr" else "fb",
+                    solver2="fb",
                     slope_optimization="none",
-                    use_box_component=box,
                 )
                 contained = 0
                 certified = 0
@@ -198,7 +199,7 @@ def run_alpha_stability(
                 rows.append(
                     {
                         "solver": solver,
-                        "box_component": box,
+                        "domain": domain,
                         "alpha": float(alpha),
                         "contained": contained,
                         "certified": certified,
@@ -229,7 +230,7 @@ def run_width_trace(
         for domain in ("box", "chzonotope"):
             alpha = 0.4 * model.fb_alpha_bound() if solver == "fb" else 0.1
             config = CraftConfig(
-                domain=domain, solver1=solver, solver2="fb", alpha1=alpha,
+                domains=(domain,), solver1=solver, solver2="fb", alpha1=alpha,
                 slope_optimization="none",
                 contraction=ContractionSettings(max_iterations=iterations, abort_width=1e6),
             )

@@ -104,7 +104,7 @@ def run_running_example(
     model = make_running_example_model()
     if config is None:
         config = CraftConfig(
-            solver1="fb", solver2="fb", alpha1=0.1, alpha2=0.1,
+            solver1="fb", solver2="fb", alpha1=0.1, alpha2_grid=(0.1,),
             slope_optimization="none",
         )
     concrete = solve_fixpoint(model, x, method="fb", alpha=0.1)

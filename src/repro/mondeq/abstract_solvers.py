@@ -222,7 +222,6 @@ def make_abstract_step(
     solver: str,
     alpha: float,
     slope_delta: float = 0.0,
-    use_box_component: bool = True,
     input_terms: int = 0,
 ) -> StepFunction:
     """Build the abstract transformer ``S -> g#_alpha(X, S)``.
@@ -239,9 +238,6 @@ def make_abstract_step(
         Splitting method (``"fb"`` / ``"pr"``) and damping parameter.
     slope_delta:
         Shift added to the minimum-area ReLU slopes (slope optimisation).
-    use_box_component:
-        Forwarded to the CH-Zonotope ReLU transformer; ignored by other
-        domains.
     input_terms:
         ``0`` adds the injection with fresh input symbols.  A positive
         value (:func:`shared_input_terms`) adds it into the state's leading
@@ -269,12 +265,6 @@ def make_abstract_step(
         if slope_delta != 0.0:
             lower, upper = propagated.concretize_bounds()
             slopes = np.clip(default_slopes(lower, upper) + slope_delta, 0.0, 1.0)
-        if isinstance(propagated, CHZonotope):
-            return propagated.relu(
-                slopes=slopes,
-                box_new_errors=use_box_component,
-                pass_through=pass_through,
-            )
         return propagated.relu(slopes=slopes, pass_through=pass_through)
 
     return step
@@ -291,15 +281,11 @@ class BatchedAbstractStep:
     only the still-active samples after early exits.
     """
 
-    def __init__(
-        self, state_matrix, injection, pass_through, slope_delta, use_box_component,
-        input_terms,
-    ):
+    def __init__(self, state_matrix, injection, pass_through, slope_delta, input_terms):
         self._state_matrix = state_matrix
         self._injection = injection
         self._pass_through = pass_through
         self._slope_delta = slope_delta
-        self._use_box_component = use_box_component
         self._input_terms = input_terms
 
     @property
@@ -313,7 +299,6 @@ class BatchedAbstractStep:
             self._injection.select(indices),
             self._pass_through,
             self._slope_delta,
-            self._use_box_component,
             self._input_terms,
         )
 
@@ -336,11 +321,7 @@ class BatchedAbstractStep:
         slopes = None
         if self._slope_delta != 0.0:
             slopes = propagated.relu_slopes(self._slope_delta)
-        return propagated.relu(
-            slopes=slopes,
-            box_new_errors=self._use_box_component,
-            pass_through=self._pass_through,
-        )
+        return propagated.relu(slopes=slopes, pass_through=self._pass_through)
 
 
 def make_batched_abstract_step(
@@ -350,7 +331,6 @@ def make_batched_abstract_step(
     solver: str,
     alpha: float,
     slope_delta: float = 0.0,
-    use_box_component: bool = True,
     input_terms: int = 0,
 ) -> BatchedAbstractStep:
     """Batched counterpart of :func:`make_abstract_step`.
@@ -361,8 +341,7 @@ def make_batched_abstract_step(
     state_matrix, input_matrix, bias = _step_matrices(model, layout, solver, alpha)
     injection = _injection(batched_input, input_matrix, bias, input_terms)
     return BatchedAbstractStep(
-        state_matrix, injection, layout.relu_pass_through(), slope_delta,
-        use_box_component, input_terms,
+        state_matrix, injection, layout.relu_pass_through(), slope_delta, input_terms
     )
 
 

@@ -21,7 +21,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -49,7 +49,7 @@ class BoxVerifier:
     def __init__(self, model: MonDEQ, config: Optional[CraftConfig] = None):
         base = config if config is not None else CraftConfig()
         self.model = model
-        self.config = base.with_updates(domain="box", slope_optimization="none")
+        self.config = replace(base, domains=("box",), slope_optimization="none")
 
     def certify(self, x: np.ndarray, label: int, epsilon: float) -> VerificationResult:
         ball = LinfBall(center=np.asarray(x, dtype=float).reshape(-1), epsilon=epsilon)

@@ -88,8 +88,7 @@ def build_fixpoint_problem(
     initial_state = build_initial_state(model, layout, concrete.z, domain=type(input_element))
 
     contraction_step = make_abstract_step(
-        model, layout, input_element, config.solver1, config.alpha1,
-        use_box_component=config.use_box_component,
+        model, layout, input_element, config.solver1, config.alpha1
     )
 
     input_terms = shared_input_terms(config.domain, input_element)
@@ -97,7 +96,7 @@ def build_fixpoint_problem(
     def tightening_factory(solver: str, alpha: float, slope_delta: float):
         return make_abstract_step(
             model, layout, input_element, solver, alpha, slope_delta=slope_delta,
-            use_box_component=config.use_box_component, input_terms=input_terms,
+            input_terms=input_terms,
         )
 
     output_map = make_output_map(model, layout)
@@ -555,7 +554,7 @@ class RobustnessVerifier:
                     time_seconds=result.time_seconds,
                     outcome=result.outcome.value,
                     stage=result.stage,
-                    cached=result.from_cache,
+                    cached=result.cached,
                     peak_error_terms=result.peak_error_terms,
                     iterations_phase1=result.iterations_phase1,
                 )

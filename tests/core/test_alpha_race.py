@@ -19,6 +19,7 @@ probe for the rest.  Three properties pin that:
 """
 
 import os
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -79,8 +80,8 @@ def test_race_order_keeps_grid_order_on_ties_and_without_a_factor():
         ("fb", 0.1), ("fb", 0.05), ("fb", 0.15), ("fb", 0.2)
     )
     assert config.race_candidates() == config.candidate_parameters()
-    assert config.with_updates(alpha2=0.3).race_candidates(distance) == (("fb", 0.3),)
-    assert config.with_updates(solver2="pr").race_candidates(distance) == (("pr", 0.1),)
+    assert replace(config, alpha2_grid=(0.3,)).race_candidates(distance) == (("fb", 0.3),)
+    assert replace(config, solver2="pr").race_candidates(distance) == (("pr", 0.1),)
 
 
 @pytest.mark.parametrize("name", ["FCx40", "HCAS-FCx100"])
@@ -165,7 +166,7 @@ def test_the_problem_factor_orders_the_race():
     assert result.selected_alpha2 == 0.1
 
 
-@pytest.mark.parametrize("single", [dict(alpha2=0.5), dict(solver2="pr")])
+@pytest.mark.parametrize("single", [dict(alpha2_grid=(0.5,)), dict(solver2="pr")])
 def test_a_single_candidate_is_one_run(single):
     problem, counter = _counted(_affine_problem(threshold=2.5))
     result = CraftVerifier(_config(**single)).solve(problem)
@@ -205,7 +206,7 @@ def _corpus():
 
 
 def _single_alpha(config, alpha, budget):
-    return CraftVerifier(config.with_updates(alpha2=alpha, tighten_max_iterations=budget))
+    return CraftVerifier(replace(config, alpha2_grid=(alpha,), tighten_max_iterations=budget))
 
 
 def _exhaustive_search(problem, config):
@@ -233,7 +234,7 @@ def test_a_resumed_winner_equals_a_restart(domain):
     winning alpha at the full budget gives: exactly in the sequential
     driver, and up to the float noise of a different batch composition
     (the engine parity tolerance) in the batched one."""
-    config = CraftConfig(domain=domain, slope_optimization="none")
+    config = CraftConfig(domains=(domain,), slope_optimization="none")
     resumed = 0
     for name, model, balls, specs in _corpus():
         batched = BatchedCraft(model, config).certify_regions(balls, specs)
@@ -244,7 +245,7 @@ def test_a_resumed_winner_equals_a_restart(domain):
             if not raced.contained or raced.certified:
                 continue
             resumed += 1
-            single = config.with_updates(alpha2=raced.selected_alpha2)
+            single = replace(config, alpha2_grid=(raced.selected_alpha2,))
             restart = CraftVerifier(single).solve(problem)
             assert raced.selected_alpha2 == restart.selected_alpha2, name
             assert raced.margin == restart.margin, name
@@ -262,7 +263,7 @@ def test_a_resumed_winner_equals_a_restart(domain):
 @pytest.mark.tier1
 @pytest.mark.parametrize("domain", ["chzonotope", "zonotope", "box"])
 def test_no_flips_against_the_exhaustive_search(domain):
-    config = CraftConfig(domain=domain, slope_optimization="none")
+    config = CraftConfig(domains=(domain,), slope_optimization="none")
     reference_total = 0
     for name, model, balls, specs in _corpus():
         problems = [build_fixpoint_problem(model, b, s, config) for b, s in zip(balls, specs)]

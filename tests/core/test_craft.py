@@ -105,9 +105,9 @@ class TestCraftVerifier:
     def test_candidate_parameters_respect_solver_choice(self):
         pr_config = _config(solver2="pr", alpha1=0.07)
         assert pr_config.candidate_parameters() == (("pr", 0.07),)
-        fixed_fb = _config(solver2="fb", alpha2=0.3)
+        fixed_fb = _config(solver2="fb", alpha2_grid=(0.3,))
         assert fixed_fb.candidate_parameters() == (("fb", 0.3),)
-        searched = _config(solver2="fb", alpha2=None)
+        searched = _config(solver2="fb")
         assert len(searched.candidate_parameters()) == len(searched.alpha2_grid)
 
     def test_slope_deltas_by_mode(self):

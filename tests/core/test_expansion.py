@@ -14,10 +14,12 @@ class TestSchedules:
         for _ in range(5):
             assert schedule.step() == first
 
-    def test_none_schedule_is_zero(self):
-        schedule = ExpansionSchedule("none", w_mul=1e-3, w_add=1e-2)
-        assert schedule.step() == (0.0, 0.0)
-        assert schedule.step() == (0.0, 0.0)
+    @pytest.mark.parametrize("mode", ["const", "exp"])
+    def test_zero_expansion_stays_zero(self, mode):
+        """Table 4's "No Expansion" row: zero parameters under either schedule."""
+        schedule = ExpansionSchedule(mode, w_mul=0.0, w_add=0.0)
+        for _ in range(5):
+            assert schedule.step() == (0.0, 0.0)
 
     def test_exponential_growth_every_second_consolidation(self):
         # Appendix D.2: x1.1 / x1.2 every second consolidation.
@@ -48,4 +50,8 @@ class TestSchedules:
         with pytest.raises(ConfigurationError):
             ExpansionSchedule("bogus")
         with pytest.raises(ConfigurationError):
+            ExpansionSchedule("none")
+        with pytest.raises(ConfigurationError):
             ExpansionSchedule("const", w_mul=-1.0)
+        with pytest.raises(ConfigurationError):
+            ExpansionSchedule("const", w_add=float("nan"))

@@ -70,13 +70,10 @@ class TestKleeneEngine:
         assert result.state.contains_point(np.array([1.0, 1.0]), tol=1e-6)
 
     def test_domain_without_join_rejected(self):
-        from repro.domains.parallelotope import Parallelotope
-
         engine = KleeneEngine()
         element = object()
         with pytest.raises(DomainError):
             engine.run(lambda e: e, element)
-        del Parallelotope
 
     def test_default_settings_used_when_none(self):
         engine = KleeneEngine()

@@ -146,17 +146,15 @@ class TestCrossReferenceTable:
         )
 
     def test_documented_config_knobs_exist(self):
-        """Every CraftConfig field named in the docs is a real field."""
+        """The knob table names exactly the CraftConfig fields, each once."""
         from dataclasses import fields
 
         from repro.core.config import CraftConfig
 
-        known = {field.name for field in fields(CraftConfig)}
         text = (REPO_ROOT / "docs" / "certification.md").read_text(encoding="utf-8")
-        table = text.split("## Key `CraftConfig` knobs", 1)[1].split("##", 1)[0]
-        for cell in re.findall(r"`(\w+)`", table):
-            if cell in ("CraftConfig", "None"):
-                continue
-            assert cell in known or cell in ("ablation", "reference"), (
-                f"docs name unknown CraftConfig knob {cell!r}"
-            )
+        table = text.split("## Key `CraftConfig` knobs", 1)[1].split("| Field |", 1)[1]
+        table = table.split("\n\n", 1)[0]
+        documented = re.findall(r"`(\w+)`", "".join(
+            line.split("|")[1] for line in table.splitlines() if line.startswith("| `")
+        ))
+        assert sorted(documented) == sorted(field.name for field in fields(CraftConfig))

@@ -65,15 +65,15 @@ class TestTransformers:
         for point in improper.sample(200, rng):
             assert relu.contains_point(np.maximum(point, 0.0), tol=1e-7)
 
-    def test_relu_box_mode_keeps_generator_count(self, improper):
-        relu = improper.relu(box_new_errors=True)
+    def test_relu_keeps_generator_count(self, improper):
+        relu = improper.relu()
         assert relu.num_generators == improper.num_generators
 
-    def test_relu_column_mode_grows_generators(self):
+    def test_relu_writes_fresh_errors_into_the_box(self):
         element = CHZonotope(np.zeros(2), 0.5 * np.eye(2), np.zeros(2))
-        relu = element.relu(box_new_errors=False)
-        assert relu.num_generators > element.num_generators
-        assert not relu.has_box_component
+        relu = element.relu()
+        assert relu.num_generators == element.num_generators
+        assert relu.has_box_component
 
     def test_relu_pass_through(self, rng):
         element = CHZonotope(np.array([-1.0, -1.0]), 0.5 * np.eye(2), np.zeros(2))

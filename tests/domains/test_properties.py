@@ -3,7 +3,7 @@
 These encode the soundness contracts the whole verifier relies on:
 
 * abstract transformers over-approximate the concrete function on samples,
-* consolidation, expansion, enclosure and order reduction only ever enlarge
+* consolidation, expansion and the PCA enclosure only ever enlarge
   concretisations,
 * the Theorem 4.2 containment check is never unsound,
 * joins are upper bounds.
@@ -14,7 +14,6 @@ The element strategies are shared with the engine tests via
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from strategies import (
@@ -22,15 +21,13 @@ from strategies import (
     box_vectors,
     centers,
     generator_matrices,
-    invertible_matrices,
     sample_points,
     weight_matrices,
 )
 
 from repro.domains.chzonotope import CHZonotope
 from repro.domains.interval import Interval
-from repro.domains.order_reduction import reduce_order
-from repro.domains.parallelotope import Parallelotope
+from repro.domains.parallelotope import ParallelotopeZonotope
 from repro.domains.zonotope import Zonotope
 
 _DIM = 3
@@ -138,61 +135,17 @@ def test_zonotope_scale_sound(center, generators, factor):
 
 
 # ----------------------------------------------------------------------
-# Parallelotope: enclosure and transformers
+# The PCA parallelotope enclosure
 # ----------------------------------------------------------------------
 
 
 @settings(max_examples=40, deadline=None)
-@given(center=centers(), generators=generator_matrices(), box=box_vectors())
-def test_parallelotope_enclosing_contains_element(center, generators, box):
-    element = CHZonotope(center, generators, box)
-    enclosure = Parallelotope.enclosing(element)
-    assert enclosure.is_proper
-    for point in sample_points(element):
-        assert enclosure.contains_point(point, tol=1e-5)
-
-
-@settings(max_examples=40, deadline=None)
-@given(center=centers(), generators=invertible_matrices(), weight=weight_matrices())
-def test_parallelotope_affine_sound(center, generators, weight):
-    element = Parallelotope(center, generators)
-    image = element.affine(weight)
-    for point in sample_points(element):
-        assert image.contains_point(weight @ point, tol=1e-6)
-
-
-@settings(max_examples=40, deadline=None)
-@given(center=centers(), generators=invertible_matrices())
-def test_parallelotope_relu_sound(center, generators):
-    element = Parallelotope(center, generators)
-    image = element.relu()
-    for point in sample_points(element):
-        assert image.contains_point(np.maximum(point, 0.0), tol=1e-6)
-
-
-# ----------------------------------------------------------------------
-# Order reduction: every strategy over-approximates
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("method", ["box", "pca", "girard"])
-@settings(max_examples=30, deadline=None)
 @given(center=centers(), generators=generator_matrices(count=7))
-def test_order_reduction_sound(method, center, generators):
+def test_pca_enclosure_contains_zonotope(center, generators):
     z = Zonotope(center, generators)
-    reduced = reduce_order(z, method=method)
-    assert reduced.num_generators <= z.num_generators + z.dim
+    enclosure = ParallelotopeZonotope.reduce(z)
+    assert enclosure.num_generators == z.dim
     for point in np.vstack(
         [sample_points(z), z.sample_vertices(12, np.random.default_rng(3))]
     ):
-        assert reduced.contains_point(point, tol=1e-5)
-
-
-@settings(max_examples=30, deadline=None)
-@given(center=centers(), generators=generator_matrices(count=9))
-def test_order_reduction_girard_respects_target_order(center, generators):
-    z = Zonotope(center, generators)
-    reduced = reduce_order(z, method="girard", order=2.0)
-    assert reduced.num_generators <= 2 * z.dim
-    for point in sample_points(z):
-        assert reduced.contains_point(point, tol=1e-5)
+        assert enclosure.contains_point(point, tol=1e-5)

@@ -96,13 +96,9 @@ class TestTransformerParity:
             [element.affine(weights[i]) for i, element in enumerate(elements)],
         )
 
-    @pytest.mark.parametrize("box_new_errors", [True, False])
-    def test_relu(self, rng, box_new_errors):
+    def test_relu(self, rng):
         elements, batched = _random_stack(rng)
-        _assert_bounds_match(
-            batched.relu(box_new_errors=box_new_errors),
-            [element.relu(box_new_errors=box_new_errors) for element in elements],
-        )
+        _assert_bounds_match(batched.relu(), [element.relu() for element in elements])
 
     def test_relu_pass_through(self, rng):
         elements, batched = _random_stack(rng)

@@ -191,10 +191,10 @@ class TestBatchedZonotopeParity:
     def test_relu_fresh_errors_become_columns(self, center, generators, radius):
         """The zonotope ReLU must never populate the Box component — fresh
         error terms become generator columns, per-sample identical to
-        ``Zonotope.relu`` (even when the driver asks for box errors)."""
+        ``Zonotope.relu``."""
         element = Zonotope(center, generators)
         stack = BatchedZonotope.from_elements([element, element.translate(radius)])
-        batched = stack.relu(box_new_errors=True)
+        batched = stack.relu()
         assert isinstance(batched, BatchedZonotope)
         assert not np.any(batched.box > 0)
         _assert_bounds_match(batched, [element.relu(), element.translate(radius).relu()])
@@ -313,7 +313,7 @@ class TestFrontEndDispatch:
 
         xs, ys = toy_data
         exs, eys = xs[120:122], ys[120:122].astype(int)
-        config = CraftConfig(domain="box", slope_optimization="none")
+        config = CraftConfig(domains=("box",), slope_optimization="none")
         robustness._LOGGED_ENGINE_CHOICES.discard(("batched", "box"))
         with caplog.at_level(logging.INFO, logger="repro.verify.robustness"):
             robustness.certify_local_robustness(
@@ -341,7 +341,7 @@ class TestFrontEndDispatch:
         model, dataset = get_model("HCAS-FCx100", "smoke")
         xs, ys = dataset.x_test[:6], dataset.y_test[:6].astype(int)
         for domain in ("chzonotope", "box", "zonotope"):
-            config = CraftConfig(domain=domain, slope_optimization="none")
+            config = CraftConfig(domains=(domain,), slope_optimization="none")
             sequential = certify_local_robustness(
                 model, xs, ys, 0.03, config, engine="sequential"
             )
@@ -362,7 +362,7 @@ class TestFrontEndDispatch:
 
         xs, ys = toy_data
         exs, eys = xs[120:126], ys[120:126].astype(int)
-        config = CraftConfig(domain=domain, slope_optimization="none")
+        config = CraftConfig(domains=(domain,), slope_optimization="none")
         batched = certify_local_robustness(
             trained_mondeq, exs, eys, 0.05, config, engine="batched"
         )

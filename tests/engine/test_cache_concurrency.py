@@ -18,6 +18,7 @@ import multiprocessing
 import os
 import shutil
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ class TestVersionStamp:
         ]
 
         matching = build_verdict_cache(str(tmp_path), config, trained_mondeq)
-        other = config.with_updates(tighten_max_iterations=7)
+        other = replace(config, tighten_max_iterations=7)
         mismatched = build_verdict_cache(str(tmp_path), other, trained_mondeq)
         for query in queries:
             assert matching.lookup(query) is not None
@@ -225,13 +226,14 @@ class TestVersionStamp:
 
     def test_fingerprint_tracks_verdict_relevant_fields(self, config):
         assert config_fingerprint(config) == config_fingerprint(
-            config.with_updates(tighten_max_iterations=config.tighten_max_iterations)
+            replace(config, tighten_max_iterations=config.tighten_max_iterations)
         )
         for overrides in (
             {"alpha1": 0.2},
             {"tighten_max_iterations": 3},
-            {"use_box_component": False},
+            {"domains": ("zonotope",)},
+            {"alpha2_grid": (0.05,)},
         ):
             assert config_fingerprint(config) != config_fingerprint(
-                config.with_updates(**overrides)
+                replace(config, **overrides)
             )

@@ -21,6 +21,7 @@ several shards per stage must agree on verdicts *and* resolving stages.
 """
 
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ class TestDifferentialFuzzing:
         tests pin."""
         from repro.engine import BatchCertificationScheduler
 
-        config = config.with_updates(domains=ladder)
+        config = replace(config, domains=ladder)
         xs = data.draw(input_regions(model.input_dim, count=3))
         labels = np.array([int(model.predict(x)) for x in xs])
         labels[-1] = (labels[-1] + 1) % model.output_dim

@@ -213,7 +213,7 @@ class TestLadderCache:
         for c, w in zip(cold.results, warm.results):
             assert c.outcome == w.outcome
             assert c.stage == w.stage
-            assert w.from_cache
+            assert w.cached
 
     def test_interim_verdicts_are_not_persisted(
         self, trained_mondeq, toy_data, tmp_path

@@ -18,6 +18,7 @@ import pytest
 from repro.core.config import ContractionSettings, CraftConfig
 from repro.engine import BatchedCraft
 from repro.exceptions import ConfigurationError
+from repro.experiments.ablation import ABLATION_NAMES
 from repro.verify.robustness import certify_local_robustness, certify_sample
 
 BOUND_TOL = 1e-9
@@ -68,7 +69,7 @@ class TestBatchedParity:
         """≥16 seeded regions per domain: identical verdicts, bounds within 1e-9."""
         xs, ys = _evaluation_set(toy_data)
         assert xs.shape[0] >= 16
-        config = CraftConfig(domain=domain, slope_optimization="none")
+        config = CraftConfig(domains=(domain,), slope_optimization="none")
         sequential = [
             certify_sample(trained_mondeq, x, int(y), epsilon, config)
             for x, y in zip(xs, ys)
@@ -116,27 +117,27 @@ class TestBatchedParity:
         for seq, bat in zip(sequential, batched):
             _assert_result_parity(seq, bat)
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"same_iteration_containment": True},
-            {"use_box_component": False},
-            {"solver1": "fb", "alpha1": 0.04},
-        ],
-        ids=["same-iter-containment", "no-box-component", "only-fb"],
-    )
-    def test_parity_under_ablation_configs(self, trained_mondeq, toy_data, overrides):
-        """The Table 4 ablation switches have dedicated batched code paths
-        (per-iteration containment gate, fresh-generator ReLU columns, the
-        aux-free FB layout) — each must stay in lockstep too."""
-        xs, ys = _evaluation_set(toy_data, count=8)
-        config = CraftConfig(slope_optimization="none", **overrides)
-        sequential = [
-            certify_sample(trained_mondeq, x, int(y), 0.05, config) for x, y in zip(xs, ys)
-        ]
-        batched = BatchedCraft(trained_mondeq, config).certify(xs, ys, 0.05)
-        for seq, bat in zip(sequential, batched):
-            _assert_result_parity(seq, bat)
+    @pytest.mark.parametrize("name", ABLATION_NAMES)
+    def test_parity_under_ablation_configs(self, trained_mondeq, toy_data, name):
+        """Every Table 4 row has its own batched code paths (the Box and
+        Zonotope stacks, the per-iteration containment gate, the aux-free
+        FB layout, the slope grids, the escalation waterfall) — each must
+        stay in lockstep with the sequential engine, resolving stage
+        included.  At ε = 0.2 the ladder resolves rows in its Box and
+        Zonotope stages; at ε = 0.4 the contained rows end uncertified
+        after their slope attempts."""
+        xs, ys = _evaluation_set(toy_data)
+        config = CraftConfig.ablation(name)
+        for epsilon in (0.2, 0.4):
+            sequential = certify_local_robustness(
+                trained_mondeq, xs, ys, epsilon, config, engine="sequential"
+            )
+            batched = certify_local_robustness(
+                trained_mondeq, xs, ys, epsilon, config, engine="batched"
+            )
+            for seq, bat in zip(sequential, batched):
+                _assert_result_parity(seq, bat)
+                assert seq.stage == bat.stage
 
     def test_parity_with_pr_tightening(self, trained_mondeq, toy_data):
         xs, ys = _evaluation_set(toy_data, count=6)
@@ -204,13 +205,13 @@ class TestBatchedParity:
         to the sequential loop (CraftConfig itself validates the name, so
         the evasive construction below simulates a corrupted config)."""
         config = CraftConfig()
-        object.__setattr__(config, "domain", "octagon")
+        object.__setattr__(config, "domains", ("octagon",))
         with pytest.raises(ConfigurationError, match="octagon"):
             BatchedCraft(trained_mondeq, config)
 
     @pytest.mark.parametrize("domain", ["box", "zonotope", "parallelotope"])
     def test_engine_accepts_all_repo_domains(self, trained_mondeq, domain):
-        BatchedCraft(trained_mondeq, CraftConfig(domain=domain))
+        BatchedCraft(trained_mondeq, CraftConfig(domains=(domain,)))
 
     @pytest.mark.parametrize("epsilon", [1e-4, 0.05, 0.5])
     def test_parallelotope_verdict_parity(self, trained_mondeq, toy_data, epsilon):
@@ -222,7 +223,7 @@ class TestBatchedParity:
         containment and certification identical, margins matching tightly
         in the certifiable regime."""
         xs, ys = _evaluation_set(toy_data)
-        config = CraftConfig(domain="parallelotope", slope_optimization="none")
+        config = CraftConfig(domains=("parallelotope",), slope_optimization="none")
         sequential = [
             certify_sample(trained_mondeq, x, int(y), epsilon, config)
             for x, y in zip(xs, ys)
@@ -244,7 +245,7 @@ class TestGlobalCertParity:
 
         xs, ys = toy_data
         config = CraftConfig(
-            domain=domain,
+            domains=(domain,),
             slope_optimization="none",
             contraction=ContractionSettings(max_iterations=200),
         )

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ class TestFixpointCache:
         assert key() != key(center=center + 1e-12)
         assert key() != key(target=2)
         assert key() != key(clip_max=None)
-        other_config = config.with_updates(alpha1=0.2)
+        other_config = replace(config, alpha1=0.2)
         assert key() != key(cache=TieredVerdictCache(str(tmp_path), other_config, digest))
         assert key() != key(cache=TieredVerdictCache(str(tmp_path), config, "other-model"))
 

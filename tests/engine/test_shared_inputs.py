@@ -160,7 +160,7 @@ def test_drivers_reopen_the_block_after_consolidation(shape):
     regions = _contained_regions(model, epsilon=0.02, count=3, seed=5)
     nus = _input_symbols(model.input_dim, seed=6)
     steps = 8
-    config = CraftConfig(alpha2=0.1, tighten_max_iterations=steps)
+    config = CraftConfig(alpha2_grid=(0.1,), tighten_max_iterations=steps)
     balls = [ball for ball, _, _ in regions]
     # A target the model does not predict never certifies, so both drivers
     # return their best-margin state once the stop rule ends the run (after
@@ -208,7 +208,7 @@ def _fresh_symbol_problem(model, ball, spec, config):
     def factory(solver, alpha, slope_delta):
         return make_abstract_step(
             model, layout, problem.input_element, solver, alpha,
-            slope_delta=slope_delta, use_box_component=config.use_box_component,
+            slope_delta=slope_delta,
         )
 
     return dataclasses.replace(problem, input_terms=0, tightening_step_factory=factory)
@@ -240,7 +240,7 @@ def _corpus():
 @pytest.mark.tier1
 @pytest.mark.parametrize("domain", ["chzonotope", "zonotope"])
 def test_no_flips_against_fresh_symbol_reference(domain):
-    config = CraftConfig(domain=domain, slope_optimization="none")
+    config = CraftConfig(domains=(domain,), slope_optimization="none")
     verifier = CraftVerifier(config)
     reference_total = 0
     for name, model, balls, specs in _corpus():

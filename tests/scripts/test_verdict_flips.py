@@ -5,6 +5,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "verdict_flips.py"
@@ -134,3 +135,39 @@ def test_dump_records_the_counts(monkeypatch):
     assert all(len(row[name]) == 32 for row in result["regions"] for name in flips.DIGESTS)
     again = flips.dump(root, "fcx40-tighten", seed=3, draws=1)
     assert flips.compare(result, again)["moved_elements"] == 0
+
+
+def test_an_element_without_a_box_digests_as_a_zero_box():
+    """The Zonotope pipeline's elements digest like CH-Zonotopes with a zero
+    Box, so a respelled "No Box component" row compares bit for bit."""
+    from repro.domains.chzonotope import CHZonotope
+    from repro.domains.interval import Interval
+    from repro.domains.zonotope import Zonotope
+
+    center, generators = np.array([0.5, -1.0]), np.array([[1.0, 0.0, 0.5], [0.0, 2.0, 0.25]])
+    zonotope = Zonotope(center, generators)
+    assert flips._element_digest(zonotope) == flips._element_digest(
+        CHZonotope(center, generators, np.zeros(2))
+    )
+    assert flips._element_digest(zonotope) != flips._element_digest(
+        CHZonotope(center, generators, np.full(2, 1e-3))
+    )
+    box = Interval([0.0, -1.0], [1.0, 1.0])
+    assert flips._element_digest(box) == flips._digest(*box.concretize_bounds())
+    assert flips._element_digest(box) != flips._element_digest(Interval([0.0, -1.0], [1.0, 2.0]))
+
+
+def test_dumps_of_different_configurations_do_not_compare():
+    dump = _dump((True, 0.1, 0.05))
+    with pytest.raises(ValueError):
+        flips.compare(dump, {**dump, "ablation": "no_box_component"})
+
+
+def test_dump_runs_an_ablation(monkeypatch):
+    """``--ablation`` dumps under ``CraftConfig.ablation(NAME)``: the Box
+    row's elements are digested by their bounds."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    root = Path(__file__).resolve().parents[2]
+    result = flips.dump(root, "fcx40-tighten", seed=3, draws=1, ablation="no_zono_component")
+    assert result["ablation"] == "no_zono_component"
+    assert all(len(row[name]) == 32 for row in result["regions"] for name in flips.DIGESTS)

@@ -41,7 +41,7 @@ EPSILON = 0.03
 
 MODEL = MonDEQ.random(input_dim=4, latent_dim=5, output_dim=3, monotonicity=8.0, seed=21)
 CONFIG_A = CraftConfig(slope_optimization="none")
-CONFIG_B = CraftConfig(slope_optimization="none", domain="box", domains=("box",))
+CONFIG_B = CraftConfig(slope_optimization="none", domains=("box",))
 
 
 def _verdict() -> VerificationResult:

@@ -5,8 +5,8 @@ over-approximation contract ("the image of every concrete point lies in the
 abstract image"); the strategies here generate the raw material — centres,
 generator matrices, Box radii, weights — those contract tests are driven
 with.  Keeping them in one place guarantees that the CH-Zonotope, Zonotope,
-Interval, Parallelotope and order-reduction soundness tests all sample the
-same distribution of elements.
+Interval and PCA-enclosure soundness tests all sample the same
+distribution of elements.
 """
 
 import numpy as np
@@ -56,14 +56,6 @@ def _zero_columns(drawn):
     for kind, value in ((0, 0.0), (1, -0.0)):
         stack[np.broadcast_to((kinds == kind)[:, None, :], stack.shape)] = value
     return stack
-
-
-def invertible_matrices(dim=DIM, bound=2.0):
-    """Strictly diagonally dominant (hence invertible) ``(dim, dim)`` matrices."""
-    margin = bound * dim + 1.0
-    return arrays(
-        np.float64, (dim, dim), elements=st.floats(-bound, bound, **FINITE)
-    ).map(lambda matrix: matrix + margin * np.eye(dim))
 
 
 def unit_floats():
@@ -151,10 +143,10 @@ def craft_configs():
     """
     from repro.core.config import ContractionSettings, CraftConfig
 
-    def build(domain, solvers, same_iteration, use_box, slope_mode):
+    def build(domain, solvers, same_iteration, slope_mode):
         solver1, solver2 = solvers
         return CraftConfig(
-            domain=domain,
+            domains=(domain,),
             solver1=solver1,
             alpha1=0.1 if solver1 == "pr" else 0.04,
             solver2=solver2,
@@ -164,7 +156,6 @@ def craft_configs():
             ),
             slope_optimization=slope_mode,
             same_iteration_containment=same_iteration,
-            use_box_component=use_box,
             tighten_max_iterations=12,
         )
 
@@ -174,6 +165,5 @@ def craft_configs():
         domain=st.sampled_from(["chzonotope", "chzonotope", "box", "zonotope"]),
         solvers=st.sampled_from([("pr", "fb"), ("pr", "pr"), ("fb", "fb")]),
         same_iteration=st.booleans(),
-        use_box=st.booleans(),
         slope_mode=st.sampled_from(["none", "none", "reduced"]),
     )

@@ -68,7 +68,7 @@ class TestCertifySample:
 
     def test_box_domain_configuration_runs(self, trained_mondeq, trained_sample):
         x, label = trained_sample
-        config = CraftConfig(domain="box", slope_optimization="none",
+        config = CraftConfig(domains=("box",), slope_optimization="none",
                              contraction=ContractionSettings(max_iterations=200))
         result = certify_sample(trained_mondeq, x, label, 1e-5, config)
         assert result.outcome in (
@@ -135,7 +135,7 @@ class TestProblemConstruction:
         """The initial state takes the precondition's class, and it is the
         singleton of the centre's concrete fixpoint at the solver defaults."""
         x, label = trained_sample
-        config = CraftConfig(domain=domain, slope_optimization="none")
+        config = CraftConfig(domains=(domain,), slope_optimization="none")
         ball = LinfBall(center=x, epsilon=0.01)
         spec = ClassificationSpec(target=label, num_classes=trained_mondeq.output_dim)
         problem = build_fixpoint_problem(trained_mondeq, ball, spec, config)
