@@ -15,9 +15,26 @@ A change meant to keep results bit for bit adds ``--exact`` to ``compare``.
 
 ``dump`` certifies draws ``1..N`` of the workload's seeded regions (the
 draws a ``perfbench/run.py`` run times; it reads only
-``perfbench/inputs.py``) through the batched engine with the workload's
-default ``CraftConfig``, or with ``CraftConfig.ablation(NAME)`` under
-``--ablation NAME``, and writes each region's certified flag, margin,
+``perfbench/inputs.py``), or one of two corpora fixed by a rule stated in
+advance, for which ``--seed`` and ``--draws`` do not apply:
+
+* ``hard-row``: the sharding row of ``benchmarks/bench_sharded_engine.py``,
+  the small HCAS model's test points repeated to 256 cells with their
+  dataset labels, at an unclipped epsilon of 2.0, under
+  ``CraftConfig(slope_optimization="none")``;
+* ``random-mondeq``: six ``MonDEQ.random(input_dim=5, latent_dim=16,
+  output_dim=4, monotonicity=4.0, seed=s)`` for s = 0..5, each at 100
+  centres drawn by ``np.random.default_rng(100 + s).uniform(0, 1, (100,
+  5))`` and labelled with the model's own prediction, at epsilon 0.02 and
+  0.08 clipped to [0, 1], under ``CraftConfig()``.
+
+It runs them through the batched engine with the workload's
+``CraftConfig`` (``CraftConfig()`` for the perfbench workloads), or with
+``CraftConfig.ablation(NAME)`` under ``--ablation NAME``.  With
+``--oracle`` each region's record is the exhaustive alpha search's
+instead (:func:`exhaustive_search`), so a race or stop-rule change can be
+compared with it, not only with its parent.  ``dump`` writes each
+region's certified flag, margin,
 selected alpha, phase-one and phase-two iteration counts, peak error
 terms, and two digests: one of its fixpoint abstraction's element (the
 bytes of its centre, generators and Box; an element without a Box is
@@ -43,7 +60,9 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -58,6 +77,15 @@ WORKLOADS = {
     "fcx40-tighten": ("FCx40", "fcx40_regions"),
     "hcas-sweep": ("HCAS-FCx100", "hcas_regions"),
 }
+
+#: Sizes of the fixed corpora (see the module docstring).
+HARD_ROW_CELLS = 256
+RANDOM_MODELS = 6
+RANDOM_CENTRES = 100
+RANDOM_EPSILONS = (0.02, 0.08)
+
+#: The exhaustive search's probe budget: every grid alpha runs this many steps.
+EXHAUSTIVE_PROBE_STEPS = 30
 
 
 def _finite(value):
@@ -94,23 +122,108 @@ def _digests(result) -> dict:
     }
 
 
-def dump(root: Path, workload: str, seed: int, draws: int, ablation=None) -> dict:
-    sys.path[:0] = [str(root / "src"), str(root)]
+def _perfbench_draws(workload: str, seed: int, draws: int):
+    """``(draw, model, xs, labels, epsilon, clip)`` of the workload's draws ``1..draws``."""
     from perfbench import inputs
-    from repro.core.config import CraftConfig
     from repro.experiments import model_zoo
-    from repro.verify.robustness import certify_local_robustness
 
     model_name, regions_name = WORKLOADS[workload]
     model, dataset = model_zoo.get_model(model_name, "smoke")
     regions = getattr(inputs, regions_name)
-    config = CraftConfig() if ablation is None else CraftConfig.ablation(ablation)
-    rows = []
     for draw in range(1, draws + 1):
         xs, labels = regions(dataset.x_test, dataset.y_test, seed, draw)
-        results = certify_local_robustness(
-            model, xs, labels, inputs.EPSILON, config, engine="batched"
+        yield draw, model, xs, labels, inputs.EPSILON, (0.0, 1.0)
+
+
+def _hard_row():
+    from repro.experiments import model_zoo
+
+    model, dataset = model_zoo.get_model("HCAS-FCx100", "small")
+    repeats = HARD_ROW_CELLS // len(dataset.x_test) + 1
+    xs = np.vstack([dataset.x_test] * repeats)[:HARD_ROW_CELLS]
+    labels = np.concatenate([dataset.y_test] * repeats)[:HARD_ROW_CELLS].astype(int)
+    yield "hcas-small eps 2.0", model, xs, labels, 2.0, (None, None)
+
+
+def _random_mondeq():
+    from repro.mondeq.model import MonDEQ
+
+    for seed in range(RANDOM_MODELS):
+        model = MonDEQ.random(
+            input_dim=5, latent_dim=16, output_dim=4, monotonicity=4.0, seed=seed
         )
+        xs = np.random.default_rng(100 + seed).uniform(0.0, 1.0, (RANDOM_CENTRES, 5))
+        labels = model.predict_batch(xs)
+        for epsilon in RANDOM_EPSILONS:
+            yield f"seed {seed} eps {epsilon}", model, xs, labels, epsilon, (0.0, 1.0)
+
+
+#: Corpus name -> (its ``CraftConfig`` keywords, its region groups).
+CORPORA = {
+    "hard-row": (dict(slope_optimization="none"), _hard_row),
+    "random-mondeq": ({}, _random_mondeq),
+}
+
+
+def exhaustive_search(certify, config, count: int) -> list:
+    """The exhaustive alpha search of ``tests/core/test_alpha_race.py``, batched.
+
+    ``certify(config, rows)`` returns the results of the regions ``rows``
+    (of ``count``) under ``config``.  With the phase-two stop rule off,
+    every grid alpha runs ``EXHAUSTIVE_PROBE_STEPS`` steps on every region;
+    each contained, uncertified region's best alpha (the first on ties) is
+    then restarted at the full budget, and the region keeps the better
+    record.
+    """
+    never_stop = lambda self, step, margin, earlier_margin: False  # noqa: E731
+    alphas = config.alpha2_grid if config.solver2 == "fb" else config.alpha2_grid[:1]
+    everything = np.arange(count)
+    with mock.patch.object(type(config), "stop_tightening", never_stop):
+        probes = [
+            certify(
+                replace(config, alpha2_grid=(alpha,), tighten_max_iterations=EXHAUSTIVE_PROBE_STEPS),
+                everything,
+            )
+            for alpha in alphas
+        ]
+        best = [max(results, key=lambda result: result.margin) for results in zip(*probes)]
+        restarts = {}
+        for index, result in enumerate(best):
+            if result.contained and not result.certified:
+                restarts.setdefault(result.selected_alpha2, []).append(index)
+        for alpha, rows in restarts.items():
+            full = certify(replace(config, alpha2_grid=(alpha,)), np.asarray(rows))
+            for index, result in zip(rows, full):
+                if not result.margin < best[index].margin:
+                    best[index] = result
+    return best
+
+
+def dump(root: Path, workload: str, seed=None, draws=20, ablation=None, oracle=False) -> dict:
+    sys.path[:0] = [str(root / "src"), str(root)]
+    from repro.core.config import CraftConfig
+    from repro.verify.robustness import certify_local_robustness
+
+    if workload in CORPORA:
+        settings, corpus = CORPORA[workload]
+        config, groups, seed, draws = CraftConfig(**settings), corpus(), None, None
+    else:
+        config, groups = CraftConfig(), _perfbench_draws(workload, seed, draws)
+    if ablation is not None:
+        config = CraftConfig.ablation(ablation)
+    rows = []
+    for draw, model, xs, labels, epsilon, (clip_min, clip_max) in groups:
+
+        def certify(config, picked):
+            return certify_local_robustness(
+                model, xs[picked], labels[picked], epsilon, config, engine="batched",
+                clip_min=clip_min, clip_max=clip_max,
+            )
+
+        if oracle:
+            results = exhaustive_search(certify, config, len(labels))
+        else:
+            results = certify(config, np.arange(len(labels)))
         for index, result in enumerate(results):
             rows.append({
                 "draw": draw,
@@ -122,8 +235,8 @@ def dump(root: Path, workload: str, seed: int, draws: int, ablation=None) -> dic
                 **_digests(result),
             })
     return {
-        "workload": workload, "ablation": ablation, "seed": seed, "draws": draws,
-        "regions": rows,
+        "workload": workload, "ablation": ablation, "oracle": oracle, "seed": seed,
+        "draws": draws, "regions": rows,
     }
 
 
@@ -178,12 +291,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = parser.add_subparsers(dest="command", required=True)
     dumping = commands.add_parser("dump", help="write the verdicts of N draws")
-    dumping.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
-    dumping.add_argument("--seed", type=int, required=True)
-    dumping.add_argument("--draws", type=int, default=20)
+    dumping.add_argument("--workload", choices=sorted(WORKLOADS) + sorted(CORPORA), required=True)
+    dumping.add_argument("--seed", type=int, help="the perfbench workloads' seed (required for them)")
+    dumping.add_argument("--draws", type=int, help="perfbench draws (default 20)")
     dumping.add_argument(
         "--ablation", metavar="NAME",
-        help="dump under CraftConfig.ablation(NAME) instead of CraftConfig()",
+        help="dump under CraftConfig.ablation(NAME) instead of the workload's configuration",
+    )
+    dumping.add_argument(
+        "--oracle", action="store_true",
+        help="dump the exhaustive alpha search's records instead of the race's",
     )
     dumping.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
     dumping.add_argument("--out", type=Path, required=True)
@@ -197,7 +314,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "dump":
-        result = dump(args.root.resolve(), args.workload, args.seed, args.draws, args.ablation)
+        if args.workload in CORPORA and (args.seed is not None or args.draws is not None):
+            parser.error(f"--seed and --draws do not apply to the corpus {args.workload}")
+        if args.workload in WORKLOADS and args.seed is None:
+            parser.error(f"--seed is required for the workload {args.workload}")
+        result = dump(
+            args.root.resolve(), args.workload, args.seed,
+            20 if args.draws is None else args.draws, args.ablation, args.oracle,
+        )
         args.out.write_text(json.dumps(result))
         certified = sum(row["certified"] for row in result["regions"])
         print(f"{len(result['regions'])} regions, {certified} certified -> {args.out}")

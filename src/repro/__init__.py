@@ -77,7 +77,7 @@ from repro.service import (
 )
 from repro.verify.specs import ClassificationSpec, LinfBall
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "BatchCertificationScheduler",

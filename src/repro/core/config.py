@@ -22,13 +22,14 @@ DOMAIN_LADDER = ("box", "zonotope", "parallelotope", "chzonotope")
 _VALID_SOLVERS = ("pr", "fb")
 _VALID_EXPANSIONS = ("const", "exp")
 
-#: Steps each phase-two alpha race candidate runs before the samples it did
-#: not certify move on (:meth:`CraftConfig.race_candidates`), and the stop
-#: rule's window (:meth:`CraftConfig.stop_tightening`).  From 4 steps on, the
-#: candidate that leads is the one that leads after 30 on every sample
-#: measured: the FCx40 and HCAS smoke models, and the hard cells of the small
+#: Steps of each phase-two alpha race probe (:meth:`CraftConfig.race_candidates`),
+#: and the stop rule's window (:meth:`CraftConfig.stop_tightening`).  4 is the
+#: shortest probe that keeps all 96 certificates of the hard cells of the small
 #: HCAS model at epsilon 2.0, where a 3-step probe picks a larger alpha that
-#: certifies 46 of the 96 cells the 30-step leader certifies.
+#: certifies 46.  A 4-step leader is not always the 30-step leader: on the
+#: random-monDEQ corpus of ``scripts/verdict_flips.py`` the race misses 7 of
+#: the exhaustive search's 914 certificates, knife-edge cases (margins of 0 to
+#: 4e-4) where a larger alpha leads for 4 steps and a smaller one later.
 PROBE_STEPS = 4
 
 #: ReLU-slope shifts of each ``slope_optimization`` mode (Section 6.3's
@@ -42,6 +43,14 @@ _SLOPE_DELTAS = {
 #: Slope optimisation tries only samples already close to certification:
 #: those whose phase-two margin exceeds ``-SLOPE_MARGIN_THRESHOLD``.
 SLOPE_MARGIN_THRESHOLD = 1.0
+
+
+def _check_count(value, name: str, minimum: int) -> None:
+    """Reject a count setting that is not an ``int`` of at least ``minimum``
+    (NaN and fractions would pass a bare comparison)."""
+    if not isinstance(value, int) or value < minimum:
+        kind = "positive" if minimum > 0 else "non-negative"
+        raise ConfigurationError(f"{name} must be a {kind} integer")
 
 
 @dataclass(frozen=True)
@@ -94,21 +103,14 @@ class ServiceConfig:
         # Float checks are written ``not x >= bound`` so that NaN fails them.
         if not self.coalesce_window_seconds >= 0:
             raise ConfigurationError("coalesce_window_seconds must be non-negative")
-        if not isinstance(self.max_batch_cells, int) or self.max_batch_cells < 1:
-            raise ConfigurationError("max_batch_cells must be a positive integer")
+        _check_count(self.max_batch_cells, "max_batch_cells", 1)
         if not self.shard_timeout_seconds > 0:
             raise ConfigurationError("shard_timeout_seconds must be positive")
         if not self.retry_backoff_seconds > 0:
             raise ConfigurationError("retry_backoff_seconds must be positive")
         if not self.retry_backoff_factor >= 1.0:
             raise ConfigurationError("retry_backoff_factor must be >= 1")
-        if (
-            not isinstance(self.max_concurrent_batches, int)
-            or self.max_concurrent_batches < 1
-        ):
-            raise ConfigurationError(
-                "max_concurrent_batches must be a positive integer"
-            )
+        _check_count(self.max_concurrent_batches, "max_concurrent_batches", 1)
 
 
 @dataclass(frozen=True)
@@ -147,14 +149,8 @@ class ContractionSettings:
     abort_width: float = 1e9
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be positive")
-        if self.consolidate_every < 1:
-            raise ConfigurationError("consolidate_every must be positive")
-        if self.basis_recompute_every < 1:
-            raise ConfigurationError("basis_recompute_every must be positive")
-        if self.history_size < 1:
-            raise ConfigurationError("history_size must be positive")
+        for name in ("max_iterations", "consolidate_every", "basis_recompute_every", "history_size"):
+            _check_count(getattr(self, name), name, 1)
         if not self.abort_width > 0:
             raise ConfigurationError("abort_width must be positive")
 
@@ -170,12 +166,9 @@ class KleeneSettings:
     abort_width: float = 1e9
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be positive")
-        if self.semantic_unrolling < 0:
-            raise ConfigurationError("semantic_unrolling must be non-negative")
-        if self.widen_after < 0:
-            raise ConfigurationError("widen_after must be non-negative")
+        _check_count(self.max_iterations, "max_iterations", 1)
+        _check_count(self.semantic_unrolling, "semantic_unrolling", 0)
+        _check_count(self.widen_after, "widen_after", 0)
         if not self.widening_threshold > 0:
             raise ConfigurationError("widening_threshold must be positive")
         if not self.abort_width > 0:
@@ -217,11 +210,12 @@ class CraftConfig:
     solver2, alpha2_grid:
         Method used in the tightening phase.  FB selects its damping
         adaptively (Appendix E.1) by racing the ``alpha2_grid`` candidates
-        (:meth:`race_candidates`): each runs ``PROBE_STEPS`` steps in
-        ascending contraction factor, a sample leaves on its first
-        certificate, and the others resume the candidate with the best
-        probe margin.  A one-entry grid fixes alpha.  Every entry must lie
-        in [0, 1] (Theorem 5.1).
+        (:meth:`race_candidates`): ``PROBE_STEPS``-step probes start at the
+        candidate of least contraction factor and walk outward in alpha,
+        each side until a probe does not beat the sample's best; a sample
+        leaves on its first certificate, and the others resume their best
+        probe.  A one-entry grid fixes alpha.  Every entry must lie in
+        [0, 1] (Theorem 5.1).
     expansion, w_mul, w_add:
         Expansion schedule of Eq. (10): ``"const"`` keeps the parameters
         fixed, ``"exp"`` grows them geometrically every second consolidation
@@ -295,8 +289,7 @@ class CraftConfig:
             )
         if not (self.w_mul >= 0 and self.w_add >= 0):
             raise ConfigurationError("expansion parameters must be non-negative")
-        if self.tighten_max_iterations < 1:
-            raise ConfigurationError("tighten_max_iterations must be positive")
+        _check_count(self.tighten_max_iterations, "tighten_max_iterations", 1)
 
     # Escalation-ladder views (consumed by the engines and schedulers). ----
 
@@ -354,28 +347,41 @@ class CraftConfig:
 
     def race_candidates(
         self, contraction_factor: Optional[Callable[[float], float]] = None
-    ) -> Tuple[Tuple[str, float], ...]:
-        """:meth:`candidate_parameters` in the order the alpha race probes them.
+    ) -> Tuple[Tuple[str, float], Tuple[Tuple[str, float], ...], Tuple[Tuple[str, float], ...]]:
+        """The alpha race's walk over :meth:`candidate_parameters`: ``(start,
+        smaller, larger)``.
 
-        The race probes each candidate for :meth:`probe_steps` steps on
-        the samples no earlier candidate certified; a sample leaves on its
-        first certificate, and every other sample resumes the candidate
-        with the best probe margin (the first in this order on ties) up to
-        ``tighten_max_iterations``.  Every FB alpha in [0, 1] is
-        fixpoint-set preserving (Theorem 5.1), so the order moves time and
-        precision, never soundness.
+        ``start`` is the candidate of least ``contraction_factor(alpha)``,
+        the spectral radius of the FB step's linear part, rho((1 - alpha) I
+        + alpha W) (:func:`repro.mondeq.abstract_solvers.fb_contraction_factor`),
+        ties in grid order; without a factor it is the first grid entry.
+        ``smaller`` and ``larger`` are the candidates of smaller and larger
+        alpha, each ordered outward from the start.
 
-        ``contraction_factor(alpha)`` is the spectral radius of the FB
-        step's linear part, rho((1 - alpha) I + alpha W)
-        (:func:`repro.mondeq.abstract_solvers.fb_contraction_factor`);
-        candidates run in ascending factor, ties in grid order.  Without
-        a factor the grid order stands.  Only FB offers more than one
+        The race probes the start for :meth:`probe_steps` steps, then walks
+        ``smaller`` and then ``larger``: a sample takes a side's next probe
+        only while its last probe on that side strictly beat its leader (its
+        best probe margin so far), since the probe margin is unimodal in
+        alpha on every sample measured.  A sample leaves on its first
+        certificate, and every other sample resumes its leader (the first
+        probed on ties) up to ``tighten_max_iterations``.  Every FB alpha in
+        [0, 1] is fixpoint-set preserving (Theorem 5.1), so the walk moves
+        time and precision, never soundness.  Only FB offers more than one
         candidate.
         """
         candidates = self.candidate_parameters()
-        if contraction_factor is None or len(candidates) == 1:
-            return candidates
-        return tuple(sorted(candidates, key=lambda candidate: contraction_factor(candidate[1])))
+        start = 0
+        if contraction_factor is not None and len(candidates) > 1:
+            start = min(
+                range(len(candidates)), key=lambda index: contraction_factor(candidates[index][1])
+            )
+        order = sorted(range(len(candidates)), key=lambda index: candidates[index][1])
+        position = order.index(start)
+        return (
+            candidates[start],
+            tuple(candidates[index] for index in reversed(order[:position])),
+            tuple(candidates[index] for index in order[position + 1 :]),
+        )
 
     def probe_steps(self) -> int:
         """Steps of one race probe: ``PROBE_STEPS``, capped at the phase-two budget."""

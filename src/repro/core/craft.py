@@ -12,7 +12,7 @@ two phases:
 2. **Tightening phase** (lines 10–14): apply further iterations of a
    *fixpoint-set-preserving* abstract solver (Definition 3.2, Theorems 3.3
    and 5.1) — possibly with a different operator-splitting method, a
-   damping parameter raced over a grid (Appendix E.1,
+   damping parameter walked over a grid (Appendix E.1,
    :meth:`~repro.core.config.CraftConfig.race_candidates`) and optimised
    ReLU slopes (Section 6.3) — and check the postcondition on the
    resulting output abstraction after every step.
@@ -91,9 +91,10 @@ class FixpointProblem:
         driver then opens a zero block at phase-two entry.
     contraction_factor:
         ``alpha -> rho((1 - alpha) I + alpha W)`` of the FB tightening
-        step, which orders the phase-two alpha race
+        step; the phase-two alpha race starts its walk at the candidate
+        that minimises it
         (:meth:`~repro.core.config.CraftConfig.race_candidates`).
-        ``None`` (the default) races the candidates in config order.
+        ``None`` (the default) starts at the first grid entry.
     """
 
     input_element: AbstractElement
@@ -289,20 +290,31 @@ class CraftVerifier:
         self, problem: FixpointProblem, contraction: ContractionResult
     ) -> _PhaseTwoOutcome:
         config = self._config
-        # The alpha race (CraftConfig.race_candidates): probe each candidate
-        # and leave on the first certificate.  A single candidate is one
-        # run: its probe resumes as the winner.
-        probes: List[_TighteningRun] = []
-        for solver, alpha in config.race_candidates(problem.contraction_factor):
+
+        def probe(solver: str, alpha: float) -> _TighteningRun:
             run = self._start_tightening(problem, contraction, solver, alpha, 0.0)
             self._advance(problem, run, config.probe_steps())
-            if run.outcome.certified:
-                return run.outcome
-            probes.append(run)
-        # Resume the best probe (the first in race order on ties).
-        winner = max(probes, key=lambda run: run.outcome.margin)
-        self._advance(problem, winner, config.tighten_max_iterations)
-        full = winner.outcome
+            return run
+
+        # The alpha race (CraftConfig.race_candidates): probe the start, then
+        # walk each side outward while the side's last probe beat the leader,
+        # and leave on the first certificate.  A single candidate is one run:
+        # its probe resumes as the leader.
+        start, smaller, larger = config.race_candidates(problem.contraction_factor)
+        leader = probe(*start)
+        if leader.outcome.certified:
+            return leader.outcome
+        for walk in (smaller, larger):
+            for solver, alpha in walk:
+                run = probe(solver, alpha)
+                if run.outcome.certified:
+                    return run.outcome
+                if not run.outcome.margin > leader.outcome.margin:
+                    break
+                leader = run
+        # Resume the leader (the first probed on ties).
+        self._advance(problem, leader, config.tighten_max_iterations)
+        full = leader.outcome
         if full.certified:
             return full
 

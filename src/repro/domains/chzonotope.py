@@ -420,14 +420,6 @@ class CHZonotope(AbstractElement):
     # Misc utilities
     # ------------------------------------------------------------------
 
-    def drop_box(self) -> "CHZonotope":
-        """Return a copy with the Box component removed (used by ablations).
-
-        Note this is *not* a sound over-approximation — it shrinks the set —
-        and is only meant for constructing ablation configurations and tests.
-        """
-        return CHZonotope(self._center, self._generators, np.zeros(self.dim))
-
     def enlarge_box(self, amount) -> "CHZonotope":
         """Return a copy with the Box radii enlarged by ``amount`` (>= 0)."""
         amount = np.broadcast_to(np.asarray(amount, dtype=float), (self.dim,))

@@ -4,7 +4,8 @@
 (:mod:`repro.core.craft`) for ``B`` certification queries against the same
 monDEQ weights simultaneously.  The per-sample semantics — consolidation
 cadence, expansion schedule, containment history, the phase-two alpha race
-(:meth:`~repro.core.config.CraftConfig.race_candidates`) and stop rule
+(:meth:`~repro.core.config.CraftConfig.race_candidates`: one batched run
+per walk position over the rows still walking) and stop rule
 (:meth:`~repro.core.config.CraftConfig.stop_tightening`) — replicate the sequential
 :class:`~repro.core.craft.CraftVerifier` exactly; what changes is that
 every abstract-transformer application advances the whole batch through
@@ -555,34 +556,39 @@ class BatchedCraft:
             differences=self._differences[targets[samples]],
         )
         runs: List[_TighteningRun] = []
-        # Per sample, the run whose record it keeps.
+        # Per sample, the run whose record it keeps: while it races, its
+        # leader (the start until a later probe beats it).
         chosen = np.zeros(count, dtype=int)
 
-        # The alpha race (CraftConfig.race_candidates): each candidate probes
-        # the samples no earlier candidate certified, and a sample leaves on
-        # its first certificate.
-        racing = np.arange(count)
-        for solver, alpha in self._candidates:
-            if racing.size == 0:
-                break
-            run = self._start_tightening(stacks, racing, solver, alpha, 0.0)
-            self._advance(run, config.probe_steps())
-            won = run.certified[racing]
-            chosen[racing[won]] = len(runs)
-            racing = racing[~won]
-            runs.append(run)
-        if racing.size:
-            # The rest resume their best probe (the first in race order on
-            # ties), grouped so samples sharing a candidate advance in one
-            # batch.  A single candidate is one run: its probe resumes.
-            winners = np.argmax([run.best_margin[racing] for run in runs], axis=0)
-            for index, run in enumerate(runs):
-                rows = racing[winners == index]
-                if rows.size == 0:
-                    continue
-                run.keep(rows)
-                self._advance(run, config.tighten_max_iterations)
-                chosen[rows] = index
+        # The alpha race (CraftConfig.race_candidates): the start probes every
+        # sample, then each side is walked outward, one run per position over
+        # the samples whose last probe on that side beat their leader (their
+        # best probe margin so far).  A sample leaves on its first certificate.
+        start, smaller, larger = self._candidates
+        racing = np.ones(count, dtype=bool)
+        leader = np.full(count, -np.inf)
+        for walk in ((start,), smaller, larger):
+            walking = np.flatnonzero(racing)
+            for solver, alpha in walk:
+                if walking.size == 0:
+                    break
+                run = self._start_tightening(stacks, walking, solver, alpha, 0.0)
+                self._advance(run, config.probe_steps())
+                won = run.certified[walking]
+                beat = ~won & (run.best_margin[walking] > leader[walking])
+                chosen[walking[won | beat]] = len(runs)
+                racing[walking[won]] = False
+                walking = walking[beat]
+                leader[walking] = run.best_margin[walking]
+                runs.append(run)
+        # The rest resume their leader (the first probed on ties), grouped so
+        # samples sharing a candidate advance in one batch.  A single
+        # candidate is one run: its probe resumes.
+        rest = np.flatnonzero(racing)
+        for index in np.unique(chosen[rest]).tolist():
+            rows = rest[chosen[rest] == index]
+            runs[index].keep(rows)
+            self._advance(runs[index], config.tighten_max_iterations)
 
         columns = np.arange(count)
         margin = np.stack([run.best_margin for run in runs])[chosen, columns]

@@ -149,8 +149,8 @@ def fb_contraction_factor(model: MonDEQ) -> Callable[[float], float]:
 
     The eigenvalues of ``(1 - alpha) I + alpha W`` are ``1 - alpha + alpha
     lambda`` for the eigenvalues ``lambda`` of ``W``, so one ``eigvals``
-    serves every damping.  The phase-two alpha race probes its candidates
-    in ascending factor (:meth:`repro.core.config.CraftConfig.race_candidates`).
+    serves every damping.  The phase-two alpha race starts its walk at the
+    candidate of least factor (:meth:`repro.core.config.CraftConfig.race_candidates`).
     """
     eigenvalues = np.linalg.eigvals(model.w_matrix)
 

@@ -1,15 +1,18 @@
 """The phase-two alpha race (``CraftConfig.race_candidates``).
 
-Both Craft drivers probe the ``alpha2_grid`` candidates in ascending
-contraction factor rho((1 - alpha) I + alpha W) for ``PROBE_STEPS`` steps
-each, let a sample leave on its first certificate and resume the best
-probe for the rest.  Three properties pin that:
+Both Craft drivers probe the ``alpha2_grid`` candidate of least
+contraction factor rho((1 - alpha) I + alpha W) for ``PROBE_STEPS`` steps,
+then walk the grid outward in alpha, towards smaller and then larger
+alpha, and stop each side at the first probe that does not beat the
+sample's leader.  A sample leaves on its first certificate, and the rest
+resume their leader.  Three properties pin that:
 
-* **Order.**  The factor equals the brute-force spectral radius, the order
-  is ascending with ties in grid order, and a problem without a factor
-  keeps grid order.
-* **Work.**  Counted on a synthetic problem: a step-1 certificate builds
-  one step, a losing candidate runs at most ``PROBE_STEPS`` steps, and a
+* **Order.**  The factor equals the brute-force spectral radius, the start
+  minimises it with ties in grid order (the first entry without a
+  factor), and each walk is in alpha order outward from the start.
+* **Work.**  Counted on synthetic problems: a step-1 certificate builds
+  one step, tied probes stop each side after one probe, a walk follows
+  its probe margin to the peak and one past it in both drivers, and a
   single candidate is one run.
 * **No flips against the exhaustive search.**  The probe-every-alpha-then-
   restart search the race replaced is rebuilt here from single-alpha
@@ -64,24 +67,34 @@ def test_contraction_factor_matches_brute_force(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_race_order_is_ascending_in_the_factor(seed):
+def test_the_walk_starts_at_the_least_factor_and_runs_outward_in_alpha(seed):
     factor = fb_contraction_factor(_random_model(seed))
-    config = CraftConfig()
-    order = config.race_candidates(factor)
-    assert sorted(order) == sorted(config.candidate_parameters())
-    factors = [factor(alpha) for _, alpha in order]
-    assert factors == sorted(factors)
+    config = CraftConfig(alpha2_grid=tuple(np.random.default_rng(seed).permutation(
+        CraftConfig().alpha2_grid
+    ).tolist()))
+    start, smaller, larger = config.race_candidates(factor)
+    assert sorted((start, *smaller, *larger)) == sorted(config.candidate_parameters())
+    assert factor(start[1]) == min(factor(alpha) for alpha in config.alpha2_grid)
+    assert [alpha for _, alpha in smaller] == sorted(
+        (alpha for alpha in config.alpha2_grid if alpha < start[1]), reverse=True
+    )
+    assert [alpha for _, alpha in larger] == sorted(
+        alpha for alpha in config.alpha2_grid if alpha > start[1]
+    )
 
 
-def test_race_order_keeps_grid_order_on_ties_and_without_a_factor():
-    config = CraftConfig(alpha2_grid=(0.2, 0.05, 0.15, 0.1))
+def test_the_start_takes_grid_order_on_ties_and_without_a_factor():
+    config = CraftConfig(alpha2_grid=(0.2, 0.15, 0.05, 0.1))
     distance = lambda alpha: round(abs(alpha - 0.1), 12)  # noqa: E731
     assert config.race_candidates(distance) == (
-        ("fb", 0.1), ("fb", 0.05), ("fb", 0.15), ("fb", 0.2)
+        ("fb", 0.1), (("fb", 0.05),), (("fb", 0.15), ("fb", 0.2))
     )
-    assert config.race_candidates() == config.candidate_parameters()
-    assert replace(config, alpha2_grid=(0.3,)).race_candidates(distance) == (("fb", 0.3),)
-    assert replace(config, solver2="pr").race_candidates(distance) == (("pr", 0.1),)
+    # 0.15 and 0.05 tie without 0.1; 0.15 comes first in the grid.
+    tied = replace(config, alpha2_grid=(0.2, 0.15, 0.05))
+    assert tied.race_candidates(distance) == (("fb", 0.15), (("fb", 0.05),), (("fb", 0.2),))
+    assert config.race_candidates() == (("fb", 0.2), (("fb", 0.15), ("fb", 0.1), ("fb", 0.05)), ())
+    assert replace(config, alpha2_grid=(0.3,)).race_candidates(distance) == (("fb", 0.3), (), ())
+    assert replace(config, solver2="pr").race_candidates(distance) == (("pr", 0.1), (), ())
 
 
 @pytest.mark.parametrize("name", ["FCx40", "HCAS-FCx100"])
@@ -147,14 +160,15 @@ def test_losing_candidates_run_only_their_probe():
     problem, counter = _counted(_affine_problem(threshold=2.5))
     result = CraftVerifier(config).solve(problem)
     assert not result.certified
-    assert [alpha for alpha, _ in counter.built] == list(config.alpha2_grid)
-    # Every candidate iterates the same map, so every probe margin ties
-    # and the first candidate wins and resumes.
-    (_, winner_steps), *losers = counter.built
-    assert all(steps <= PROBE_STEPS for _, steps in losers)
-    assert PROBE_STEPS < winner_steps <= config.tighten_max_iterations
-    assert result.selected_alpha2 == config.alpha2_grid[0]
-    assert result.iterations_phase2 == winner_steps
+    # Every candidate iterates the same map, so every probe margin ties.
+    # Without a factor the walk starts at the first grid entry, the
+    # smallest alpha; its one neighbour does not beat it, and it resumes.
+    (start, start_steps), (neighbour, neighbour_steps) = counter.built
+    assert (start, neighbour) == config.alpha2_grid[:2]
+    assert neighbour_steps == PROBE_STEPS
+    assert PROBE_STEPS < start_steps <= config.tighten_max_iterations
+    assert result.selected_alpha2 == start
+    assert result.iterations_phase2 == start_steps
 
 
 def test_the_problem_factor_orders_the_race():
@@ -164,6 +178,105 @@ def test_the_problem_factor_orders_the_race():
     result = CraftVerifier(_config()).solve(problem)
     assert counter.built == [[0.1, 1]]
     assert result.selected_alpha2 == 0.1
+
+
+GRID = CraftConfig().alpha2_grid
+#: The grid position the peak tests start their walk from (alpha 0.05).
+START = 3
+
+
+class _Scaling:
+    """A phase-two step that scales the state about its centre by ``1.01 +
+    0.01 d``, ``d`` being its alpha's grid distance from ``peak`` (0 for
+    every alpha when ``peak`` is ``None``), and counts its calls per alpha
+    in ``calls``.  The margin after a step falls strictly with the scale
+    and with every further step, so a probe's margin is its first step's
+    and peaks at ``peak``; a sample whose contained state does not certify
+    never certifies."""
+
+    def __init__(self, alpha, peak, calls):
+        self.alpha = alpha
+        self.scale = 1.01 + 0.01 * (0 if peak is None else abs(GRID.index(alpha) - peak))
+        self.calls = calls
+
+    def __call__(self, state):
+        self.calls[self.alpha] = self.calls.get(self.alpha, 0) + 1
+        return type(state)(state.center, state.generators * self.scale, state.box * self.scale)
+
+    def select(self, rows):
+        return self
+
+
+def _walk(peak):
+    """The alphas the walk from ``START`` probes when the probe margin peaks
+    at grid position ``peak``: the start, the points towards the peak, one
+    past it and one on the other side (smaller alpha first).  Tied probes
+    (``peak`` ``None``) stop each side after one probe."""
+    if peak is None:
+        positions = [START, START - 1, START + 1]
+    elif peak < START:
+        positions = [START, *range(START - 1, peak - 2, -1), START + 1]
+    elif peak > START:
+        positions = [START, START - 1, *range(START + 1, peak + 2)]
+    else:
+        positions = [START, START - 1, START + 1]
+    return [GRID[index] for index in positions if 0 <= index < len(GRID)]
+
+
+def _peak_regions():
+    """Regions of a random model whose contained states do not certify."""
+    model = _random_model(0)
+    xs = np.random.default_rng(30).uniform(-1.0, 1.0, size=(6, model.input_dim))
+    return model, *_regions(model, xs, 0.6, clip=False)
+
+
+@pytest.mark.parametrize("peak", [0, 1, START, 5, len(GRID) - 1, None])
+def test_the_walk_follows_the_probe_margin_to_its_peak(peak, monkeypatch):
+    """Both drivers probe the start, the ``k`` grid points towards the
+    peak, one past it and one on the other side, and resume the peak (the
+    start, the first probed, when every probe ties)."""
+    import repro.engine.craft as batched_craft
+
+    leader = GRID[START if peak is None else peak]
+
+    config = CraftConfig(slope_optimization="none")
+    distance = lambda alpha: abs(alpha - GRID[START])  # noqa: E731
+    model, balls, specs = _peak_regions()
+    contained = 0
+    for ball, spec in zip(balls, specs):
+        calls = {}
+        problem = build_fixpoint_problem(model, ball, spec, config)
+        problem.tightening_step_factory = lambda solver, alpha, delta: _Scaling(alpha, peak, calls)
+        problem.contraction_factor = distance
+        result = CraftVerifier(config).solve(problem)
+        if not result.contained:
+            continue
+        contained += 1
+        assert not result.certified
+        assert list(calls) == _walk(peak)
+        assert result.selected_alpha2 == leader
+        assert calls.pop(leader) == result.iterations_phase2 == PROBE_STEPS + 1
+        assert set(calls.values()) == {PROBE_STEPS}
+    assert contained >= 3
+
+    calls = {}
+    make_step = batched_craft.make_batched_abstract_step
+
+    def scaled_phase_two(model, layout, inputs, solver, alpha, **kwargs):
+        if solver == "fb":
+            return _Scaling(alpha, peak, calls)
+        return make_step(model, layout, inputs, solver, alpha, **kwargs)
+
+    monkeypatch.setattr(batched_craft, "make_batched_abstract_step", scaled_phase_two)
+    monkeypatch.setattr(batched_craft, "fb_contraction_factor", lambda model: distance)
+    results = BatchedCraft(model, config).certify_regions(balls, specs)
+    assert sum(result.contained for result in results) == contained
+    assert list(calls) == _walk(peak)
+    assert calls.pop(leader) == PROBE_STEPS + 1
+    assert set(calls.values()) == {PROBE_STEPS}
+    for result in results:
+        if result.contained:
+            assert not result.certified and result.selected_alpha2 == leader
 
 
 @pytest.mark.parametrize("single", [dict(alpha2_grid=(0.5,)), dict(solver2="pr")])

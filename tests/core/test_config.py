@@ -32,6 +32,14 @@ class TestContractionSettings:
         with pytest.raises(ConfigurationError):
             ContractionSettings(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["max_iterations", "consolidate_every", "basis_recompute_every", "history_size"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, 2.5])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            ContractionSettings(**{name: value})
+
 
 class TestKleeneSettings:
     def test_invalid_values_rejected(self):
@@ -39,6 +47,12 @@ class TestKleeneSettings:
             KleeneSettings(max_iterations=0)
         with pytest.raises(ConfigurationError):
             KleeneSettings(semantic_unrolling=-1)
+
+    @pytest.mark.parametrize("name", ["max_iterations", "semantic_unrolling", "widen_after"])
+    @pytest.mark.parametrize("value", [math.nan, 2.5])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            KleeneSettings(**{name: value})
 
     @pytest.mark.parametrize("name", ["abort_width", "widening_threshold"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
@@ -103,6 +117,8 @@ class TestCraftConfig:
             {"w_mul": math.nan},
             {"w_add": math.nan},
             {"tighten_max_iterations": 0},
+            {"tighten_max_iterations": math.nan},
+            {"tighten_max_iterations": 2.5},
             {"alpha2_grid": ()},
             {"alpha2_grid": (-0.5,)},
             {"alpha2_grid": (1.5, 0.1)},

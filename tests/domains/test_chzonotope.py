@@ -209,9 +209,6 @@ class TestUtilities:
         with pytest.raises(DomainError):
             improper.enlarge_box(-1.0)
 
-    def test_drop_box(self, improper):
-        assert not improper.drop_box().has_box_component
-
     def test_equality(self):
         a = CHZonotope(np.zeros(2), np.eye(2), np.zeros(2))
         b = CHZonotope(np.zeros(2), np.eye(2), np.zeros(2))

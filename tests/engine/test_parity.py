@@ -55,9 +55,12 @@ def _assert_result_parity(sequential, batched):
             np.testing.assert_allclose(seq_upper, bat_upper, atol=BOUND_TOL)
 
 
-def _evaluation_set(toy_data, count=16):
-    xs, ys = toy_data
-    return xs[120 : 120 + count], ys[120 : 120 + count].astype(int)
+def _evaluation_set(model, toy_data, count=16):
+    """The first ``count`` held-out points, labelled with ``model``'s own
+    predictions so that every region reaches the abstract analysis (the
+    trained toy model misclassifies 11 of the first 16 dataset labels)."""
+    xs = toy_data[0][120 : 120 + count]
+    return xs, model.predict_batch(xs)
 
 
 class TestBatchedParity:
@@ -67,7 +70,7 @@ class TestBatchedParity:
         self, trained_mondeq, toy_data, epsilon, domain
     ):
         """≥16 seeded regions per domain: identical verdicts, bounds within 1e-9."""
-        xs, ys = _evaluation_set(toy_data)
+        xs, ys = _evaluation_set(trained_mondeq, toy_data)
         assert xs.shape[0] >= 16
         config = CraftConfig(domains=(domain,), slope_optimization="none")
         sequential = [
@@ -81,21 +84,16 @@ class TestBatchedParity:
     def test_early_exit_mixture(self, trained_mondeq, toy_data):
         """Samples certifying at different iterations (and some never) share
         one batch without influencing each other."""
-        xs, ys = _evaluation_set(toy_data)
-        correct = [i for i in range(len(ys)) if trained_mondeq.predict(xs[i]) == ys[i]]
-        assert len(correct) >= 3
-        # Shrink three samples to a tiny ball (immediate certification) by
-        # verifying them against mixed epsilons through separate regions:
-        # a tiny-radius query exits phase two on its first usable iteration
-        # while large-radius batch mates keep iterating.
+        xs, ys = _evaluation_set(trained_mondeq, toy_data)
+        # At a tiny radius a query exits phase two on its first usable
+        # iteration; at a large one some batch mates keep iterating.
         config = CraftConfig(slope_optimization="none")
         craft = BatchedCraft(trained_mondeq, config)
         for epsilon in (1e-5, 0.3):
             sequential = [
-                certify_sample(trained_mondeq, xs[i], int(ys[i]), epsilon, config)
-                for i in correct
+                certify_sample(trained_mondeq, x, int(y), epsilon, config) for x, y in zip(xs, ys)
             ]
-            batched = craft.certify(xs[correct], ys[correct], epsilon)
+            batched = craft.certify(xs, ys, epsilon)
             for seq, bat in zip(sequential, batched):
                 _assert_result_parity(seq, bat)
             # The mixture must actually exercise staggered early exit — at
@@ -108,7 +106,7 @@ class TestBatchedParity:
                 assert len({r.iterations_phase2 for r in batched if r.contained}) >= 2
 
     def test_parity_under_adaptive_line_search_and_slopes(self, trained_mondeq, toy_data):
-        xs, ys = _evaluation_set(toy_data)
+        xs, ys = _evaluation_set(trained_mondeq, toy_data)
         config = CraftConfig(slope_optimization="reduced")
         sequential = [
             certify_sample(trained_mondeq, x, int(y), 0.4, config) for x, y in zip(xs, ys)
@@ -126,7 +124,7 @@ class TestBatchedParity:
         included.  At ε = 0.2 the ladder resolves rows in its Box and
         Zonotope stages; at ε = 0.4 the contained rows end uncertified
         after their slope attempts."""
-        xs, ys = _evaluation_set(toy_data)
+        xs, ys = _evaluation_set(trained_mondeq, toy_data)
         config = CraftConfig.ablation(name)
         for epsilon in (0.2, 0.4):
             sequential = certify_local_robustness(
@@ -140,7 +138,7 @@ class TestBatchedParity:
                 assert seq.stage == bat.stage
 
     def test_parity_with_pr_tightening(self, trained_mondeq, toy_data):
-        xs, ys = _evaluation_set(toy_data, count=6)
+        xs, ys = _evaluation_set(trained_mondeq, toy_data, count=6)
         config = CraftConfig(slope_optimization="none", solver2="pr")
         sequential = [
             certify_sample(trained_mondeq, x, int(y), 0.05, config) for x, y in zip(xs, ys)
@@ -151,7 +149,7 @@ class TestBatchedParity:
 
     def test_parity_with_bounded_containment_budget(self, trained_mondeq, toy_data):
         """A tiny phase-one budget produces NO_CONTAINMENT identically."""
-        xs, ys = _evaluation_set(toy_data, count=8)
+        xs, ys = _evaluation_set(trained_mondeq, toy_data, count=8)
         config = CraftConfig(
             slope_optimization="none",
             contraction=ContractionSettings(max_iterations=2),
@@ -171,7 +169,7 @@ class TestBatchedParity:
         rows: its PCA bases have a null space whose orientation follows
         the batch's zero padding, so under PR the engines agree on
         verdicts but margins differ by up to ~6e-5."""
-        xs, ys = _evaluation_set(toy_data)
+        xs, ys = _evaluation_set(trained_mondeq, toy_data)
         config = CraftConfig(
             slope_optimization="none",
             solver1="fb",
@@ -189,7 +187,7 @@ class TestBatchedParity:
 
     def test_front_end_routes_match(self, trained_mondeq, toy_data):
         """certify_local_robustness(engine=...) keeps both paths in lockstep."""
-        xs, ys = _evaluation_set(toy_data, count=6)
+        xs, ys = _evaluation_set(trained_mondeq, toy_data, count=6)
         config = CraftConfig(slope_optimization="none")
         batched = certify_local_robustness(
             trained_mondeq, xs, ys, 0.05, config, engine="batched"
@@ -222,7 +220,7 @@ class TestBatchedParity:
         Its parity contract is therefore verdict-level — outcomes,
         containment and certification identical, margins matching tightly
         in the certifiable regime."""
-        xs, ys = _evaluation_set(toy_data)
+        xs, ys = _evaluation_set(trained_mondeq, toy_data)
         config = CraftConfig(domains=("parallelotope",), slope_optimization="none")
         sequential = [
             certify_sample(trained_mondeq, x, int(y), epsilon, config)
@@ -280,7 +278,8 @@ class TestSlopeMarginThreshold:
         import repro.core.craft as sequential_craft
         import repro.engine.craft as batched_craft
 
-        xs, ys = _evaluation_set(toy_data, count=8)
+        # The dataset's labels: the counts below are defined on them.
+        xs, ys = toy_data[0][120:128], toy_data[1][120:128].astype(int)
         plain = BatchedCraft(trained_mondeq, CraftConfig(slope_optimization="none")).certify(
             xs, ys, 0.4
         )

@@ -171,3 +171,109 @@ def test_dump_runs_an_ablation(monkeypatch):
     result = flips.dump(root, "fcx40-tighten", seed=3, draws=1, ablation="no_zono_component")
     assert result["ablation"] == "no_zono_component"
     assert all(len(row[name]) == 32 for row in result["regions"] for name in flips.DIGESTS)
+
+
+def _small_corpora(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(flips, "HARD_ROW_CELLS", 6)
+    monkeypatch.setattr(flips, "RANDOM_MODELS", 1)
+    monkeypatch.setattr(flips, "RANDOM_CENTRES", 4)
+    return Path(__file__).resolve().parents[2]
+
+
+def test_the_random_corpus_is_fixed(monkeypatch):
+    """``random-mondeq`` is fixed by its rule: two dumps are identical, and
+    every region is labelled with the model's prediction, so every one
+    reaches the analysis."""
+    root = _small_corpora(monkeypatch)
+    result = flips.dump(root, "random-mondeq")
+    assert result["seed"] is None and result["draws"] is None
+    assert [(row["draw"], row["index"]) for row in result["regions"]] == [
+        (f"seed 0 eps {epsilon}", index) for epsilon in flips.RANDOM_EPSILONS for index in range(4)
+    ]
+    assert all(row["iterations_phase1"] > 0 for row in result["regions"])
+    assert not flips.moved(flips.compare(result, flips.dump(root, "random-mondeq")))
+
+
+def test_the_hard_row_keeps_the_dataset_labels(monkeypatch):
+    """The hard row is the sharding benchmark's sweep, dataset labels
+    included: misclassified cells dump without an abstraction."""
+    root = _small_corpora(monkeypatch)
+    result = flips.dump(root, "hard-row")
+    assert [row["index"] for row in result["regions"]] == list(range(6))
+    analysed = [row for row in result["regions"] if row["iterations_phase1"]]
+    assert analysed
+    assert all(len(row[name]) == 32 for row in analysed for name in flips.DIGESTS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--workload", "hard-row", "--seed", "1"],
+        ["--workload", "random-mondeq", "--draws", "2"],
+        ["--workload", "fcx40-tighten"],
+    ],
+)
+def test_seed_and_draws_apply_to_the_perfbench_workloads_only(argv, tmp_path):
+    with pytest.raises(SystemExit):
+        flips.main(["dump", *argv, "--out", str(tmp_path / "dump.json")])
+    assert not (tmp_path / "dump.json").exists()
+
+
+def test_the_oracle_restarts_each_best_alpha():
+    """``exhaustive_search`` probes every alpha on every region with the
+    stop rule off, restarts each contained, uncertified region's best alpha
+    (the first on ties) at the full budget, and keeps the better record."""
+    from types import SimpleNamespace
+
+    from repro.core.config import CraftConfig
+
+    probe_margins = {  # per alpha, the probe margins of regions 0..3
+        0.1: [-1.0, -0.3, -np.inf, -0.5],
+        0.2: [-0.5, -0.2, -np.inf, -0.7],
+        0.3: [-0.5, 0.1, -np.inf, -0.9],
+    }
+    restart_margins = {0.2: [-0.4], 0.1: [-0.6]}
+    calls = []
+
+    def certify(config, rows):
+        assert config.stop_tightening(149, -1.0, -1.0) is False
+        (alpha,) = config.alpha2_grid
+        calls.append((alpha, config.tighten_max_iterations, rows.tolist()))
+        if config.tighten_max_iterations == flips.EXHAUSTIVE_PROBE_STEPS:
+            margins = probe_margins[alpha]
+        else:
+            margins = restart_margins[alpha]
+        return [
+            SimpleNamespace(
+                margin=margin, certified=margin > 0, contained=margin > -np.inf,
+                selected_alpha2=alpha, budget=config.tighten_max_iterations,
+            )
+            for margin in margins
+        ]
+
+    config = CraftConfig(alpha2_grid=(0.1, 0.2, 0.3))
+    best = flips.exhaustive_search(certify, config, 4)
+    assert calls == [
+        (0.1, 30, [0, 1, 2, 3]), (0.2, 30, [0, 1, 2, 3]), (0.3, 30, [0, 1, 2, 3]),
+        (0.2, 150, [0]), (0.1, 150, [3]),
+    ]
+    assert [(r.selected_alpha2, r.margin, r.budget) for r in best] == [
+        (0.2, -0.4, 150),  # 0.2 and 0.3 tie; the restart beats the probe
+        (0.3, 0.1, 30),  # certified in a probe: no restart
+        (0.1, -np.inf, 30),  # not contained: no restart
+        (0.1, -0.5, 30),  # the restart is worse: the probe stays
+    ]
+    assert config.stop_tightening(149, -1.0, -1.0)
+
+
+def test_an_oracle_dump_compares_with_a_race_dump(monkeypatch, tmp_path):
+    root = _small_corpora(monkeypatch)
+    oracle = flips.dump(root, "random-mondeq", oracle=True)
+    assert oracle["oracle"] is True
+    race = flips.dump(root, "random-mondeq")
+    report = flips.compare(oracle, race)
+    assert report["regions"] == 8
+    for row in oracle["regions"]:
+        if row["iterations_phase1"] and not row["certified"] and row["margin"] is not None:
+            assert row["iterations_phase2"] in (flips.EXHAUSTIVE_PROBE_STEPS, 150)
