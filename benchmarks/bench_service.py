@@ -97,7 +97,6 @@ def _service_soak_row(tmp_dir):
     ]
 
     service = ServiceConfig(
-        coalesce_window_seconds=0.02,
         max_batch_cells=16,
         shard_timeout_seconds=1.5,
         retry_backoff_seconds=0.05,
@@ -237,7 +236,6 @@ def _mixed_arm(specs, references, concurrent):
     # qps ratio isolates the concurrency machinery (the soak scenario
     # above already measures the cached path).
     service = ServiceConfig(
-        coalesce_window_seconds=0.01,
         max_batch_cells=8,
         shard_timeout_seconds=8.0,
         retry_backoff_seconds=0.05,

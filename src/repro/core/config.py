@@ -57,18 +57,18 @@ def _check_count(value, name: str, minimum: int) -> None:
 class ServiceConfig:
     """Knobs of the long-lived certification service (:mod:`repro.service`).
 
-    None of these fields influence verdicts — they trade latency,
-    coalescing breadth and fault-recovery aggressiveness against
+    None of these fields influence verdicts — they trade batch size,
+    engine concurrency and fault-recovery aggressiveness against
     throughput — so they are excluded from the cache's config signature
     by construction (they are not part of :class:`CraftConfig` at all).
 
+    The frontend dispatches work-conservingly: a queued batch-signature
+    group leaves as soon as its backend has a free engine slot, and
+    compatible cells coalesce only while every slot is busy.  No timer
+    holds a group back.
+
     Attributes
     ----------
-    coalesce_window_seconds:
-        How long the frontend dispatcher holds a freshly admitted cell
-        before dispatching its batch, so compatible requests arriving
-        close together coalesce into one engine pass.  ``0`` dispatches
-        immediately (the property-test setting).
     max_batch_cells:
         Upper bound on the cells of one coalesced engine dispatch.
     shard_timeout_seconds:
@@ -86,13 +86,13 @@ class ServiceConfig:
         the sweep instead of looping forever.
     max_concurrent_batches:
         How many coalesced engine passes may run simultaneously *per
-        backend*.  ``1`` (the default) serialises batches behind one
-        engine pass, while larger values let distinct coalescing groups
-        (different models, epsilons or clip ranges) certify in parallel.
-        Purely a scheduling knob: verdicts are identical at any setting.
+        backend*: its engine slots.  ``1`` (the default) serialises
+        batches behind one engine pass, while larger values let distinct
+        coalescing groups (different models, epsilons or clip ranges)
+        certify in parallel.  Purely a scheduling knob: verdicts are
+        identical at any setting.
     """
 
-    coalesce_window_seconds: float = 0.01
     max_batch_cells: int = 256
     shard_timeout_seconds: float = 60.0
     retry_backoff_seconds: float = 0.25
@@ -100,10 +100,8 @@ class ServiceConfig:
     max_concurrent_batches: int = 1
 
     def __post_init__(self):
-        # Float checks are written ``not x >= bound`` so that NaN fails them.
-        if not self.coalesce_window_seconds >= 0:
-            raise ConfigurationError("coalesce_window_seconds must be non-negative")
         _check_count(self.max_batch_cells, "max_batch_cells", 1)
+        # Float checks are written ``not x >= bound`` so that NaN fails them.
         if not self.shard_timeout_seconds > 0:
             raise ConfigurationError("shard_timeout_seconds must be positive")
         if not self.retry_backoff_seconds > 0:
@@ -278,7 +276,7 @@ class CraftConfig:
                 f"slope_optimization must be one of {tuple(_SLOPE_DELTAS)}, "
                 f"got {self.slope_optimization!r}"
             )
-        # Float checks are written ``not x > bound`` so that NaN fails them.
+        # Float checks are written ``not x >= bound`` so that NaN fails them.
         if not 0.0 < self.alpha1:
             raise ConfigurationError("alpha1 must be positive")
         if not self.alpha2_grid:

@@ -64,16 +64,14 @@ def serve_sweep(
 ) -> EngineReport:
     """Run one sweep through the service stack, synchronously.
 
-    Spins up a :class:`CertificationFrontend` (zero coalescing window —
-    a single sweep has nothing to coalesce with), admits the whole sweep
-    as one request with no deadline or budget, awaits every streamed
-    verdict and reassembles them into the familiar
+    Spins up a :class:`CertificationFrontend`, admits the whole sweep as
+    one request with no deadline or budget (its backend is idle, so it
+    is dispatched at once), awaits every streamed verdict and
+    reassembles them into the familiar
     :class:`~repro.engine.results.EngineReport` — the engine-parity
     shape ``certify_local_robustness(engine="service")`` compares
     against the other engines.
     """
-    if service is None:
-        service = ServiceConfig(coalesce_window_seconds=0.0)
 
     async def _run() -> EngineReport:
         import time

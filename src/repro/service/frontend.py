@@ -17,25 +17,32 @@ Admission
     workers or *other* service processes are served without an engine
     touch.  Hits stream back immediately; misses
     are queued for dispatch.
-Coalescing
+Dispatch and coalescing
     Queued cells are grouped by **batch signature** — ``(model
-    fingerprint, config signature, epsilon, clip bounds)`` — and held
-    for ``service.coalesce_window_seconds`` so compatible requests
-    arriving together merge into one engine pass (up to
-    ``service.max_batch_cells``).  Cells of *different* signatures are
-    never merged: a batch is assembled from exactly one group, so the
-    coalescing invariant is structural, and ``dispatch_log`` records
-    every assembled batch for the property tests to audit.
+    fingerprint, config signature, epsilon, clip bounds)``.  Dispatch is
+    work-conserving: a queued group leaves as soon as its backend has
+    fewer than ``service.max_concurrent_batches`` engine passes in
+    flight, oldest group first, at most ``service.max_batch_cells``
+    cells per pass.  Cells coalesce only while every slot is busy: they
+    stay queued and leave together when a pass frees its slot, which it
+    does once its verdicts are out, so a client that answers at once
+    with its next request joins them.
+    Cells of *different* signatures are never merged: a batch is
+    assembled from exactly one group, so the coalescing invariant is
+    structural, and ``dispatch_log`` records every assembled batch for
+    the property tests to audit.
 Deadlines and budgets
-    A request's deadline bounds its *queueing*: cells not started by the
-    deadline resolve as ``expired`` (no verdict — an expired cell is
-    never reported as anything else, in particular never as a
-    certificate).  Cells already inside an engine when the deadline
-    passes complete and serve late — an engine pass is not preemptible.
+    A request's deadline bounds its *queueing*, including the wait
+    behind a busy backend: cells still queued at the deadline resolve
+    as ``expired`` (no verdict — an expired cell is never reported as
+    anything else, in particular never as a certificate).  A cell
+    starts when its batch takes an engine slot; cells already inside an
+    engine when the deadline passes complete and serve late — an engine
+    pass is not preemptible.
     A request's budget caps the *engine* cells it may consume: cache
     hits are free, and admissions beyond the budget resolve as
     ``cancelled`` (reason ``"budget"``) at submit time.  Client
-    cancellation removes the request's unstarted cells from the queues —
+    cancellation removes the request's queued cells —
     cells of other requests coalesced into the same group stay queued
     (that is the "requeue" contract: cancelling one client never drops
     a neighbour's work).
@@ -57,7 +64,7 @@ transports: in process
 default), on a worker pool (``ShardedScheduler``), or across machines
 (:class:`~repro.service.cluster.ClusterScheduler`).  Engine calls run in
 the event loop's executor, so the loop keeps admitting and streaming
-while engines grind; a per-backend semaphore bounds them at
+while engines grind; a per-backend in-flight count bounds them at
 ``service.max_concurrent_batches`` simultaneous passes, so distinct
 coalescing groups — different models, epsilons or clip ranges — certify
 in parallel when the backend is concurrent-caller-safe (every scheduler
@@ -70,7 +77,7 @@ from __future__ import annotations
 import asyncio
 import time
 import uuid
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -192,7 +199,6 @@ class _Cell:
     admitted_at: float
     #: Absolute (clock) expiry, or ``None`` for no deadline.
     deadline: Optional[float]
-    started: bool = False
 
 
 @dataclass
@@ -263,19 +269,19 @@ class CertificationFrontend:
         #: :data:`DISPATCH_LOG_LIMIT` of them.
         self.dispatch_log: Deque[Dict] = deque(maxlen=DISPATCH_LOG_LIMIT)
         self._entries: Dict[str, _ModelEntry] = {}
+        #: Queued (unstarted) cells per batch signature, oldest group
+        #: first.
         self._groups: Dict[Tuple, List[_Cell]] = {}
-        self._group_opened_at: Dict[Tuple, float] = {}
         #: Handles of *unresolved* requests only — popped on terminal
         #: resolution, so request state never accumulates.
         self._handles: Dict[str, RequestHandle] = {}
         self._dispatcher: Optional[asyncio.Task] = None
         self._batches: set = set()
-        #: One semaphore per registered backend object, lazily built:
-        #: ``service.max_concurrent_batches`` engine passes may run at
-        #: once per backend (two models sharing one backend share its
-        #: bound; distinct backends run independently).
-        self._batch_slots: Dict[int, asyncio.Semaphore] = {}
-        self._inflight_batches = 0
+        #: Engine passes in flight per registered backend object:
+        #: ``service.max_concurrent_batches`` may run at once per backend
+        #: (two models sharing one backend share its bound; distinct
+        #: backends run independently).
+        self._inflight: Counter = Counter()
         self._wake: Optional[asyncio.Event] = None
         self._closed = False
 
@@ -404,10 +410,7 @@ class CertificationFrontend:
                 request_id=request_id, index=index, query=query, group=group,
                 handle=handle, admitted_at=now, deadline=deadline,
             )
-            queue = self._groups.setdefault(group, [])
-            if not queue:
-                self._group_opened_at[group] = now
-            queue.append(cell)
+            self._groups.setdefault(group, []).append(cell)
         self._ensure_dispatcher()
         if self._wake is not None:
             self._wake.set()
@@ -418,7 +421,7 @@ class CertificationFrontend:
         return handle
 
     async def cancel(self, request_id: str) -> int:
-        """Cancel a request's *unstarted* cells; returns how many were
+        """Cancel a request's queued cells; returns how many were
         removed.  Started cells complete and serve late; neighbouring
         requests' cells in the same coalescing group are untouched."""
         removed = 0
@@ -428,7 +431,7 @@ class CertificationFrontend:
         for group, cells in list(self._groups.items()):
             kept: List[_Cell] = []
             for cell in cells:
-                if cell.request_id == request_id and not cell.started:
+                if cell.request_id == request_id:
                     removed += 1
                     self._resolve(
                         handle,
@@ -444,7 +447,6 @@ class CertificationFrontend:
                 self._groups[group] = kept
             else:
                 self._groups.pop(group, None)
-                self._group_opened_at.pop(group, None)
         return removed
 
     async def close(self) -> None:
@@ -465,7 +467,6 @@ class CertificationFrontend:
                     ),
                 )
         self._groups.clear()
-        self._group_opened_at.clear()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             try:
@@ -486,29 +487,24 @@ class CertificationFrontend:
             )
 
     def _poll_timeout(self) -> Optional[float]:
-        """Exact sleep until the next scheduled event.
+        """Exact sleep until the earliest queued deadline.
 
-        With no queued cells the dispatcher parks on the wake event.
-        Otherwise it sleeps precisely until the earliest of (a) a
-        group's coalescing window closing (``opened_at + window`` — the
-        moment the group becomes dispatchable) and (b) a queued cell's
-        deadline (the moment it must expire).  New admissions set the
-        wake event, so sleeping the full distance is safe — no periodic
-        polling.
+        Every dispatcher wake launches whatever a free slot can take, so
+        the cells still queued wait behind a busy backend.  A freed slot
+        (the end of :meth:`_run_batch`) and a new admission both set the
+        wake event; only a deadline falls due without one.  With no
+        queued deadline the dispatcher parks on the event, and a
+        past-due deadline wakes it at once — no periodic polling.
         """
-        if not self._groups:
+        deadlines = [
+            cell.deadline
+            for cells in self._groups.values()
+            for cell in cells
+            if cell.deadline is not None
+        ]
+        if not deadlines:
             return None
-        now = self.clock()
-        window = self.service.coalesce_window_seconds
-        due = min(
-            self._group_opened_at.get(group, now) + window
-            for group in self._groups
-        )
-        for cells in self._groups.values():
-            for cell in cells:
-                if cell.deadline is not None and cell.deadline < due:
-                    due = cell.deadline
-        return max(0.0, due - now)
+        return max(0.0, min(deadlines) - self.clock())
 
     async def _dispatch_loop(self) -> None:
         while not self._closed:
@@ -547,21 +543,24 @@ class CertificationFrontend:
                 self._groups[group] = kept
             else:
                 self._groups.pop(group, None)
-                self._group_opened_at.pop(group, None)
 
     def _launch_ready_groups(self) -> None:
-        now = self.clock()
-        window = self.service.coalesce_window_seconds
-        for group in list(self._groups):
-            if now - self._group_opened_at.get(group, now) < window:
-                continue
-            cells = self._groups.pop(group)
-            self._group_opened_at.pop(group, None)
-            while cells:
-                batch = cells[: self.service.max_batch_cells]
-                cells = cells[self.service.max_batch_cells :]
-                for cell in batch:
-                    cell.started = True
+        """Give engine slots to queued groups, oldest first: each pass
+        takes up to ``service.max_batch_cells`` of its group's cells
+        while the group's backend has fewer than
+        ``service.max_concurrent_batches`` passes in flight.  Cells left
+        queued wait behind a busy backend; they leave together, on the
+        wake that the ending pass sets."""
+        loop = asyncio.get_running_loop()
+        limit = self.service.max_batch_cells
+        for group, cells in list(self._groups.items()):
+            backend = id(self._entries[group[0]].backend)
+            while cells and self._inflight[backend] < self.service.max_concurrent_batches:
+                batch, cells = cells[:limit], cells[limit:]
+                self._inflight[backend] += 1
+                self.stats.concurrent_batches_peak = max(
+                    self.stats.concurrent_batches_peak, sum(self._inflight.values())
+                )
                 self.dispatch_log.append(
                     {
                         "group": group,
@@ -569,18 +568,13 @@ class CertificationFrontend:
                         "request_ids": sorted({c.request_id for c in batch}),
                     }
                 )
-                task = asyncio.get_running_loop().create_task(
-                    self._run_batch(group, batch)
-                )
+                task = loop.create_task(self._run_batch(group, batch))
                 self._batches.add(task)
                 task.add_done_callback(self._batches.discard)
-
-    def _batch_slot(self, backend: object) -> asyncio.Semaphore:
-        slot = self._batch_slots.get(id(backend))
-        if slot is None:
-            slot = asyncio.Semaphore(self.service.max_concurrent_batches)
-            self._batch_slots[id(backend)] = slot
-        return slot
+            if cells:
+                self._groups[group] = cells
+            else:
+                del self._groups[group]
 
     async def _run_batch(self, group: Tuple, batch: List[_Cell]) -> None:
         fingerprint, _signature, epsilon, clip_min, clip_max = group
@@ -589,50 +583,44 @@ class CertificationFrontend:
         labels = np.array([cell.query.target for cell in batch], dtype=int)
         loop = asyncio.get_running_loop()
         try:
-            # The per-backend semaphore bounds simultaneous engine
-            # passes at service.max_concurrent_batches — a scheduling
-            # bound, not a global executor free-for-all: other backends
-            # proceed, cache hits keep streaming, and at the default of
-            # 1 the pre-concurrency serialised behaviour is reproduced.
-            async with self._batch_slot(entry.backend):
-                self._inflight_batches += 1
-                self.stats.concurrent_batches_peak = max(
-                    self.stats.concurrent_batches_peak, self._inflight_batches
+            try:
+                report = await loop.run_in_executor(
+                    None,
+                    lambda: entry.backend.certify(
+                        xs, labels, epsilon, clip_min=clip_min, clip_max=clip_max,
+                    ),
                 )
-                try:
-                    report = await loop.run_in_executor(
-                        None,
-                        lambda: entry.backend.certify(
-                            xs, labels, epsilon,
-                            clip_min=clip_min, clip_max=clip_max,
+            except Exception as error:
+                for cell in batch:
+                    self._resolve(
+                        cell.handle,
+                        VerdictEvent(
+                            request_id=cell.request_id, index=cell.index,
+                            status="failed", result=None, reason=repr(error),
+                            latency_seconds=self.clock() - cell.admitted_at,
                         ),
                     )
-                finally:
-                    self._inflight_batches -= 1
-        except Exception as error:
-            for cell in batch:
+                return
+            self.stats.engine_batches += 1
+            self.stats.engine_cells += len(batch)
+            now = self.clock()
+            for cell, result in zip(batch, report.results):
                 self._resolve(
                     cell.handle,
                     VerdictEvent(
-                        request_id=cell.request_id, index=cell.index,
-                        status="failed", result=None, reason=repr(error),
-                        latency_seconds=self.clock() - cell.admitted_at,
+                        request_id=cell.request_id, index=cell.index, status="served",
+                        result=result,
+                        cache_tier=result.cache_tier if result.cached else None,
+                        latency_seconds=now - cell.admitted_at,
                     ),
                 )
-            return
-        self.stats.engine_batches += 1
-        self.stats.engine_cells += len(batch)
-        now = self.clock()
-        for cell, result in zip(batch, report.results):
-            self._resolve(
-                cell.handle,
-                VerdictEvent(
-                    request_id=cell.request_id, index=cell.index, status="served",
-                    result=result,
-                    cache_tier=result.cache_tier if result.cached else None,
-                    latency_seconds=now - cell.admitted_at,
-                ),
-            )
+        finally:
+            # Free the slot only once this pass's verdicts are out: the
+            # clients they wake run before the dispatcher does, so a
+            # client that answers with its next request at once joins
+            # the cells queued behind this pass, and they leave together.
+            self._inflight[id(entry.backend)] -= 1
+            self._wake.set()
 
     # ------------------------------------------------------------------
 

@@ -69,7 +69,6 @@ class TestServiceConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"coalesce_window_seconds": -0.01},
             {"max_batch_cells": 0},
             {"shard_timeout_seconds": 0.0},
             {"retry_backoff_seconds": 0.0},
@@ -83,7 +82,6 @@ class TestServiceConfig:
     @pytest.mark.parametrize(
         "name",
         [
-            "coalesce_window_seconds",
             "shard_timeout_seconds",
             "retry_backoff_seconds",
             "retry_backoff_factor",

@@ -10,16 +10,20 @@ tier-1 suite with ``REPRO_SHARD_WORKERS`` set to exercise it under
 different worker counts.
 """
 
+import asyncio
 import os
 import time
 
 import numpy as np
 import pytest
 
+from frontend_support import collect
+
 from repro.core.config import CraftConfig
 from repro.engine import BatchCertificationScheduler, ShardedScheduler
 from repro.engine.sharded import default_num_workers, default_start_method
 from repro.exceptions import ConfigurationError, VerificationError
+from repro.service import CertificationFrontend
 from repro.utils.rng import as_generator
 
 SHARD_WORKERS = int(os.environ.get("REPRO_SHARD_WORKERS", "2"))
@@ -179,6 +183,10 @@ def _hang_forever(shard):  # pragma: no cover - runs in a sacrificial worker
     time.sleep(3600)
 
 
+def _exit_at_once(shard):  # pragma: no cover - runs in a sacrificial worker
+    os._exit(1)
+
+
 class TestFlakeGuard:
     def test_hung_worker_pool_fails_fast(
         self, trained_mondeq, config, eval_set, monkeypatch
@@ -198,3 +206,52 @@ class TestFlakeGuard:
             scheduler.certify(xs[:4], ys[:4], 0.05)
         assert time.perf_counter() - start < 30.0
         assert scheduler._pool is None  # pool terminated, nothing leaked
+
+    def test_dead_worker_pool_fails_fast(
+        self, trained_mondeq, config, eval_set, monkeypatch
+    ):
+        """A worker that exits mid-shard loses its task for good
+        (``multiprocessing.Pool`` does not resubmit it): the sweep must
+        raise within the timeout, return no verdict and terminate the
+        pool."""
+        import repro.engine.sharded as sharded_module
+
+        monkeypatch.setattr(sharded_module, "_run_shard", _exit_at_once)
+        xs, ys = eval_set
+        scheduler = ShardedScheduler(
+            trained_mondeq, config, num_workers=2, batch_size=4,
+            start_method="fork", timeout_seconds=1.0,
+        )
+        start = time.perf_counter()
+        with pytest.raises(VerificationError, match="timed out"):
+            scheduler.certify(xs[:4], ys[:4], 0.05)
+        assert time.perf_counter() - start < 30.0
+        assert scheduler._pool is None
+
+    def test_dead_worker_fails_every_frontend_cell(
+        self, trained_mondeq, config, eval_set, monkeypatch
+    ):
+        """Behind the service frontend, every cell of the batch whose pool
+        worker exited resolves ``failed``; none is served."""
+        import repro.engine.sharded as sharded_module
+
+        monkeypatch.setattr(sharded_module, "_run_shard", _exit_at_once)
+        xs, ys = eval_set
+        scheduler = ShardedScheduler(
+            trained_mondeq, config, num_workers=2, start_method="fork",
+            timeout_seconds=1.0,
+        )
+
+        async def run():
+            frontend = CertificationFrontend()
+            fingerprint = frontend.register_model(trained_mondeq, config, backend=scheduler)
+            handle = await frontend.submit(fingerprint, xs[:6], ys[:6], 0.05)
+            events = await collect(handle)
+            await frontend.close()
+            return handle, events
+
+        handle, events = asyncio.run(run())
+        assert handle.failed == handle.total == 6
+        assert handle.served == 0
+        assert all(event.status == "failed" and event.result is None for event in events)
+        assert scheduler._pool is None

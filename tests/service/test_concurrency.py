@@ -7,9 +7,11 @@ The sweep-multiplexing PR's claims, pinned end to end:
   exactly-once / zero-flip guarantees hold *per sweep* — including while
   a scripted fault kills a worker both sweeps depend on.
 * The frontend's ``max_concurrent_batches`` bounds simultaneous engine
-  passes per backend (a semaphore, not a free-for-all), and at the
-  default of ``1`` engine passes never overlap — today's serialised
-  behaviour.
+  passes per backend (a per-backend in-flight count, not a
+  free-for-all), and at the default of ``1`` engine passes never
+  overlap.  Dispatch is work-conserving: a group leaves as soon as its
+  backend has a free slot, and cells coalesce only while every slot is
+  busy.
 * Conservation (``served + cancelled + expired + failed == submitted``
   per request) and the coalescing-signature invariant survive arbitrary
   interleavings of multi-model admissions with concurrent batches, which
@@ -20,16 +22,15 @@ The sweep-multiplexing PR's claims, pinned end to end:
 
 import asyncio
 import threading
-import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from frontend_support import COLLECT_SECONDS, OverlapProbe, collect
+
 from repro.core.config import CraftConfig, ServiceConfig
-from repro.core.results import VerificationOutcome, VerificationResult
-from repro.engine.results import EngineReport
 from repro.engine.sharded import ShardedScheduler
 from repro.mondeq.model import MonDEQ
 from repro.service.cluster import ClusterScheduler
@@ -42,43 +43,6 @@ EPSILON = 0.03
 MODEL = MonDEQ.random(input_dim=4, latent_dim=5, output_dim=3, monotonicity=8.0, seed=21)
 CONFIG_A = CraftConfig(slope_optimization="none")
 CONFIG_B = CraftConfig(slope_optimization="none", domains=("box",))
-
-
-def _verdict() -> VerificationResult:
-    return VerificationResult(
-        outcome=VerificationOutcome.VERIFIED,
-        contained=True,
-        certified=True,
-        margin=1.0,
-        iterations_phase1=1,
-        iterations_phase2=0,
-        time_seconds=0.0,
-        stage="box",
-    )
-
-
-class OverlapProbe:
-    """A scheduler-shaped stub that measures its own concurrency: the
-    sleep is long enough for genuinely parallel calls to overlap, and
-    ``peak`` records the most calls ever in flight at once."""
-
-    def __init__(self, delay_seconds: float = 0.01):
-        self.delay_seconds = delay_seconds
-        self._lock = threading.Lock()
-        self._inflight = 0
-        self.peak = 0
-        self.calls = 0
-
-    def certify(self, xs, labels, epsilon, clip_min=0.0, clip_max=1.0):
-        with self._lock:
-            self._inflight += 1
-            self.calls += 1
-            self.peak = max(self.peak, self._inflight)
-        time.sleep(self.delay_seconds)
-        with self._lock:
-            self._inflight -= 1
-        count = np.atleast_2d(xs).shape[0]
-        return EngineReport(results=[_verdict() for _ in range(count)])
 
 
 # ----------------------------------------------------------------------
@@ -104,10 +68,9 @@ _ops = st.lists(
 
 
 async def _drive(operations, max_concurrent_batches):
-    # Both models share one backend, so the per-backend semaphore is the
-    # binding constraint the probe's peak is checked against.
+    # Both models share one backend, so its slot bound is the binding
+    # constraint the probe's peak is checked against.
     service = ServiceConfig(
-        coalesce_window_seconds=0.0,
         max_batch_cells=4,
         max_concurrent_batches=max_concurrent_batches,
     )
@@ -145,7 +108,7 @@ async def _drive(operations, max_concurrent_batches):
                 break
             await asyncio.sleep(0.005)
     await frontend.close()
-    events = [await handle.collect() for handle in handles]
+    events = [await collect(handle) for handle in handles]
     return frontend, backend, handles, events, fingerprints
 
 
@@ -164,7 +127,7 @@ def test_interleaved_sweeps_conserve_verdicts(operations, max_concurrent_batches
         assert sorted(e.index for e in request_events) == list(range(handle.total))
     totals = frontend.stats
     assert totals.served + totals.cancelled + totals.expired == totals.submitted
-    # The semaphore held: the shared backend never saw more than the
+    # The slot bound held: the shared backend never saw more than the
     # configured number of simultaneous passes.
     assert backend.peak <= max_concurrent_batches
     assert frontend.stats.concurrent_batches_peak <= max_concurrent_batches
@@ -177,16 +140,13 @@ def test_interleaved_sweeps_conserve_verdicts(operations, max_concurrent_batches
 
 
 # ----------------------------------------------------------------------
-# The semaphore bound, deterministically at both extremes
+# The slot bound, deterministically at both extremes
 # ----------------------------------------------------------------------
 
 class TestConcurrentBatchBound:
     @staticmethod
     async def _burst(max_concurrent_batches):
-        service = ServiceConfig(
-            coalesce_window_seconds=0.0,
-            max_concurrent_batches=max_concurrent_batches,
-        )
+        service = ServiceConfig(max_concurrent_batches=max_concurrent_batches)
         frontend = CertificationFrontend(service=service)
         backend = OverlapProbe(delay_seconds=0.05)
         fp_a = frontend.register_model(MODEL, CONFIG_A, backend=backend)
@@ -205,7 +165,7 @@ class TestConcurrentBatchBound:
                 )
             )
         for handle in handles:
-            await handle.collect()
+            await collect(handle)
         stats = frontend.stats
         await frontend.close()
         return backend, stats
@@ -224,6 +184,77 @@ class TestConcurrentBatchBound:
         assert backend.peak == 2
         assert stats.concurrent_batches_peak == 2
 
+    def test_cells_queued_behind_a_busy_backend_leave_together(self):
+        """A request to an idle backend starts at once; the two requests
+        that arrive while its pass runs coalesce into the next pass."""
+
+        async def run():
+            frontend = CertificationFrontend()
+            fingerprint = frontend.register_model(
+                MODEL, CONFIG_A, backend=OverlapProbe(delay_seconds=0.3)
+            )
+            handles = []
+            for position in range(3):
+                if position:
+                    await asyncio.sleep(0.05)
+                handles.append(
+                    await frontend.submit(
+                        fingerprint,
+                        np.full((1, MODEL.input_dim), 0.3 + 0.1 * position),
+                        [position],
+                        EPSILON,
+                    )
+                )
+            for handle in handles:
+                await collect(handle)
+            await frontend.close()
+            return frontend, handles
+
+        frontend, handles = asyncio.run(run())
+        first, second, third = (handle.request_id for handle in handles)
+        assert [row["cells"] for row in frontend.dispatch_log] == [1, 2]
+        assert [row["request_ids"] for row in frontend.dispatch_log] == [
+            [first], sorted([second, third]),
+        ]
+        assert all(handle.served == 1 for handle in handles)
+
+    def test_a_client_that_answers_at_once_joins_the_queued_cells(self):
+        """A pass frees its slot only once its verdicts are out, so the
+        client it served submits its next request before the dispatcher
+        wakes, and that request leaves with the cells queued behind the
+        pass."""
+
+        async def client(frontend, fingerprint, point, pause):
+            await asyncio.sleep(pause)
+            for request in range(2):
+                handle = await frontend.submit(
+                    fingerprint, np.full((1, MODEL.input_dim), point + 0.05 * request),
+                    [0], EPSILON,
+                )
+                # Awaited directly: a wrapping task would wake this
+                # client one loop turn after the dispatcher.
+                await handle.collect()
+
+        async def run():
+            frontend = CertificationFrontend()
+            fingerprint = frontend.register_model(
+                MODEL, CONFIG_A, backend=OverlapProbe(delay_seconds=0.2)
+            )
+            # The first client's first pass runs alone; the second
+            # client's first request queues behind it.
+            await asyncio.wait_for(
+                asyncio.gather(
+                    client(frontend, fingerprint, 0.3, 0.0),
+                    client(frontend, fingerprint, 0.6, 0.05),
+                ),
+                COLLECT_SECONDS,
+            )
+            await frontend.close()
+            return frontend
+
+        frontend = asyncio.run(run())
+        assert [row["cells"] for row in frontend.dispatch_log] == [1, 2, 1]
+
 
 # ----------------------------------------------------------------------
 # Frontend state reclamation (the memory-leak satellite)
@@ -234,7 +265,7 @@ class TestStateReclamation:
         monkeypatch.setattr(frontend_module, "DISPATCH_LOG_LIMIT", 5)
 
         async def run():
-            service = ServiceConfig(coalesce_window_seconds=0.0, max_batch_cells=2)
+            service = ServiceConfig(max_batch_cells=2)
             frontend = CertificationFrontend(service=service)
             backend = OverlapProbe(delay_seconds=0.0)
             fingerprint = frontend.register_model(MODEL, CONFIG_A, backend=backend)
@@ -246,7 +277,7 @@ class TestStateReclamation:
                     rng.integers(0, MODEL.output_dim, size=2),
                     EPSILON,
                 )
-                await handle.collect()
+                await collect(handle)
             state_size = len(frontend._handles)
             log = frontend.dispatch_log
             batches = frontend.stats.engine_batches
@@ -262,33 +293,38 @@ class TestStateReclamation:
         assert len(log) == 5
 
     def test_poll_timeout_is_the_exact_next_deadline(self):
-        """The dispatcher sleeps until the earliest group-ready or
-        cell-deadline instant — no 1–20 ms busy-poll."""
+        """The dispatcher sleeps until the earliest queued deadline and
+        otherwise parks on its wake event — no window and no 1–20 ms
+        busy-poll."""
 
         async def run():
             clock = {"now": 100.0}
-            service = ServiceConfig(coalesce_window_seconds=0.5)
-            frontend = CertificationFrontend(
-                service=service, clock=lambda: clock["now"]
-            )
+            frontend = CertificationFrontend(clock=lambda: clock["now"])
             fingerprint = frontend.register_model(
-                MODEL, CONFIG_A, backend=OverlapProbe(delay_seconds=0.0)
+                MODEL, CONFIG_A, backend=OverlapProbe(delay_seconds=0.5)
             )
             assert frontend._poll_timeout() is None  # idle: park on the event
             await frontend.submit(
-                fingerprint, np.full((1, MODEL.input_dim), 0.5), [0], EPSILON
+                fingerprint, np.full((1, MODEL.input_dim), 0.4), [0], EPSILON
             )
-            # One group opened at t=100 with a 0.5 s window.
-            assert frontend._poll_timeout() == pytest.approx(0.5)
-            clock["now"] = 100.2
-            assert frontend._poll_timeout() == pytest.approx(0.3)
-            # A cell deadline earlier than every window takes precedence.
+            await asyncio.sleep(0.01)
+            # The idle backend took the cell at once, frozen clock and all.
+            assert not frontend._groups
+            assert frontend.stats.concurrent_batches_peak == 1
+            # Queued behind the busy backend with no deadline: nothing
+            # falls due before the pass ends and wakes the dispatcher.
             await frontend.submit(
-                fingerprint, np.full((1, MODEL.input_dim), 0.6), [1], EPSILON,
-                deadline_seconds=0.1,
+                fingerprint, np.full((1, MODEL.input_dim), 0.5), [1], EPSILON
             )
+            assert frontend._poll_timeout() is None
+            await frontend.submit(
+                fingerprint, np.full((1, MODEL.input_dim), 0.6), [2], EPSILON,
+                deadline_seconds=0.3,
+            )
+            assert frontend._poll_timeout() == pytest.approx(0.3)
+            clock["now"] = 100.2
             assert frontend._poll_timeout() == pytest.approx(0.1)
-            # Past-due events clamp to an immediate wake, never negative.
+            # A past-due deadline clamps to an immediate wake, never negative.
             clock["now"] = 101.0
             assert frontend._poll_timeout() == 0.0
             await frontend.close()

@@ -24,6 +24,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from frontend_support import OverlapProbe, collect
+
 from repro.core.config import CraftConfig, ServiceConfig
 from repro.core.results import VerificationOutcome, VerificationResult
 from repro.engine.results import EngineReport
@@ -63,9 +65,7 @@ class InstantBackend:
 
 
 def _frontend(**service_overrides) -> CertificationFrontend:
-    service = ServiceConfig(
-        coalesce_window_seconds=0.0, max_batch_cells=8, **service_overrides
-    )
+    service = ServiceConfig(max_batch_cells=8, **service_overrides)
     return CertificationFrontend(service=service)
 
 
@@ -128,7 +128,7 @@ async def _drive(operations):
     await frontend.close()
     events = []
     for handle in handles:
-        events.append(await handle.collect())
+        events.append(await collect(handle))
     return frontend, handles, events, fingerprints
 
 
@@ -197,7 +197,7 @@ class TestDeadlineAndBudget:
                 0.05,
                 deadline_seconds=0.0,
             )
-            events = await handle.collect()
+            events = await collect(handle)
             await frontend.close()
             return handle, events
 
@@ -217,7 +217,7 @@ class TestDeadlineAndBudget:
                 0.05,
                 budget_cells=2,
             )
-            events = await handle.collect()
+            events = await collect(handle)
             await frontend.close()
             return backend, handle, events
 
@@ -230,38 +230,90 @@ class TestDeadlineAndBudget:
         assert sum(cells for cells, _ in backend.calls) == 2
 
     def test_cancel_spares_neighbouring_requests(self):
-        """Cancelling one client removes only its unstarted cells; cells
-        of other requests coalesced into the same group stay queued."""
+        """Cancelling one client removes only its queued cells; cells of
+        other requests coalesced into the same group stay queued."""
 
         async def run():
-            # A positive window holds both requests in the same group
-            # long enough to cancel one before dispatch.
-            frontend = CertificationFrontend(
-                service=ServiceConfig(coalesce_window_seconds=0.2, max_batch_cells=8)
+            # A pass in flight on the only engine slot holds both
+            # requests in the same group long enough to cancel one
+            # before they leave.
+            frontend = _frontend()
+            fingerprint = frontend.register_model(
+                MODEL, CONFIG_A, backend=OverlapProbe(delay_seconds=0.2)
             )
-            backend = InstantBackend()
-            fingerprint = frontend.register_model(MODEL, CONFIG_A, backend=backend)
+            blocker = await frontend.submit(
+                fingerprint, np.full((1, MODEL.input_dim), 0.5), [0], 0.05
+            )
+            await asyncio.sleep(0.05)
             xs = np.random.default_rng(2).uniform(0.2, 0.8, size=(2, MODEL.input_dim))
             first = await frontend.submit(fingerprint, xs, [0, 1], 0.05)
             second = await frontend.submit(fingerprint, xs + 0.01, [1, 2], 0.05)
             removed = await frontend.cancel(first.request_id)
-            first_events = await first.collect()
-            second_events = await second.collect()
+            first_events = await collect(first)
+            second_events = await collect(second)
+            await collect(blocker)
             await frontend.close()
-            return removed, first, second, first_events, second_events, frontend
+            return removed, blocker, first, second, first_events, second_events, frontend
 
-        removed, first, second, first_events, second_events, frontend = asyncio.run(
+        removed, blocker, first, second, first_events, second_events, frontend = asyncio.run(
             run()
         )
         assert removed == 2
         assert first.cancelled == 2 and first.served == 0
         assert second.served == 2 and second.cancelled == 0
         assert all(e.status == "served" for e in second_events)
-        # The dispatched batch contains only the surviving request.
-        engine_rows = [r for r in frontend.dispatch_log if r["cells"] > 0]
-        assert all(
-            r["request_ids"] == [second.request_id] for r in engine_rows
-        )
+        # The batch that left after the blocker's pass contains only the
+        # surviving request.
+        rows = [r["request_ids"] for r in frontend.dispatch_log]
+        assert rows == [[blocker.request_id], [second.request_id]]
+
+    def test_a_cell_behind_a_busy_backend_expires_at_its_deadline(self):
+        """A deadline bounds the wait behind a busy backend too: a cell
+        queued behind a running pass expires at its deadline, verdict-free,
+        instead of waiting for the pass and serving late."""
+
+        async def run():
+            frontend = _frontend(max_concurrent_batches=1)
+            fingerprint = frontend.register_model(
+                MODEL, CONFIG_A, backend=OverlapProbe(delay_seconds=0.3)
+            )
+            busy = await frontend.submit(
+                fingerprint, np.full((1, MODEL.input_dim), 0.4), [0], 0.05
+            )
+            await asyncio.sleep(0.05)
+            late = await frontend.submit(
+                fingerprint, np.full((1, MODEL.input_dim), 0.6), [1], 0.05,
+                deadline_seconds=0.05,
+            )
+            late_events = await collect(late)
+            busy_events = await collect(busy)
+            await frontend.close()
+            return busy_events, late_events
+
+        busy_events, late_events = asyncio.run(run())
+        assert [event.status for event in busy_events] == ["served"]
+        [event] = late_events
+        assert event.status == "expired" and event.result is None
+        assert event.reason == "deadline"
+        # It expired while the 0.3 s pass it queued behind still ran.
+        assert event.latency_seconds < 0.3
+
+    def test_an_idle_backend_serves_under_a_frozen_clock(self):
+        """Dispatch waits on no timer: with the injected clock frozen, a
+        request to an idle backend is still served."""
+
+        async def run():
+            frontend = CertificationFrontend(clock=lambda: 100.0)
+            fingerprint = frontend.register_model(MODEL, CONFIG_A, backend=InstantBackend())
+            handle = await frontend.submit(
+                fingerprint, np.full((2, MODEL.input_dim), 0.5), [0, 1], 0.05
+            )
+            events = await collect(handle, seconds=5.0)
+            await frontend.close()
+            return events
+
+        events = asyncio.run(run())
+        assert [event.status for event in events] == ["served", "served"]
 
     def test_unknown_fingerprint_rejected(self):
         async def run():
@@ -280,9 +332,7 @@ class TestAdmissionChecks:
         have been coalesced with is still served."""
 
         async def run():
-            frontend = CertificationFrontend(
-                service=ServiceConfig(coalesce_window_seconds=0.05, max_batch_cells=8)
-            )
+            frontend = _frontend()
             fingerprint = frontend.register_model(MODEL, CONFIG_A, backend=InstantBackend())
             xs = np.full((2, MODEL.input_dim), 0.5)
             good = await frontend.submit(fingerprint, xs, [0, 1], 0.05)
@@ -293,7 +343,7 @@ class TestAdmissionChecks:
             ):
                 with pytest.raises(VerificationError):
                     await frontend.submit(fingerprint, xs, [0, 1], epsilon, **clips)
-            events = await asyncio.wait_for(good.collect(), timeout=10.0)
+            events = await collect(good)
             await frontend.close()
             return frontend.stats, events
 
@@ -314,9 +364,7 @@ class TestAdmissionChecks:
                 with pytest.raises(VerificationError):
                     await frontend.submit(fingerprint, xs, wrong, epsilon, **clips)
             # The same rows at a valid radius are served as misclassified.
-            events = await asyncio.wait_for(
-                (await frontend.submit(fingerprint, xs, wrong, 0.05)).collect(), timeout=30.0
-            )
+            events = await collect(await frontend.submit(fingerprint, xs, wrong, 0.05))
             await frontend.close()
             return frontend.stats, events
 
@@ -342,12 +390,8 @@ class TestCacheFirstAdmission:
             fingerprint = frontend.register_model(
                 model, CONFIG_A, cache_dir=str(tmp_path / "cache")
             )
-            cold = await (
-                await frontend.submit(fingerprint, xs, labels, 0.03)
-            ).collect()
-            warm = await (
-                await frontend.submit(fingerprint, xs, labels, 0.03)
-            ).collect()
+            cold = await collect(await frontend.submit(fingerprint, xs, labels, 0.03))
+            warm = await collect(await frontend.submit(fingerprint, xs, labels, 0.03))
             stats = frontend.stats
             await frontend.close()
             return cold, warm, stats

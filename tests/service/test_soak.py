@@ -22,6 +22,8 @@ import time
 import numpy as np
 import pytest
 
+from frontend_support import collect
+
 from repro.core.config import CraftConfig, ServiceConfig
 from repro.mondeq.model import MonDEQ
 from repro.service import CertificationFrontend, ClusterScheduler, FaultSpec
@@ -44,7 +46,6 @@ def test_soak_sustained_traffic_with_faults(tmp_path):
     pool_labels = np.array([int(p) for p in model.predict_batch(pool_xs)])
     config = CraftConfig(slope_optimization="none")
     service = ServiceConfig(
-        coalesce_window_seconds=0.02,
         max_batch_cells=16,
         shard_timeout_seconds=1.5,
         retry_backoff_seconds=0.05,
@@ -83,7 +84,7 @@ def test_soak_sustained_traffic_with_faults(tmp_path):
             await asyncio.sleep(float(traffic_rng.uniform(0.05, 0.25)))
         events = []
         for handle in handles:
-            events.extend(await handle.collect())
+            events.extend(await collect(handle))
         stats = frontend.stats
         await frontend.close()
         return events, stats
